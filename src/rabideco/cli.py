@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .experiments import (
     ExperimentKind,
     emit_outputs,
     load_config,
+    load_fit_config,
     predictor_series,
     run_experiment,
     run_oracle_check,
@@ -68,7 +68,11 @@ def _read_series_csv(path: Path) -> ProbabilitySeries:
         header = next(reader, None)
         if header is None or len(header) < 2:
             raise ConfigError(f"{path} has no usable header row", "series_csv")
-        rows = [(float(r[0]), float(r[1])) for r in reader]
+        try:
+            rows = [(float(r[0]), float(r[1])) for r in reader]
+        except (IndexError, ValueError):
+            raise ConfigError(f"{path} line {reader.line_num}: expected two numbers",
+                              "series_csv") from None
     times = np.array([r[0] for r in rows])
     probs = np.array([r[1] for r in rows])
     return ProbabilitySeries(times, probs, {"source": str(path)})
@@ -109,32 +113,13 @@ def _cmd_simulate(cfg, out_dir: Path, formats) -> int:
 
 
 def _cmd_fit(config_path: Path, out_dir: Path, formats) -> int:
-    raw = config_path.read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc.msg}", "", exc.lineno) from exc
-    if not isinstance(data, dict):
-        raise ConfigError("top level must be a JSON object")
-    known = {"series_csv", "omega_hint", "free_params", "output"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError("unknown key", sorted(unknown)[0])
-    if "series_csv" not in data:
-        raise ConfigError("missing required key", "series_csv")
-    if "omega_hint" not in data:
-        raise ConfigError("missing required key", "omega_hint")
-    series_path = Path(data["series_csv"])
-    if not series_path.is_absolute():
-        series_path = config_path.parent / series_path
-    series = _read_series_csv(series_path)
-    free = frozenset(data.get("free_params", ["gamma", "omega"]))
-    fit = fit_damped_sinusoid(series, omega_hint=float(data["omega_hint"]), free_params=free)
-    prefix = (data.get("output") or {}).get("prefix", "fit")
+    cfg = load_fit_config(config_path)
+    series = _read_series_csv(cfg.series_csv)
+    fit = fit_damped_sinusoid(series, omega_hint=cfg.omega_hint, free_params=cfg.free_params)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
-        "series_csv": str(series_path),
-        "omega_hint": float(data["omega_hint"]),
+        "series_csv": str(cfg.series_csv),
+        "omega_hint": cfg.omega_hint,
         "gamma": fit.gamma,
         "omega_fit": fit.omega_fit,
         "amplitude": fit.amplitude,
@@ -144,7 +129,7 @@ def _cmd_fit(config_path: Path, out_dir: Path, formats) -> int:
         "free_params": sorted(fit.free_params),
         "degenerate": fit.degenerate,
     }
-    path = out_dir / f"{prefix}.json"
+    path = out_dir / f"{cfg.output_prefix}.json"
     _write_json(path, summary)
     print(path)
     return 0

@@ -8,11 +8,19 @@ ground-state probability is piecewise: on [n dt, (n+1) dt) it is p_n, with
 
     p_0(t) = Born ground probability,
     p_n(t) = eta * p_{n-1}(t)
-             + (1 - eta) * (cos^2(omega (t - n dt)) * p_{n-1}(n dt)
-                            + sin^2(omega (t - n dt)) * (1 - p_{n-1}(n dt))).
+             + (1 - eta) * (cos^2(omega (t - n dt)) * b_n
+                            + sin^2(omega (t - n dt)) * (1 - b_n)),
 
-Unrolling a query at time t therefore only needs the boundary values
-p_{n-1}(n dt), which `build_predictor` tabulates once in O(n_max^2).
+where b_n = p_{n-1}(n dt). The collapsed part equals
+1/2 + Re((b_n - 1/2) e^{2i omega (t - n dt)}), so every level has the
+two-coefficient form
+
+    p_n(t) = eta^n * born(t) + (1 - eta^n) / 2 + Re(c_n e^{2i omega t}),
+    c_n = eta * c_{n-1} + (1 - eta) * (b_n - 1/2) * e^{-2i omega n dt},  c_0 = 0.
+
+`build_predictor` runs this affine update once per epoch, in O(n_max), and
+a query is O(1). The Born term keeps its own weight so that eta = 1 leaves
+every c_n exactly 0 and reproduces the Born law bit for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +32,6 @@ import numpy as np
 from .core import (
     ProbabilitySeries,
     RabiSystem,
-    born_excited_prob,
     born_ground_prob,
     clamp_probability,
     clamp_probability_array,
@@ -51,16 +58,20 @@ class DistinguishableEnv:
 
 @dataclass(frozen=True, eq=False)
 class PiecewisePredictor:
-    """Immutable boundary table; safe to query from many threads at once.
+    """Immutable coefficient table; safe to query from many threads at once.
 
     boundary_values[n] holds p_{n-1}(n dt) for n >= 1 (entry 0 is the
-    freshly prepared value at time zero).
+    freshly prepared value at time zero). born_weights[n] = eta^n and
+    coeffs[n] = c_n are the level-n coefficients of the module's
+    two-coefficient form, for n = 0..n_max.
     """
 
     system: RabiSystem
     env: DistinguishableEnv
     n_max: int
     boundary_values: np.ndarray
+    born_weights: np.ndarray
+    coeffs: np.ndarray
 
 
 def _born_ground_array(system: RabiSystem, t: np.ndarray) -> np.ndarray:
@@ -73,32 +84,26 @@ def _born_ground_array(system: RabiSystem, t: np.ndarray) -> np.ndarray:
 def build_predictor(
     system: RabiSystem, env: DistinguishableEnv, n_max: int
 ) -> PiecewisePredictor:
-    """Tabulate the boundary values p_{n-1}(n dt) for n = 1..n_max.
-
-    Levels are swept once over the whole boundary grid, so the build costs
-    O(n_max^2) arithmetic total instead of O(n_max^2) per entry.
-    """
+    """Run the epoch recursion for n = 1..n_max in one O(n_max) pass."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     dt, eta, omega = env.dt, env.eta, system.omega
-    boundary = np.empty(n_max + 1)
-    boundary[0] = born_ground_prob(system, 0.0)
-    if n_max == 0:
-        return PiecewisePredictor(system, env, n_max, boundary)
-
-    times = dt * np.arange(1, n_max + 1)
-    lam = 1.0 - eta
-    v = _born_ground_array(system, times)  # level 0 at every boundary point
-    for j in range(1, n_max + 1):
-        boundary[j] = v[j - 1]
-        if j == n_max:
-            break
-        # Promote the points beyond j dt from level j-1 to level j.
-        phase = omega * (times[j:] - j * dt)
-        c2 = np.cos(phase) ** 2
-        s2 = np.sin(phase) ** 2
-        v[j:] = eta * v[j:] + lam * (c2 * boundary[j] + s2 * (1.0 - boundary[j]))
-    return PiecewisePredictor(system, env, n_max, clamp_probability_array(boundary))
+    epochs = np.arange(n_max + 1, dtype=float)
+    weights = eta**epochs
+    born = _born_ground_array(system, dt * epochs)
+    turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
+    boundary = [born_ground_prob(system, 0.0)]
+    coeffs = [0j]
+    # zip pairs level n-1's weight with epoch n's Born value and phase
+    for w, born_n, turn in zip(weights.tolist(), born[1:].tolist(), turns[1:].tolist()):
+        c = coeffs[-1]
+        b = w * born_n + 0.5 * (1.0 - w) + (c * turn).real
+        boundary.append(b)
+        coeffs.append(eta * c + (1.0 - eta) * (b - 0.5) * turn.conjugate())
+    return PiecewisePredictor(
+        system, env, n_max, clamp_probability_array(np.array(boundary)),
+        weights, np.array(coeffs),
+    )
 
 
 def _interval_index(pred: PiecewisePredictor, t_coord: float) -> int:
@@ -113,32 +118,23 @@ def _interval_index(pred: PiecewisePredictor, t_coord: float) -> int:
     return n
 
 
+def _level_value(pred: PiecewisePredictor, t, n, born):
+    """p_n(t) from the level-n coefficients; scalars or aligned arrays."""
+    w = pred.born_weights[n]
+    rotated = pred.coeffs[n] * np.exp(2j * pred.system.omega * t)
+    return w * born + 0.5 * (1.0 - w) + rotated.real
+
+
 def predict_ground_prob(pred: PiecewisePredictor, t_coord: float) -> float:
     """Predicted probability to find a member in the ground state at t_coord."""
     n = _interval_index(pred, t_coord)
-    dt, eta, omega = pred.env.dt, pred.env.eta, pred.system.omega
-    b = pred.boundary_values
-    v = born_ground_prob(pred.system, t_coord)
-    for j in range(1, n + 1):
-        phase = omega * (t_coord - j * dt)
-        c2 = math.cos(phase) ** 2
-        s2 = math.sin(phase) ** 2
-        v = eta * v + (1.0 - eta) * (c2 * b[j] + s2 * (1.0 - b[j]))
-    return clamp_probability(v)
+    born = born_ground_prob(pred.system, t_coord)
+    return clamp_probability(float(_level_value(pred, t_coord, n, born)))
 
 
 def predict_excited_prob(pred: PiecewisePredictor, t_coord: float) -> float:
-    """Excited-state counterpart: same boundary table, cos^2/sin^2 swapped."""
-    n = _interval_index(pred, t_coord)
-    dt, eta, omega = pred.env.dt, pred.env.eta, pred.system.omega
-    b = pred.boundary_values
-    v = born_excited_prob(pred.system, t_coord)
-    for j in range(1, n + 1):
-        phase = omega * (t_coord - j * dt)
-        c2 = math.cos(phase) ** 2
-        s2 = math.sin(phase) ** 2
-        v = eta * v + (1.0 - eta) * (s2 * b[j] + c2 * (1.0 - b[j]))
-    return clamp_probability(v)
+    """Complement of `predict_ground_prob`."""
+    return 1.0 - predict_ground_prob(pred, t_coord)
 
 
 def sample_series(pred: PiecewisePredictor, grid) -> ProbabilitySeries:
@@ -157,18 +153,6 @@ def sample_series(pred: PiecewisePredictor, grid) -> ProbabilitySeries:
         raise ValueError("grid must be sorted ascending")
     _interval_index(pred, float(times[0]))
     _interval_index(pred, float(times[-1]))
-
-    dt, eta, omega = pred.env.dt, pred.env.eta, pred.system.omega
-    b = pred.boundary_values
-    v = _born_ground_array(pred.system, times)
-    for j in range(1, pred.n_max + 1):
-        start = int(np.searchsorted(times, j * dt, side="left"))
-        if start == times.size:
-            break
-        phase = omega * (times[start:] - j * dt)
-        c2 = np.cos(phase) ** 2
-        s2 = np.sin(phase) ** 2
-        v[start:] = eta * v[start:] + (1.0 - eta) * (
-            c2 * b[j] + s2 * (1.0 - b[j])
-        )
-    return ProbabilitySeries(times, clamp_probability_array(v), meta)
+    levels = np.floor(times / pred.env.dt).astype(int)
+    probs = _level_value(pred, times, levels, _born_ground_array(pred.system, times))
+    return ProbabilitySeries(times, clamp_probability_array(probs), meta)

@@ -108,6 +108,16 @@ class ExperimentConfig:
     target: dict | None = None
 
 
+@dataclass(frozen=True)
+class FitConfig:
+    """Validated `rabideco fit` config: which series to fit, and how."""
+
+    series_csv: Path
+    omega_hint: float
+    free_params: frozenset
+    output_prefix: str
+
+
 @dataclass(frozen=True, eq=False)
 class FigureResult:
     """Predictor series, the fitted curve on the same grid, and the fit."""
@@ -267,9 +277,21 @@ def _parse_fit(sec: _Section | None) -> frozenset:
     if unknown or not free:
         raise ConfigError(
             f"free_params must be a non-empty subset of {list(PARAM_ORDER)}, "
-            f"got {sorted(names)}",
-            f"{sec.path}.free_params", _line_of(sec.raw, "free_params"))
+            f"got {sorted(free)}",
+            sec._key_path("free_params"), _line_of(sec.raw, "free_params"))
     return free
+
+
+def _parse_output_prefix(top: _Section, default: str) -> str:
+    out_sec = top.section("output", required=False)
+    if out_sec is None:
+        return default
+    prefix = out_sec.get("prefix", str, required=False, default=default)
+    out_sec.reject_unknown()
+    if not prefix or prefix != Path(prefix).name:
+        raise ConfigError(f"prefix must be a bare file name, got {prefix!r}",
+                          "output.prefix", _line_of(top.raw, "prefix"))
+    return prefix
 
 
 def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfig:
@@ -286,14 +308,7 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
     system = _parse_system(top.section("system"), raw_text)
     seed = top.get("seed", int, required=False, default=0)
 
-    out_sec = top.section("output", required=False)
-    prefix = "experiment"
-    if out_sec is not None:
-        prefix = out_sec.get("prefix", str, required=False, default="experiment")
-        out_sec.reject_unknown()
-        if not prefix or prefix != Path(prefix).name:
-            raise ConfigError(f"prefix must be a bare file name, got {prefix!r}",
-                              "output.prefix", _line_of(raw_text, "prefix"))
+    prefix = _parse_output_prefix(top, "experiment")
 
     cfg = ExperimentConfig(experiment=kind, system=system, seed=seed, output_prefix=prefix)
     env = top.section("env")
@@ -303,10 +318,6 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         eta = env.get("eta", float)
         env.reject_unknown()
         cfg.dist_env = _build("env", raw_text, DistinguishableEnv, dt=dt, eta=eta)
-        cfg.grid = _parse_grid(top.section("grid"), raw_text)
-        cfg.fit_free_params = _parse_fit(top.section("fit", required=False))
-        cfg.target = _parse_target(top.section("target", required=False),
-                                   ("gamma_over_omega", "tol"))
     elif kind is ExperimentKind.FIG3_INDISTINGUISHABLE:
         dt = env.get("dt", float)
         beta = env.get("beta", float)
@@ -314,19 +325,11 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         env.reject_unknown()
         cfg.indist_env = _build("env", raw_text, IndistinguishableEnv,
                                 dt=dt, beta=beta, max_events=max_events)
-        cfg.grid = _parse_grid(top.section("grid"), raw_text)
-        cfg.fit_free_params = _parse_fit(top.section("fit", required=False))
-        cfg.target = _parse_target(top.section("target", required=False),
-                                   ("gamma_over_omega", "tol"))
     elif kind is ExperimentKind.MASTER_EQ_BASELINE:
         gamma_se = env.get("gamma_se", float)
         env.reject_unknown()
         cfg.master_params = _build("env", raw_text, MasterEqParams,
                                    omega=system.omega, gamma_se=gamma_se)
-        cfg.grid = _parse_grid(top.section("grid"), raw_text)
-        cfg.fit_free_params = _parse_fit(top.section("fit", required=False))
-        cfg.target = _parse_target(top.section("target", required=False),
-                                   ("gamma_over_omega", "tol"))
     elif kind is ExperimentKind.FIG5_GAMMA_RATIO:
         beta = env.get("beta", float)
         max_events = env.get("max_events", int, required=False, default=5)
@@ -402,11 +405,18 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         cfg.target = _parse_target(top.section("target", required=False),
                                    ("max_abs_z",))
 
+    if kind in (ExperimentKind.FIG2_DISTINGUISHABLE, ExperimentKind.FIG3_INDISTINGUISHABLE,
+                ExperimentKind.MASTER_EQ_BASELINE):
+        cfg.grid = _parse_grid(top.section("grid"), raw_text)
+        cfg.fit_free_params = _parse_fit(top.section("fit", required=False))
+        cfg.target = _parse_target(top.section("target", required=False),
+                                   ("gamma_over_omega", "tol"))
+
     top.reject_unknown()
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json_object(path) -> tuple[dict, str]:
     raw_text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(raw_text)
@@ -414,7 +424,27 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid JSON: {exc.msg}", "", exc.lineno) from exc
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")
-    return config_from_dict(data, raw_text)
+    return data, raw_text
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(*_read_json_object(path))
+
+
+def load_fit_config(path) -> FitConfig:
+    """Validate a `rabideco fit` config; series_csv resolves against its directory."""
+    data, raw_text = _read_json_object(path)
+    top = _Section(data, "", raw_text)
+    series_csv = Path(top.get("series_csv", str))
+    omega_hint = top.get("omega_hint", float)
+    if omega_hint <= 0.0:
+        raise ConfigError(f"omega_hint must be > 0, got {omega_hint}", "omega_hint",
+                          _line_of(raw_text, "omega_hint"))
+    prefix = _parse_output_prefix(top, "fit")
+    free_params = _parse_fit(top)  # last: it also rejects the keys not read above
+    if not series_csv.is_absolute():
+        series_csv = Path(path).parent / series_csv
+    return FitConfig(series_csv, omega_hint, free_params, prefix)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabideco.core import InitialState, RabiSystem, born_ground_prob
 from rabideco.distinguishable import (
@@ -14,6 +16,51 @@ from rabideco.distinguishable import (
 from rabideco.fitting import fit_damped_sinusoid
 
 SYSTEM = RabiSystem(omega=1.0)
+
+
+def sweep_reference(system, env, n_max, grid):
+    """Level-by-level sweep of the recursion: O(n_max^2) reference.
+
+    Returns the boundary values p_{n-1}(n dt) and the predictor on `grid`,
+    each level promoted from the one below it with cos^2/sin^2 weights.
+    """
+    dt, eta, omega = env.dt, env.eta, system.omega
+
+    def born(t):
+        s2 = np.sin(omega * t) ** 2
+        return s2 if system.initial_state is InitialState.EXCITED else 1.0 - s2
+
+    def promote(v, t, j, b_j):
+        phase = omega * (t - j * dt)
+        collapsed = np.cos(phase) ** 2 * b_j + np.sin(phase) ** 2 * (1.0 - b_j)
+        return eta * v + (1.0 - eta) * collapsed
+
+    boundary = np.empty(n_max + 1)
+    boundary[0] = born_ground_prob(system, 0.0)
+    times = dt * np.arange(1, n_max + 1)
+    v = born(times)
+    for j in range(1, n_max + 1):
+        boundary[j] = v[j - 1]
+        v[j:] = promote(v[j:], times[j:], j, boundary[j])
+
+    grid = np.asarray(grid, dtype=float)
+    probs = born(grid)
+    for j in range(1, n_max + 1):
+        start = int(np.searchsorted(grid, j * dt, side="left"))
+        probs[start:] = promote(probs[start:], grid[start:], j, boundary[j])
+    return boundary, probs
+
+
+def assert_matches_sweep(eta, omega_dt, state, n_max, n_points=301):
+    system = RabiSystem(omega=1.0, initial_state=state)
+    env = DistinguishableEnv(dt=omega_dt, eta=eta)
+    pred = build_predictor(system, env, n_max)
+    grid = np.linspace(0.0, (n_max + 1) * omega_dt * (1.0 - 1e-9), n_points)
+    boundary, probs = sweep_reference(system, env, n_max, grid)
+    series = sample_series(pred, grid)
+    assert float(np.max(np.abs(pred.boundary_values - boundary))) <= 1e-12
+    assert float(np.max(np.abs(series.probs - probs))) <= 1e-12
+    assert np.all((series.probs >= 0.0) & (series.probs <= 1.0))
 
 
 def make(eta=0.99, dt=0.08, t_max=60.0, omega=1.0, state=InitialState.EXCITED):
@@ -108,6 +155,24 @@ class TestRecursion:
             assert predict_ground_prob(pred_scaled, float(t) / c) == pytest.approx(
                 predict_ground_prob(pred, float(t)), abs=1e-12
             )
+
+
+class TestAgainstSweep:
+    @pytest.mark.parametrize("state", [InitialState.EXCITED, InitialState.GROUND])
+    @pytest.mark.parametrize("omega_dt", [0.05, 0.08, 0.3, 1.0, 2.3])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.99, 1.0])
+    def test_matches_sweep(self, eta, omega_dt, state):
+        assert_matches_sweep(eta, omega_dt, state, n_max=800)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eta=st.floats(0.0, 1.0),
+        omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
+        state=st.sampled_from(list(InitialState)),
+        n_max=st.integers(0, 500),
+    )
+    def test_matches_sweep_property(self, eta, omega_dt, state, n_max):
+        assert_matches_sweep(eta, omega_dt, state, n_max, n_points=97)
 
 
 class TestRangeHandling:

@@ -294,6 +294,38 @@ class TestCli:
         summary = json.loads((tmp_path / "refit.json").read_text())
         assert summary["gamma"] == pytest.approx(0.05, abs=1e-6)
 
+    @pytest.mark.parametrize("rows,overrides,key_path", [
+        (["0.0,0.5", "1.0"], {}, "series_csv"),
+        (None, {"free_params": "gamma"}, "free_params"),
+        (None, {"omega_hint": "abc"}, "omega_hint"),
+        (None, {"omega_hint": 0.0}, "omega_hint"),
+        (None, {"output": {"prefix": "../escape"}}, "output.prefix"),
+    ], ids=["one_column_row", "free_params_string", "omega_hint_string", "omega_hint_zero",
+            "prefix_escape"])
+    def test_fit_bad_input_is_a_config_error(self, tmp_path, capsys, rows, overrides, key_path):
+        if rows is None:
+            t = np.linspace(0.0, 30.0, 100)
+            rows = [f"{x!r},{math.sin(x) ** 2!r}" for x in t]
+        (tmp_path / "series.csv").write_text("t_coord,p\n" + "\n".join(rows) + "\n")
+        fit_cfg = tmp_path / "sub" / "fit.json"
+        fit_cfg.parent.mkdir()
+        fit_cfg.write_text(json.dumps({"series_csv": "../series.csv", "omega_hint": 1.0,
+                                       **overrides}))
+        out = tmp_path / "sub" / "out"
+        assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key_path}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "sub" / "escape.json").exists()
+
+    @pytest.mark.parametrize("preset", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_preset_verdict(self, tmp_path, preset):
+        assert cli_main(["experiment", "--config", str(CONFIG_DIR / preset),
+                         "--out", str(tmp_path)]) == 0
+        for summary_path in tmp_path.glob("*.json"):
+            summary = json.loads(summary_path.read_text())
+            assert summary.get("pass", True) is True, summary_path.name
+
     def test_oracle_check_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
