@@ -33,7 +33,6 @@ from .indistinguishable import (
     approx_closed_form,
     approx_gamma,
     build_nested_table,
-    excited_counterpart,
     rescale_to_coordinate_time,
     sample_rescaled_series,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "approx_closed_form",
     "approx_gamma",
     "build_nested_table",
-    "excited_counterpart",
     "rescale_to_coordinate_time",
     "sample_rescaled_series",
     "EnsembleConfig",

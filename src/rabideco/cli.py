@@ -6,8 +6,10 @@ Subcommands:
     experiment    full pipeline: series, fit, summary, optional plot
     oracle-check  Monte Carlo ensemble vs the recursion
 
-Every subcommand takes --config <path> plus --out, --seed and repeatable
---format flags. Exit codes: 0 success, 2 config error, 3 numerical failure.
+Every subcommand takes --config <path> and --out. All but fit also take
+--seed and repeatable --format flags; fit writes only its JSON summary and
+rejects both. Exit codes: 0 success, 2 config error (argparse usage errors
+included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -28,12 +30,8 @@ from .experiments import (
     predictor_series,
     run_experiment,
     run_oracle_check,
-    _fmt,
-    _write_csv,
-    _write_json,
 )
 from .fitting import FitConvergenceError, fit_damped_sinusoid
-from .svgfig import series_overlay_svg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,6 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", default=".", help="output directory (default: .)")
+        if name == "fit":
+            continue  # fit draws no random numbers and writes only its JSON summary
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument(
             "--format",
@@ -84,64 +84,30 @@ def _cmd_simulate(cfg, out_dir: Path, formats) -> int:
             "simulate does not apply to Fig5GammaRatio (it is a fit pipeline); "
             "use the experiment subcommand", "experiment")
     if cfg.experiment is ExperimentKind.ORACLE_CROSS_CHECK:
-        result = run_oracle_check(cfg)
-        series = result.mc_series
+        series = run_oracle_check(cfg).mc_series
     else:
         series = predictor_series(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    if "csv" in formats:
-        path = out_dir / f"{cfg.output_prefix}.csv"
-        _write_csv(path, ["t_coord", "p_predicted"],
-                   [[_fmt(t), _fmt(p)] for t, p in zip(series.times, series.probs)])
-        paths.append(path)
-    if "json" in formats:
-        path = out_dir / f"{cfg.output_prefix}.json"
-        _write_json(path, {"experiment": cfg.experiment.value, "seed": cfg.seed,
-                           "parameters": dict(series.meta), "n_points": len(series)})
-        paths.append(path)
-    if "svg" in formats:
-        path = out_dir / f"{cfg.output_prefix}.svg"
-        path.write_text(series_overlay_svg(
-            dots=(series.times, series.probs), line=((), ()),
-            title=cfg.experiment.value, xlabel="t", ylabel="P(ground)"),
-            encoding="utf-8")
-        paths.append(path)
-    for p in paths:
-        print(p)
+    for path in emit_outputs(series, cfg, out_dir, formats):
+        print(path)
     return 0
 
 
-def _cmd_fit(config_path: Path, out_dir: Path, formats) -> int:
+def _cmd_fit(config_path: Path, out_dir: Path) -> int:
     cfg = load_fit_config(config_path)
     series = _read_series_csv(cfg.series_csv)
     fit = fit_damped_sinusoid(series, omega_hint=cfg.omega_hint, free_params=cfg.free_params)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "series_csv": str(cfg.series_csv),
-        "omega_hint": cfg.omega_hint,
-        "gamma": fit.gamma,
-        "omega_fit": fit.omega_fit,
-        "amplitude": fit.amplitude,
-        "offset": fit.offset,
-        "phase": fit.phase,
-        "residual_rms": fit.residual_rms,
-        "free_params": sorted(fit.free_params),
-        "degenerate": fit.degenerate,
-    }
-    path = out_dir / f"{cfg.output_prefix}.json"
-    _write_json(path, summary)
-    print(path)
+    for path in emit_outputs(fit, cfg, out_dir, ("json",)):
+        print(path)
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
-    formats = tuple(args.format) if args.format else ("csv", "json")
     try:
         if args.command == "fit":
-            return _cmd_fit(Path(args.config), out_dir, formats)
+            return _cmd_fit(Path(args.config), out_dir)
+        formats = tuple(args.format) if args.format else ("csv", "json")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

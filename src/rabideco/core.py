@@ -121,8 +121,43 @@ def binomial_weight(n: int, k: int, beta: float) -> float:
 
 
 def binomial_weights_row(n: int, beta: float) -> np.ndarray:
-    """All masses b(n, k, beta) for k = 0..n as one array."""
-    return np.array([binomial_weight(n, k, beta) for k in range(n + 1)])
+    """All masses b(n, k, beta) for k = 0..n as one array.
+
+    The two forms of `binomial_weight`, evaluated over every k at once in
+    the same order of operations, so the row matches the scalar to rounding.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if not (0.0 < beta <= 1.0):
+        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    k = np.arange(n + 1)
+    if beta == 1.0:
+        return (k == n).astype(float)
+    if n <= BINOM_DIRECT_MAX_N:
+        return _COMBS[n, : n + 1] * beta**k * (1.0 - beta) ** (n - k)
+    log_fact = _log_factorials(n)
+    log_mass = (
+        log_fact[n] - log_fact[k] - log_fact[n - k]
+        + k * math.log(beta) + (n - k) * math.log1p(-beta)
+    )
+    return np.exp(log_mass)
+
+
+# C(n, k) as floats for the direct form, n, k <= BINOM_DIRECT_MAX_N.
+_COMBS = np.array([[math.comb(n, k) for k in range(BINOM_DIRECT_MAX_N + 1)]
+                   for n in range(BINOM_DIRECT_MAX_N + 1)], dtype=float)
+
+# log(m!) = lgamma(m + 1) for m = 0..len - 1, grown on demand.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) <= n:
+        table = np.array([math.lgamma(m + 1) for m in range(2 * n + 1)])
+        _LOG_FACTORIALS = table  # one rebinding: readers see an old or a full table
+    return table
 
 
 def laguerre_l1(n: int, x: float) -> float:

@@ -12,7 +12,6 @@ import csv
 import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -483,7 +482,7 @@ def run_figure_experiment(cfg: ExperimentConfig) -> FigureResult:
     return FigureResult(series=series, fit=fit, fit_curve=curve)
 
 
-def _gamma_for_level(cfg: ExperimentConfig, n: int, omega_n: float) -> tuple[float, DampedSinusoidFit]:
+def _gamma_for_level(cfg: ExperimentConfig, omega_n: float) -> float:
     system_n = RabiSystem(omega=omega_n, initial_state=cfg.system.initial_state)
     t_max = cfg.fit_window.omega_t_span / omega_n
     grid = np.linspace(0.0, t_max, cfg.fit_window.n_points)
@@ -494,33 +493,26 @@ def _gamma_for_level(cfg: ExperimentConfig, n: int, omega_n: float) -> tuple[flo
         n_max = math.ceil(t_max / (env.beta * env.dt)) + 1
         table = build_nested_table(system_n, env, n_max)
         series = sample_rescaled_series(table, env, grid)
-    fit = fit_damped_sinusoid(series, omega_hint=omega_n, free_params=cfg.fit_free_params)
-    return fit.gamma, fit
+    return fit_damped_sinusoid(series, omega_hint=omega_n,
+                               free_params=cfg.fit_free_params).gamma
 
 
 def run_gamma_ratio_experiment(cfg: ExperimentConfig) -> tuple[list[GammaRatioRow], PowerLawFit]:
     """Fit gamma_n across the frequency ladder and the power law of the ratios.
 
     Levels share dt, beta, and the truncation order; only omega_n varies.
-    Levels are independent and run on a small thread pool; results are
-    assembled in level order.
+    They run one after another in level order.
     """
     ladder = rabi_frequency_ladder(cfg.system.omega, cfg.ladder.n_max, cfg.ladder.lamb_dicke)
-
-    def level(entry):
-        n, omega_n = entry
+    gammas = []
+    for n, omega_n in ladder.entries:
         try:
-            gamma_n, _ = _gamma_for_level(cfg, n, omega_n)
-            return n, omega_n, gamma_n
+            gammas.append(_gamma_for_level(cfg, omega_n))
         except Exception as exc:
             raise RuntimeError(f"gamma-ratio level n={n} failed: {exc}") from exc
 
-    with ThreadPoolExecutor(max_workers=min(4, len(ladder.entries))) as pool:
-        results = list(pool.map(level, ladder.entries))
-
-    gamma_0 = results[0][2]
-    rows = [GammaRatioRow(n=n, omega_n=omega_n, gamma_n=g, ratio=g / gamma_0)
-            for n, omega_n, g in results]
+    rows = [GammaRatioRow(n=n, omega_n=omega_n, gamma_n=g, ratio=g / gammas[0])
+            for (n, omega_n), g in zip(ladder.entries, gammas)]
     power_law = fit_power_law([(row.n, row.ratio) for row in rows])
     return rows, power_law
 
@@ -606,8 +598,14 @@ def _figure_summary(result: FigureResult, cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def emit_outputs(result, cfg: ExperimentConfig, out_dir, formats=("csv", "json")) -> list[Path]:
-    """Write the result as CSV/JSON/SVG files named by the config prefix."""
+def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
+                 formats=("csv", "json")) -> list[Path]:
+    """Write the result as CSV/JSON/SVG files named by the config prefix.
+
+    `result` is what `run_experiment` or `run_oracle_check` returns, a bare
+    predictor series (`rabideco simulate`), or a `DampedSinusoidFit` with
+    its `FitConfig` (`rabideco fit`, JSON only).
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -709,6 +707,33 @@ def emit_outputs(result, cfg: ExperimentConfig, out_dir, formats=("csv", "json")
                  line=(result.analytic_series.times, result.analytic_series.probs),
                  title=cfg.experiment.value, xlabel="t", ylabel="P(ground)"),
                  encoding="utf-8"))
+    elif isinstance(result, ProbabilitySeries):
+        rows = [[_fmt(t), _fmt(p)] for t, p in zip(result.times, result.probs)]
+        emit("csv", f"{prefix}.csv",
+             lambda p: _write_csv(p, ["t_coord", "p_predicted"], rows))
+        emit("json", f"{prefix}.json",
+             lambda p: _write_json(p, {"experiment": cfg.experiment.value, "seed": cfg.seed,
+                                       "parameters": dict(result.meta),
+                                       "n_points": len(result)}))
+        emit("svg", f"{prefix}.svg",
+             lambda p: p.write_text(series_overlay_svg(
+                 dots=(result.times, result.probs), line=((), ()),
+                 title=cfg.experiment.value, xlabel="t", ylabel="P(ground)"),
+                 encoding="utf-8"))
+    elif isinstance(result, DampedSinusoidFit) and isinstance(cfg, FitConfig):
+        summary = {
+            "series_csv": str(cfg.series_csv),
+            "omega_hint": cfg.omega_hint,
+            "gamma": result.gamma,
+            "omega_fit": result.omega_fit,
+            "amplitude": result.amplitude,
+            "offset": result.offset,
+            "phase": result.phase,
+            "residual_rms": result.residual_rms,
+            "free_params": sorted(result.free_params),
+            "degenerate": result.degenerate,
+        }
+        emit("json", f"{prefix}.json", lambda p: _write_json(p, summary))
     else:
         raise TypeError(f"cannot emit outputs for {type(result).__name__}")
     return paths

@@ -8,9 +8,20 @@ epochs of length dt, allowing at most i collapses, obeys
                                           + sin^2(omega (n-k) dt) * P_e^(j-1)(k dt) )
 
 with the plain Born probabilities as level 0 and b the binomial mass with
-interval probability beta. The excited-state rows swap the two trig
-factors. Levels are filled bottom-up over the whole k range (dynamic
-programming, O(i n^2)); the literal nested sum would cost O(n^i).
+interval probability beta. With P_e = 1 - P_g this is the affine map
+g_j = S + M g_{j-1}, M[n, k] = b(n, k) cos(2 omega (n-k) dt) and
+S[n] = sum_k b(n, k) sin^2(omega (n-k) dt).
+
+Level 0 is 1/2 + Re(a u^n), a = -1/2 (excited preparation) or +1/2
+(ground), u = exp(2 i omega dt). The constant 1/2 passes through every
+level unchanged, and the binomial generating function
+sum_k b(n, k) x^k y^(n-k) = (beta x + (1-beta) y)^n sends each term a z^n
+to the two terms (a/2) (beta z + (1-beta) u)^n and
+(a/2) (beta z + (1-beta) conj(u))^n.
+Level j is therefore an exact sum of 2^j exponentials, every node on the
+chord between u and conj(u), and costs O(2^j n) with no binomial masses.
+Deep truncations (2^(i+1) > n_max + 1) apply the matrix form instead, at
+O(i n^2). The literal nested sum would cost O(n^i).
 
 Coordinate time enters through the mean of the binomial distribution:
 after stepping to n dt, on average beta*n intervals precede the last
@@ -61,69 +72,100 @@ class IndistinguishableEnv:
 class NestedTable:
     """Per-level probability rows at the discrete times k dt.
 
-    ground[j, k] and excited[j, k] are the ground/excited probabilities at
-    k dt allowing at most j collapses, j = 0..max_events, k = 0..n_max.
-    Immutable after construction; concurrent queries are safe.
+    ground[j, k] is the ground probability at k dt allowing at most j
+    collapses, j = 0..max_events, k = 0..n_max; `excited` is its
+    complement. Immutable after construction; concurrent queries are safe.
     """
 
     system: RabiSystem
     env: IndistinguishableEnv
     n_max: int
     ground: np.ndarray
-    excited: np.ndarray
+
+    @property
+    def excited(self) -> np.ndarray:
+        return 1.0 - self.ground
+
+
+# Terms x columns evaluated at once by the exponential sum.
+_BLOCK = 1 << 16
 
 
 def build_nested_table(
     system: RabiSystem, env: IndistinguishableEnv, n_max: int
 ) -> NestedTable:
+    """Every truncation level 0..max_events at the times k dt, k = 0..n_max.
+
+    Takes whichever exact form does less work: the exponential sum, about
+    2^(i+1) (n_max + 1) terms over all levels, while 2^(i+1) <= n_max + 1;
+    else the matrix form, whose M has (n_max + 1)^2 entries.
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     levels = env.max_events
+    phase = system.omega * env.dt
     ks = np.arange(n_max + 1)
-    s2 = np.sin(system.omega * env.dt * ks) ** 2
-    c2 = np.cos(system.omega * env.dt * ks) ** 2
-
     ground = np.empty((levels + 1, n_max + 1))
-    excited = np.empty((levels + 1, n_max + 1))
     if system.initial_state is InitialState.EXCITED:
-        ground[0], excited[0] = s2, c2
+        ground[0], amplitude = np.sin(phase * ks) ** 2, -0.5
     else:
-        ground[0], excited[0] = c2, s2
+        ground[0], amplitude = np.cos(phase * ks) ** 2, 0.5
 
-    # Binomial rows are level-independent; compute them once.
-    weights = [binomial_weights_row(n, env.beta) for n in range(n_max + 1)]
-    for j in range(1, levels + 1):
-        g_prev, e_prev = ground[j - 1], excited[j - 1]
-        for n in range(n_max + 1):
-            w = weights[n]
-            outer_c2 = c2[n::-1]  # cos^2(omega (n-k) dt) for k = 0..n
-            outer_s2 = s2[n::-1]
-            ground[j, n] = w @ (outer_c2 * g_prev[: n + 1] + outer_s2 * e_prev[: n + 1])
-            excited[j, n] = w @ (outer_c2 * e_prev[: n + 1] + outer_s2 * g_prev[: n + 1])
-
-    return NestedTable(
-        system,
-        env,
-        n_max,
-        clamp_probability_array(ground),
-        clamp_probability_array(excited),
-    )
+    if env.beta == 1.0:
+        ground[1:] = ground[0]  # no collapse ever happens: every level is Born
+    elif 2 ** (levels + 1) <= n_max + 1:
+        _fill_exponential_sum(ground, phase, env.beta, amplitude)
+    elif levels:
+        _fill_matrix_form(ground, phase, env.beta)
+    return NestedTable(system, env, n_max, clamp_probability_array(ground))
 
 
-def excited_counterpart(table: NestedTable) -> NestedTable:
-    """The table built from the swapped base case (sin^2 and cos^2 exchanged).
+def _fill_exponential_sum(ground: np.ndarray, phase: float, beta: float,
+                          amplitude: float) -> None:
+    """Levels 1.. as 1/2 + (amplitude / 2^j) Re sum_m z_m^n.
 
-    Swapping the base case propagates level by level to a plain exchange of
-    the ground and excited rows, so this is also the elementwise complement
-    of the original ground rows.
+    Every node is z = cos(2 phase) + i s sin(2 phase) with s in [-1, 1]:
+    level 0 has s = 1, and the two images of a node have
+    s -> 1 - beta (1 - s) and s -> beta (1 + s) - 1.
     """
-    return NestedTable(
-        table.system,
-        table.env,
-        table.n_max,
-        table.excited.copy(),
-        table.ground.copy(),
-    )
+    ns = np.arange(ground.shape[1])
+    cos_2p, sin_2p = math.cos(2.0 * phase), math.sin(2.0 * phase)
+    s = np.ones(1)
+    for j in range(1, ground.shape[0]):
+        s = np.concatenate((1.0 - beta * (1.0 - s), beta * (1.0 + s) - 1.0))
+        # log|z| from 1 - |z|^2 while that is small (exact 0 at s = 1), else
+        # from |z|^2 itself, which stays positive: cos(2 phase) is never 0
+        q = (1.0 - s) * (1.0 + s) * sin_2p**2
+        log_abs = 0.5 * np.where(q < 0.5, np.log1p(-np.minimum(q, 0.5)),
+                                 np.log(cos_2p**2 + (s * sin_2p) ** 2))
+        arg = np.arctan2(s * sin_2p, cos_2p)
+        total = np.zeros(len(ns))
+        step = max(1, _BLOCK // len(ns))
+        for lo in range(0, len(s), step):
+            blk = slice(lo, lo + step)
+            total += (np.exp(np.outer(log_abs[blk], ns))
+                      * np.cos(np.outer(arg[blk], ns))).sum(axis=0)
+        ground[j] = 0.5 + amplitude / 2**j * total
+
+
+def _fill_matrix_form(ground: np.ndarray, phase: float, beta: float) -> None:
+    """Levels 1.. as g_j = S + M g_{j-1}, one binomial row per n.
+
+    M is lower triangular with (n_max + 1)^2 entries; this path is taken
+    only when the table is narrower than the exponential sum is long.
+    """
+    n_cols = ground.shape[1]
+    lags = np.arange(n_cols)
+    cos_lag = np.cos(2.0 * phase * lags)
+    sin2_lag = np.sin(phase * lags) ** 2
+    mat = np.zeros((n_cols, n_cols))
+    shift = np.empty(n_cols)
+    for n in range(n_cols):
+        w = binomial_weights_row(n, beta)
+        mat[n, : n + 1] = w * cos_lag[n::-1]
+        shift[n] = w @ sin2_lag[n::-1]
+    for j in range(1, ground.shape[0]):
+        ground[j] = shift + mat @ ground[j - 1]
 
 
 def _continuous_index(table: NestedTable, env: IndistinguishableEnv, t_coord: float) -> float:

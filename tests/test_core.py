@@ -7,6 +7,7 @@ from rabideco.core import (
     InitialState,
     RabiSystem,
     binomial_weight,
+    binomial_weights_row,
     born_excited_prob,
     born_ground_prob,
     clamp_probability,
@@ -113,6 +114,22 @@ class TestBinomialWeight:
             binomial_weight(4, 2, 0.0)
         with pytest.raises(ValueError):
             binomial_weight(4, 2, 1.2)
+
+
+class TestBinomialWeightsRow:
+    @pytest.mark.parametrize("beta", [0.01, 0.5, 0.995, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 60, 61, 500, 10_000])
+    def test_matches_scalar(self, n, beta):
+        row = binomial_weights_row(n, beta)
+        want = np.array([binomial_weight(n, k, beta) for k in range(n + 1)])
+        assert row.shape == (n + 1,)
+        np.testing.assert_allclose(row, want, rtol=1e-13, atol=0.0)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            binomial_weights_row(-1, 0.5)
+        with pytest.raises(ValueError):
+            binomial_weights_row(3, 0.0)
 
 
 class TestLaguerre:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +319,34 @@ class TestCli:
         assert err.startswith(f"config error: {key_path}")
         assert "Traceback" not in err
         assert not (tmp_path / "sub" / "escape.json").exists()
+
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "5"]])
+    def test_fit_rejects_format_and_seed(self, tmp_path, capsys, flag):
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({"series_csv": "series.csv", "omega_hint": 1.0}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_simulate_and_fit_outputs_unchanged(self, tmp_path, monkeypatch):
+        # SHA-256 digests of the files the CLI wrote for the fig2a preset
+        # before `simulate` and `fit` shared `emit_outputs`
+        want = {
+            "fig2a.csv": "ea1784776bd7d6860fdd4ff5ac7dabc9bf8c727227a3cd822ebdec51329c02c4",
+            "fig2a.json": "558d9424cdacaf70c80be49f2d64c14c920ef4cd31249c901110bc237bce54aa",
+            "fig2a.svg": "2f27ef90bcec0d1c316af647777ec75c3d6bbdf817dccb2d65a2c197066455ae",
+            "refit.json": "24264d007d65a897a86cc20387634fca235000e27ea4b3beb1296d28e08bfe5a",
+        }
+        monkeypatch.chdir(tmp_path)  # relative paths keep series_csv out of the digest
+        shutil.copy(CONFIG_DIR / "fig2a.json", "fig2a.json")
+        assert cli_main(["simulate", "--config", "fig2a.json", "--out", ".", "--format", "csv",
+                         "--format", "json", "--format", "svg"]) == 0
+        Path("fit.json").write_text(json.dumps(
+            {"series_csv": "fig2a.csv", "omega_hint": 1.0, "output": {"prefix": "refit"}}))
+        assert cli_main(["fit", "--config", "fit.json", "--out", "."]) == 0
+        got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in want}
+        assert got == want
 
     @pytest.mark.parametrize("preset", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
     def test_preset_verdict(self, tmp_path, preset):

@@ -1,9 +1,13 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rabideco import indistinguishable
 from rabideco.core import InitialState, ProbabilitySeries, RabiSystem, binomial_weight
 from rabideco.fitting import fit_damped_sinusoid
 from rabideco.indistinguishable import (
@@ -11,7 +15,6 @@ from rabideco.indistinguishable import (
     approx_closed_form,
     approx_gamma,
     build_nested_table,
-    excited_counterpart,
     rescale_to_coordinate_time,
     sample_rescaled_series,
 )
@@ -151,32 +154,131 @@ class TestTable:
         np.testing.assert_allclose(t1.ground, t2.ground, atol=1e-12)
 
 
-class TestExcitedCounterpart:
-    def test_complement_identity(self):
-        env = IndistinguishableEnv(dt=0.3, beta=0.85, max_events=3)
-        table = build_nested_table(RabiSystem(1.1), env, 18)
-        swapped = excited_counterpart(table)
-        np.testing.assert_allclose(swapped.ground, 1.0 - table.ground, atol=1e-12)
+@functools.lru_cache(maxsize=8)
+def _binomial_rows(n_max, beta):
+    return tuple(np.array([binomial_weight(n, k, beta) for k in range(n + 1)])
+                 for n in range(n_max + 1))
 
-    def test_isolated_gives_cos2(self):
-        env = IndistinguishableEnv(dt=0.3, beta=1.0, max_events=2)
-        swapped = excited_counterpart(build_nested_table(RabiSystem(1.0), env, 10))
-        for k in range(11):
-            assert swapped.ground[2, k] == pytest.approx(math.cos(0.3 * k) ** 2, abs=1e-15)
 
-    def test_hand_swapped_worked_case(self):
-        omega, dt, beta = 1.0, 0.5, 0.8
-        env = IndistinguishableEnv(dt=dt, beta=beta, max_events=1)
-        swapped = excited_counterpart(build_nested_table(RabiSystem(omega), env, 4))
-        expected = sum(
-            binomial_weight(4, k, beta)
-            * (
-                math.cos(omega * (4 - k) * dt) ** 2 * math.cos(omega * k * dt) ** 2
-                + math.sin(omega * (4 - k) * dt) ** 2 * math.sin(omega * k * dt) ** 2
-            )
-            for k in range(5)
-        )
-        assert swapped.ground[1, 4] == pytest.approx(expected, abs=1e-14)
+def dp_reference(system, env, n_max):
+    """Ground rows of every level by the O(i n^2) dynamic program.
+
+    Fills ground and excited rows bottom-up over the whole k range with one
+    scalar binomial mass per (n, k) pair; unclamped. Independent of the
+    exponential sum and of the matrix form.
+    """
+    ks = np.arange(n_max + 1)
+    s2 = np.sin(system.omega * env.dt * ks) ** 2
+    c2 = np.cos(system.omega * env.dt * ks) ** 2
+    ground = np.empty((env.max_events + 1, n_max + 1))
+    excited = np.empty_like(ground)
+    if system.initial_state is InitialState.EXCITED:
+        ground[0], excited[0] = s2, c2
+    else:
+        ground[0], excited[0] = c2, s2
+    weights = _binomial_rows(n_max, env.beta)
+    for j in range(1, env.max_events + 1):
+        g_prev, e_prev = ground[j - 1], excited[j - 1]
+        for n in range(n_max + 1):
+            w = weights[n]
+            outer_c2, outer_s2 = c2[n::-1], s2[n::-1]
+            ground[j, n] = w @ (outer_c2 * g_prev[: n + 1] + outer_s2 * e_prev[: n + 1])
+            excited[j, n] = w @ (outer_c2 * e_prev[: n + 1] + outer_s2 * g_prev[: n + 1])
+    return ground
+
+
+def mp_top_level(omega, dt, beta, i, ns, state):
+    """Top level at the indices ns as a 40-digit exponential sum.
+
+    Level 0 is 1/2 + Re(a u^n), a = -1/2 (excited) or +1/2 (ground),
+    u = exp(2 i omega dt); each level sends a node z to
+    beta z + (1 - beta) u and beta z + (1 - beta) conj(u), halving a.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        u = mpmath.expj(2 * mpmath.mpf(omega) * mpmath.mpf(dt))
+        b = mpmath.mpf(beta)
+        nodes = [u]
+        for _ in range(i):
+            nodes = [b * z + (1 - b) * v for z in nodes for v in (u, mpmath.conj(u))]
+        a = (-1 if state is InitialState.EXCITED else 1) * mpmath.mpf(2) ** -(i + 1)
+        return [float(mpmath.mpf(1) / 2 + a * mpmath.re(mpmath.fsum(z**n for z in nodes)))
+                for n in ns]
+
+
+def _row_calls(monkeypatch):
+    calls = []
+    row = indistinguishable.binomial_weights_row
+
+    def counting(n, beta):
+        calls.append(n)
+        return row(n, beta)
+
+    monkeypatch.setattr(indistinguishable, "binomial_weights_row", counting)
+    return calls
+
+
+class TestAgainstDynamicProgram:
+    # (i, n_max) on both sides of the cost rule 2^(i+1) <= n_max + 1:
+    # (5, 400) and (6, 127) take the exponential sum, (6, 126) and (9, 60)
+    # the matrix form
+    @pytest.mark.parametrize("i, n_max", [(5, 400), (6, 127), (6, 126), (9, 60)])
+    @pytest.mark.parametrize("state", list(InitialState))
+    @pytest.mark.parametrize("omega_dt", [0.05, 0.7, 2.3])
+    @pytest.mark.parametrize("beta", [0.3, 0.9, 0.99, 0.998])
+    def test_every_level(self, beta, omega_dt, state, i, n_max):
+        system = RabiSystem(1.0, state)
+        env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
+        table = build_nested_table(system, env, n_max)
+        ref = dp_reference(system, env, n_max)
+        assert float(np.max(np.abs(table.ground - ref))) <= 1e-12
+
+    def test_node_near_the_origin(self):
+        # beta = 1/2 and 2 omega dt = pi/2 put a level-1 node at
+        # z = cos(pi/2) ~ 6e-17, where 1 - |z|^2 rounds to 1
+        system = RabiSystem(1.0)
+        env = IndistinguishableEnv(dt=math.pi / 4, beta=0.5, max_events=2)
+        with np.errstate(divide="raise", invalid="raise"):
+            table = build_nested_table(system, env, 40)
+        assert float(np.max(np.abs(table.ground - dp_reference(system, env, 40)))) <= 1e-12
+
+    @pytest.mark.parametrize("beta, i, n_max, rows", [
+        (0.9, 6, 127, 0), (0.9, 6, 126, 127), (0.9, 1, 3, 0), (0.9, 1, 2, 3),
+        (0.9, 0, 0, 0), (1.0, 8, 100, 0)])
+    def test_cost_rule_picks_the_path(self, monkeypatch, beta, i, n_max, rows):
+        # only the matrix form needs binomial rows, one per n; beta = 1 needs none
+        calls = _row_calls(monkeypatch)
+        env = IndistinguishableEnv(dt=0.4, beta=beta, max_events=i)
+        build_nested_table(RabiSystem(1.0), env, n_max)
+        assert len(calls) == rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+        omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
+        i=st.integers(0, 6),
+        n_max=st.integers(0, 200),
+        state=st.sampled_from(list(InitialState)),
+    )
+    def test_property(self, beta, omega_dt, i, n_max, state):
+        system = RabiSystem(1.0, state)
+        env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
+        table = build_nested_table(system, env, n_max)
+        assert table.ground.shape == (i + 1, n_max + 1)
+        assert np.all((table.ground >= 0.0) & (table.ground <= 1.0))
+        assert np.all((table.excited >= 0.0) & (table.excited <= 1.0))
+        ref = dp_reference(system, env, n_max)
+        assert float(np.max(np.abs(table.ground - ref))) <= 1e-12
+
+    @pytest.mark.parametrize("state", list(InitialState))
+    @pytest.mark.parametrize("beta, omega_dt", [(0.995, 0.7), (0.9, 0.05), (0.998, 1.9)])
+    def test_against_mpmath_at_1600(self, beta, omega_dt, state):
+        env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=5)
+        table = build_nested_table(RabiSystem(1.0, state), env, 1600)
+        ns = list(range(0, 1601, 50)) + [1599]
+        want = mp_top_level(1.0, omega_dt, beta, 5, ns, state)
+        got = table.ground[5, ns]
+        assert float(np.max(np.abs(got - np.array(want)))) <= 1e-13
 
 
 class TestRescale:
