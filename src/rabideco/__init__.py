@@ -38,8 +38,6 @@ from .indistinguishable import (
 )
 from .montecarlo import (
     EnsembleConfig,
-    TrajectoryRecord,
-    sample_trajectory,
     simulate_distinguishable,
     simulate_indistinguishable_chain,
 )
@@ -80,8 +78,6 @@ __all__ = [
     "rescale_to_coordinate_time",
     "sample_rescaled_series",
     "EnsembleConfig",
-    "TrajectoryRecord",
-    "sample_trajectory",
     "simulate_distinguishable",
     "simulate_indistinguishable_chain",
     "DampedSinusoidFit",

@@ -147,14 +147,26 @@ class OracleCheckResult:
 # config parsing
 
 
-def _line_of(raw_text: str | None, key: str) -> int | None:
-    if raw_text is None:
+def _line_of(raw_text: str | None, key_path: str) -> int | None:
+    """Config line of a dotted key path such as `env.gamma_se`.
+
+    Each key is the first match at or after the line of the section that
+    holds it, so a key that repeats in several sections resolves correctly.
+    """
+    if raw_text is None or not key_path:
         return None
-    needle = f'"{key}"'
-    for i, line in enumerate(raw_text.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+    lines = raw_text.splitlines()
+    found = 0
+    for key in key_path.split("."):
+        needle = f'"{key}"'
+        found = next((i for i in range(found, len(lines)) if needle in lines[i]), None)
+        if found is None:
+            return None
+    return found + 1
+
+
+def _config_error(message: str, key_path: str, raw_text: str | None) -> ConfigError:
+    return ConfigError(message, key_path, _line_of(raw_text, key_path))
 
 
 class _Section:
@@ -176,10 +188,10 @@ class _Section:
         if key not in self.data:
             if required:
                 raise ConfigError("missing required key", self._key_path(key),
-                                  _line_of(self.raw, self.path.split(".")[-1] if self.path else key))
+                                  _line_of(self.raw, self.path))
             return default
         value = self.data[key]
-        line = _line_of(self.raw, key)
+        line = _line_of(self.raw, self._key_path(key))
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"expected a number, got {value!r}", self._key_path(key), line)
@@ -215,7 +227,7 @@ class _Section:
         unknown = set(self.data) - self.seen
         if unknown:
             key = sorted(unknown)[0]
-            raise ConfigError("unknown key", self._key_path(key), _line_of(self.raw, key))
+            raise _config_error("unknown key", self._key_path(key), self.raw)
 
 
 def _build(path: str, raw: str | None, factory, /, **kwargs):
@@ -223,7 +235,7 @@ def _build(path: str, raw: str | None, factory, /, **kwargs):
     try:
         return factory(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc), path, _line_of(raw, path.split(".")[-1])) from exc
+        raise _config_error(str(exc), path, raw) from exc
 
 
 def _parse_system(sec: _Section | None, raw: str | None) -> RabiSystem:
@@ -235,9 +247,9 @@ def _parse_system(sec: _Section | None, raw: str | None) -> RabiSystem:
     try:
         state = InitialState(state_name)
     except ValueError:
-        raise ConfigError(
+        raise _config_error(
             f"initial_state must be 'excited' or 'ground', got {state_name!r}",
-            f"{sec.path}.initial_state", _line_of(raw, "initial_state")) from None
+            f"{sec.path}.initial_state", raw) from None
     return _build(sec.path, raw, RabiSystem, omega=omega, initial_state=state)
 
 
@@ -246,11 +258,10 @@ def _parse_grid(sec: _Section, raw: str | None) -> GridSpec:
     n_points = sec.get("n_points", int)
     sec.reject_unknown()
     if t_max < 0.0:
-        raise ConfigError(f"t_max must be >= 0, got {t_max}", f"{sec.path}.t_max",
-                          _line_of(raw, "t_max"))
+        raise _config_error(f"t_max must be >= 0, got {t_max}", f"{sec.path}.t_max", raw)
     if n_points < 0:
-        raise ConfigError(f"n_points must be >= 0, got {n_points}", f"{sec.path}.n_points",
-                          _line_of(raw, "n_points"))
+        raise _config_error(f"n_points must be >= 0, got {n_points}",
+                            f"{sec.path}.n_points", raw)
     return GridSpec(t_max=t_max, n_points=n_points)
 
 
@@ -274,10 +285,9 @@ def _parse_fit(sec: _Section | None) -> frozenset:
     free = frozenset(str(n) for n in names)
     unknown = free - set(PARAM_ORDER)
     if unknown or not free:
-        raise ConfigError(
+        raise _config_error(
             f"free_params must be a non-empty subset of {list(PARAM_ORDER)}, "
-            f"got {sorted(free)}",
-            sec._key_path("free_params"), _line_of(sec.raw, "free_params"))
+            f"got {sorted(free)}", sec._key_path("free_params"), sec.raw)
     return free
 
 
@@ -288,8 +298,8 @@ def _parse_output_prefix(top: _Section, default: str) -> str:
     prefix = out_sec.get("prefix", str, required=False, default=default)
     out_sec.reject_unknown()
     if not prefix or prefix != Path(prefix).name:
-        raise ConfigError(f"prefix must be a bare file name, got {prefix!r}",
-                          "output.prefix", _line_of(top.raw, "prefix"))
+        raise _config_error(f"prefix must be a bare file name, got {prefix!r}",
+                            "output.prefix", top.raw)
     return prefix
 
 
@@ -301,8 +311,8 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         kind = ExperimentKind(kind_name)
     except ValueError:
         choices = ", ".join(k.value for k in ExperimentKind)
-        raise ConfigError(f"unknown experiment {kind_name!r}; expected one of {choices}",
-                          "experiment", _line_of(raw_text, "experiment")) from None
+        raise _config_error(f"unknown experiment {kind_name!r}; expected one of {choices}",
+                            "experiment", raw_text) from None
 
     system = _parse_system(top.section("system"), raw_text)
     seed = top.get("seed", int, required=False, default=0)
@@ -336,8 +346,7 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         omega0_dt = env.get("omega0_dt", float, required=False)
         env.reject_unknown()
         if (dt is None) == (omega0_dt is None):
-            raise ConfigError("exactly one of dt and omega0_dt must be given",
-                              "env", _line_of(raw_text, "env"))
+            raise _config_error("exactly one of dt and omega0_dt must be given", "env", raw_text)
         lad = top.section("ladder", required=False)
         if lad is None:
             cfg.ladder = LadderSpec()
@@ -346,11 +355,10 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
             lamb_dicke = lad.get("lamb_dicke", float, required=False, default=LAMB_DICKE)
             lad.reject_unknown()
             if n_max < 0:
-                raise ConfigError(f"n_max must be >= 0, got {n_max}",
-                                  "ladder.n_max", _line_of(raw_text, "n_max"))
+                raise _config_error(f"n_max must be >= 0, got {n_max}", "ladder.n_max", raw_text)
             if lamb_dicke <= 0.0:
-                raise ConfigError(f"lamb_dicke must be > 0, got {lamb_dicke}",
-                                  "ladder.lamb_dicke", _line_of(raw_text, "lamb_dicke"))
+                raise _config_error(f"lamb_dicke must be > 0, got {lamb_dicke}",
+                                    "ladder.lamb_dicke", raw_text)
             cfg.ladder = LadderSpec(n_max=n_max, lamb_dicke=lamb_dicke)
         if omega0_dt is not None:
             omega0 = rabi_frequency_ladder(system.omega, 0, cfg.ladder.lamb_dicke).omega_n(0)
@@ -365,24 +373,24 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
             n_points = win.get("n_points", int, required=False, default=300)
             win.reject_unknown()
             if span <= 0.0 or n_points < 10:
-                raise ConfigError("need omega_t_span > 0 and n_points >= 10",
-                                  "fit_window", _line_of(raw_text, "fit_window"))
+                raise _config_error("need omega_t_span > 0 and n_points >= 10",
+                                    "fit_window", raw_text)
             cfg.fit_window = FitWindowSpec(omega_t_span=span, n_points=n_points)
         cfg.predictor = top.get("predictor", str, required=False, default="indistinguishable")
         if cfg.predictor not in ("indistinguishable", "master-eq"):
-            raise ConfigError(
+            raise _config_error(
                 f"predictor must be 'indistinguishable' or 'master-eq', got {cfg.predictor!r}",
-                "predictor", _line_of(raw_text, "predictor"))
+                "predictor", raw_text)
         me = top.section("master_eq", required=False)
         if cfg.predictor == "master-eq":
             if me is None:
-                raise ConfigError("master_eq.gamma_se is required for the master-eq predictor",
-                                  "master_eq", _line_of(raw_text, "master_eq"))
+                raise _config_error("master_eq.gamma_se is required for the master-eq predictor",
+                                    "master_eq", raw_text)
             cfg.gamma_se = me.get("gamma_se", float)
             me.reject_unknown()
             if cfg.gamma_se < 0.0:
-                raise ConfigError(f"gamma_se must be >= 0, got {cfg.gamma_se}",
-                                  "master_eq.gamma_se", _line_of(raw_text, "gamma_se"))
+                raise _config_error(f"gamma_se must be >= 0, got {cfg.gamma_se}",
+                                    "master_eq.gamma_se", raw_text)
         elif me is not None:
             me.get("gamma_se", float, required=False)
             me.reject_unknown()
@@ -399,8 +407,8 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         cfg.n_systems = mc.get("n_systems", int)
         mc.reject_unknown()
         if cfg.n_systems < 1:
-            raise ConfigError(f"n_systems must be >= 1, got {cfg.n_systems}",
-                              "mc.n_systems", _line_of(raw_text, "n_systems"))
+            raise _config_error(f"n_systems must be >= 1, got {cfg.n_systems}",
+                                "mc.n_systems", raw_text)
         cfg.target = _parse_target(top.section("target", required=False),
                                    ("max_abs_z",))
 
@@ -437,8 +445,8 @@ def load_fit_config(path) -> FitConfig:
     series_csv = Path(top.get("series_csv", str))
     omega_hint = top.get("omega_hint", float)
     if omega_hint <= 0.0:
-        raise ConfigError(f"omega_hint must be > 0, got {omega_hint}", "omega_hint",
-                          _line_of(raw_text, "omega_hint"))
+        raise _config_error(f"omega_hint must be > 0, got {omega_hint}",
+                            "omega_hint", raw_text)
     prefix = _parse_output_prefix(top, "fit")
     free_params = _parse_fit(top)  # last: it also rejects the keys not read above
     if not series_csv.is_absolute():

@@ -7,12 +7,22 @@ its current Born weights and resets its evolution clock. Between collapses
 the evolution is the plain unitary Born law with the reset clock; there is
 no effective non-Hermitian Hamiltonian anywhere.
 
+The sampler is event-driven, after the waiting-time method of quantum-jump
+Monte Carlo (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): the number of
+epochs up to a member's next collapse is geometric with success probability
+1 - eta, so it is drawn directly and epochs without a collapse cost nothing.
+The grid times are stepped in order; before each one, every member whose
+next collapse falls at or before it (an epoch at n dt == t comes first) is
+collapsed, possibly several times, and then the whole ensemble is measured.
+
 Trajectories are processed in fixed blocks of `BLOCK_SIZE`, each block
 drawing from its own stream spawned from (seed, block index), so serial
 runs and runs distributed block-by-block produce bit-identical output.
-Within a block the draw order is: per epoch a collapse-occurrence vector
-then an outcome vector, per grid time a measurement vector, all events in
-time order with epochs preceding grid times at ties.
+Within a block the draw order is: one exponential vector for the first
+waiting times (none at eta = 1); then per grid time, while some members
+are due, an outcome vector and an exponential vector (next waiting times)
+over just those members, in ascending member order; then one measurement
+vector over the whole block.
 """
 from __future__ import annotations
 
@@ -41,14 +51,6 @@ class EnsembleConfig:
             raise ValueError(f"n_systems must be >= 1, got {self.n_systems}")
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Passive preparations suffered by one member: when, and into what."""
-
-    passive_prep_times: tuple
-    passive_prep_states: tuple
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
@@ -60,31 +62,6 @@ def _validated_grid(grid) -> np.ndarray:
     return times
 
 
-def sample_trajectory(
-    system: RabiSystem,
-    env: DistinguishableEnv,
-    t_max: float,
-    rng: np.random.Generator,
-) -> TrajectoryRecord:
-    """One member's passive-preparation history up to t_max (reference process)."""
-    n_epochs = int(math.floor(t_max / env.dt + 1e-9))
-    in_ground = system.initial_state is InitialState.GROUND
-    t_reset = 0.0
-    times: list[float] = []
-    states: list[InitialState] = []
-    for n in range(1, n_epochs + 1):
-        t_epoch = n * env.dt
-        if rng.random() >= 1.0 - env.eta:
-            continue
-        phase = system.omega * (t_epoch - t_reset)
-        p_ground = math.cos(phase) ** 2 if in_ground else math.sin(phase) ** 2
-        in_ground = rng.random() < p_ground
-        t_reset = t_epoch
-        times.append(t_epoch)
-        states.append(InitialState.GROUND if in_ground else InitialState.EXCITED)
-    return TrajectoryRecord(tuple(times), tuple(states))
-
-
 def simulate_distinguishable(
     system: RabiSystem, env: DistinguishableEnv, cfg: EnsembleConfig
 ) -> ProbabilitySeries:
@@ -93,6 +70,15 @@ def simulate_distinguishable(
     Each member is measured independently at every grid time (a Bernoulli
     draw with its current Born probability); the collapse epochs at
     multiples of dt advance its hidden state. Deterministic per seed.
+
+    A member prepared at t_reset in ground (sign +1) or excited (sign -1)
+    is found in ground at t with probability
+    1/2 + 1/2 sign cos(2w (t - t_reset)) = 1/2 + 1/2 (a cos 2wt + b sin 2wt),
+    with (a, b) = sign (cos 2w t_reset, sin 2w t_reset). So a member keeps
+    only (a, b) and the epoch of its next collapse, and the cosines and
+    sines are tabulated once per epoch and per grid time. A draw finds
+    ground when a uniform on [-1, 1) falls below bias = 2 p_ground - 1,
+    which makes t = 0 exact.
     """
     times = _validated_grid(cfg.grid)
     meta = {
@@ -108,33 +94,48 @@ def simulate_distinguishable(
         return ProbabilitySeries(times, np.empty(0), meta)
 
     n_epochs = int(math.floor(float(times[-1]) / env.dt + 1e-9))
-    # (time, is_grid, payload); epochs sort before grid points at equal times
-    events = [(n * env.dt, 0, n) for n in range(1, n_epochs + 1)]
-    events += [(float(t), 1, i) for i, t in enumerate(times)]
-    events.sort(key=lambda e: (e[0], e[1]))
+    # epochs handled before each grid time; an epoch at n dt == t comes first
+    last_epoch = np.searchsorted(env.dt * np.arange(1, n_epochs + 1), times, side="right")
+    epoch_phase = 2.0 * system.omega * env.dt * np.arange(n_epochs + 1)
+    epoch_cos, epoch_sin = np.cos(epoch_phase), np.sin(epoch_phase)
+    grid_cos, grid_sin = np.cos(2.0 * system.omega * times), np.sin(2.0 * system.omega * times)
+    rate = -math.log(env.eta) if env.eta > 0.0 else math.inf
+    initial_sign = 1.0 if system.initial_state is InitialState.GROUND else -1.0
 
-    lam = 1.0 - env.eta
-    omega = system.omega
     counts = np.zeros(times.size, dtype=np.int64)
-    n_blocks = (cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for block in range(n_blocks):
+    for block in range((cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE):
         size = min(BLOCK_SIZE, cfg.n_systems - block * BLOCK_SIZE)
         rng = _block_rng(cfg.seed, block)
-        in_ground = np.full(size, system.initial_state is InitialState.GROUND)
-        t_reset = np.zeros(size)
-        for t_event, is_grid, payload in events:
-            draw = rng.random(size)
-            phase = omega * (t_event - t_reset)
-            p_ground = np.where(in_ground, np.cos(phase) ** 2, np.sin(phase) ** 2)
-            if is_grid:
-                counts[payload] += int(np.count_nonzero(draw < p_ground))
-            else:
-                hit = draw < lam
-                outcome = rng.random(size) < p_ground
-                in_ground[hit] = outcome[hit]
-                t_reset[hit] = t_event
+        a = np.full(size, initial_sign)
+        b = np.zeros(size)
+        if rate > 0.0:
+            nxt = _waiting_epochs(rng, rate, size)
+        else:  # eta == 1: no member ever collapses
+            nxt = np.full(size, np.iinfo(np.int64).max)
+        for i, limit in enumerate(last_epoch):
+            due = np.flatnonzero(nxt <= limit)
+            while due.size:
+                n = nxt[due]
+                c, s = epoch_cos[n], epoch_sin[n]
+                bias = a[due] * c + b[due] * s
+                sign = 2.0 * (rng.uniform(-1.0, 1.0, due.size) < bias) - 1.0
+                a[due] = sign * c
+                b[due] = sign * s
+                n += _waiting_epochs(rng, rate, due.size)
+                nxt[due] = n
+                due = due[n <= limit]
+            bias = a * grid_cos[i] + b * grid_sin[i]
+            counts[i] += np.count_nonzero(rng.uniform(-1.0, 1.0, size) < bias)
     probs = counts / float(cfg.n_systems)
     return ProbabilitySeries(times, probs, meta)
+
+
+def _waiting_epochs(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:
+    """Epochs up to the next collapse, Geometric(1 - eta) with rate = -ln(eta).
+
+    Inverts an exponential draw: P(1 + floor(E / rate) > k) = eta^k.
+    """
+    return 1 + (rng.standard_exponential(size) / rate).astype(np.int64)
 
 
 def chain_samples(

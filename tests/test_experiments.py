@@ -259,6 +259,21 @@ class TestCli:
         cfg_path.write_text(json.dumps(small_fig5_config()))
         assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
+    def test_repeated_key_reports_its_own_section_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{\n'
+            '  "experiment": "MasterEqBaseline",\n'
+            '  "master_eq": {"gamma_se": 0.05},\n'
+            '  "system": {"omega": 1.0},\n'
+            '  "env": {\n'
+            '    "gamma_se": "x"\n'
+            '  },\n'
+            '  "grid": {"t_max": 10.0, "n_points": 20}\n'
+            '}\n')
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "env.gamma_se (line 6)" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fig3_config(env={"dt": 0.7, "beta": 2.0})))

@@ -2,19 +2,78 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabideco.core import InitialState, RabiSystem
 from rabideco.distinguishable import DistinguishableEnv, build_predictor, sample_series
 from rabideco.indistinguishable import IndistinguishableEnv, build_nested_table
 from rabideco.montecarlo import (
+    BLOCK_SIZE,
     EnsembleConfig,
+    _block_rng,
     chain_samples,
-    sample_trajectory,
     simulate_distinguishable,
     simulate_indistinguishable_chain,
 )
 
 SYSTEM = RabiSystem(omega=1.0)
+
+
+def stepped_reference(system, env, cfg):
+    """Per-epoch stepper: every member draws at every epoch (reference process).
+
+    Per block, in time order with epochs before grid times at ties: an epoch
+    draws a collapse-occurrence vector and an outcome vector for the whole
+    block, a grid time draws a measurement vector. Returns ground fractions.
+    """
+    times = np.asarray(cfg.grid, dtype=float)
+    n_epochs = int(math.floor(float(times[-1]) / env.dt + 1e-9))
+    events = [(n * env.dt, 0, n) for n in range(1, n_epochs + 1)]
+    events += [(float(t), 1, i) for i, t in enumerate(times)]
+    events.sort(key=lambda e: (e[0], e[1]))
+    counts = np.zeros(times.size, dtype=np.int64)
+    for block in range(0, cfg.n_systems, BLOCK_SIZE):
+        size = min(BLOCK_SIZE, cfg.n_systems - block)
+        rng = _block_rng(cfg.seed, block // BLOCK_SIZE)
+        in_ground = np.full(size, system.initial_state is InitialState.GROUND)
+        t_reset = np.zeros(size)
+        for t_event, is_grid, payload in events:
+            draw = rng.random(size)
+            phase = system.omega * (t_event - t_reset)
+            p_ground = np.where(in_ground, np.cos(phase) ** 2, np.sin(phase) ** 2)
+            if is_grid:
+                counts[payload] += int(np.count_nonzero(draw < p_ground))
+            else:
+                hit = draw < 1.0 - env.eta
+                outcome = rng.random(size) < p_ground
+                in_ground[hit] = outcome[hit]
+                t_reset[hit] = t_event
+    return counts / float(cfg.n_systems)
+
+
+def assert_two_sample_close(p_new, p_ref, n):
+    """|p_new - p_ref| <= 5 sqrt(2 p (1 - p) / n), p pooled, at every grid point.
+
+    The two runs use different seeds: on one seed the two samplers read the
+    same stream, and correlated samples would narrow the difference.
+    """
+    p = 0.5 * (p_new + p_ref)
+    bound = 5.0 * np.sqrt(2.0 * p * (1.0 - p) / n)
+    worst = int(np.argmax(np.abs(p_new - p_ref) - bound))
+    assert np.all(np.abs(p_new - p_ref) <= bound), (worst, p_new[worst], p_ref[worst])
+
+
+def mixed_grid(dt, n_epochs):
+    """Epoch multiples n dt (exact ties) and points between them: one per
+    interval up to n_epochs / 3, then gaps of several epochs."""
+    dense = n_epochs // 3
+    return tuple(np.sort(np.concatenate([
+        dt * np.arange(dense + 1),
+        dt * (np.arange(dense) + 0.37),
+        dt * (np.arange(dense + 2, n_epochs, 4) + 0.37),
+        dt * np.arange(dense + 4, n_epochs + 1, 4),
+    ])))
 
 
 def analytic_series(env, grid):
@@ -120,43 +179,77 @@ class TestDistinguishableEnsemble:
             expected = math.sqrt(n_big / n_small)
             assert expected / 2.0 < shrink < expected * 2.0
 
+    @pytest.mark.parametrize("eta,omega_dt,state", [
+        (0.9, 1.3, InitialState.EXCITED),
+        (0.5, 0.25, InitialState.GROUND),
+    ])
+    def test_high_statistics_matches_recursion(self, eta, omega_dt, state):
+        # N = 4e5 resolves a 3% error in the collapse rate or a 1% phase skew
+        dt, n = 0.25, 400_000
+        system = RabiSystem(omega=omega_dt / dt, initial_state=state)
+        env = DistinguishableEnv(dt=dt, eta=eta)
+        grid = np.array(mixed_grid(dt, 60))
+        mc = simulate_distinguishable(system, env, EnsembleConfig(n, 5, tuple(grid)))
+        ana = sample_series(build_predictor(system, env, 61), grid).probs
+        sigma = np.sqrt(ana * (1.0 - ana) / n)
+        assert np.all(np.abs(mc.probs - ana) <= np.maximum(5.0 * sigma, 1e-12))
 
-class TestTrajectoryRecord:
-    def test_invariants(self):
-        rng = np.random.default_rng(11)
-        env = DistinguishableEnv(dt=0.3, eta=0.7)
-        for _ in range(50):
-            rec = sample_trajectory(SYSTEM, env, 30.0, rng)
-            times = np.array(rec.passive_prep_times)
-            assert len(rec.passive_prep_times) == len(rec.passive_prep_states)
-            if times.size:
-                assert np.all(np.diff(times) > 0.0)
-                multiples = times / env.dt
-                np.testing.assert_allclose(multiples, np.round(multiples), atol=1e-9)
 
-    def test_isolated_never_prepared(self):
-        rng = np.random.default_rng(0)
-        env = DistinguishableEnv(dt=0.3, eta=1.0)
-        rec = sample_trajectory(SYSTEM, env, 50.0, rng)
-        assert rec.passive_prep_times == ()
+class TestAgainstSteppedReference:
+    @pytest.mark.parametrize("state", [InitialState.EXCITED, InitialState.GROUND])
+    @pytest.mark.parametrize("omega_dt", [0.08, 0.25, 1.3])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 1.0])
+    def test_matches_reference(self, eta, omega_dt, state):
+        dt, n = 0.25, 20_000
+        system = RabiSystem(omega=omega_dt / dt, initial_state=state)
+        env = DistinguishableEnv(dt=dt, eta=eta)
+        grid = mixed_grid(dt, 60)
+        new = simulate_distinguishable(system, env, EnsembleConfig(n, 2027, grid)).probs
+        ref = stepped_reference(system, env, EnsembleConfig(n, 2028, grid))
+        assert_two_sample_close(new, ref, n)
 
-    def test_ensemble_of_records_matches_recursion(self):
-        rng = np.random.default_rng(2024)
+    def test_matches_reference_across_blocks(self):
+        n = BLOCK_SIZE + 5000
+        system = RabiSystem(omega=0.32)
         env = DistinguishableEnv(dt=0.25, eta=0.9)
-        t_probe = 7.0
-        n = 3000
-        acc = 0.0
-        for _ in range(n):
-            rec = sample_trajectory(SYSTEM, env, t_probe, rng)
-            if rec.passive_prep_times:
-                t_reset = rec.passive_prep_times[-1]
-                state = rec.passive_prep_states[-1]
-            else:
-                t_reset, state = 0.0, SYSTEM.initial_state
-            phase = SYSTEM.omega * (t_probe - t_reset)
-            acc += math.cos(phase) ** 2 if state is InitialState.GROUND else math.sin(phase) ** 2
-        ana = analytic_series(env, np.array([t_probe])).probs[0]
-        assert abs(acc / n - ana) < 5.0 * 0.5 / math.sqrt(n)
+        grid = mixed_grid(0.25, 12)
+        new = simulate_distinguishable(system, env, EnsembleConfig(n, 404, grid)).probs
+        ref = stepped_reference(system, env, EnsembleConfig(n, 405, grid))
+        assert_two_sample_close(new, ref, n)
+
+    def test_blocks_are_independent_streams(self):
+        # the first block is the same at both sizes; the extra 100 add 0..100
+        env = DistinguishableEnv(dt=0.2, eta=0.9)
+        grid = mixed_grid(0.2, 20)
+        counts = {
+            n: simulate_distinguishable(SYSTEM, env, EnsembleConfig(n, 99, grid)).probs * n
+            for n in (BLOCK_SIZE, BLOCK_SIZE + 100)
+        }
+        extra = np.round(counts[BLOCK_SIZE + 100] - counts[BLOCK_SIZE])
+        assert np.all((extra >= 0) & (extra <= 100))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eta=st.floats(0.0, 1.0),
+        omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
+        dt=st.floats(0.01, 2.0),
+        state=st.sampled_from(list(InitialState)),
+        n=st.integers(1, 3000),
+        epochs=st.lists(st.integers(0, 80), max_size=10),
+        offsets=st.lists(st.floats(0.0, 80.0), max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_properties(self, eta, omega_dt, dt, state, n, epochs, offsets, seed):
+        system = RabiSystem(omega=omega_dt / dt, initial_state=state)
+        env = DistinguishableEnv(dt=dt, eta=eta)
+        grid = tuple(sorted([0.0] + [k * dt for k in epochs] + [x * dt for x in offsets]))
+        cfg = EnsembleConfig(n, seed, grid)
+        probs = simulate_distinguishable(system, env, cfg).probs
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        np.testing.assert_allclose(probs * n, np.round(probs * n), rtol=0.0, atol=1e-6)
+        at_zero = probs[np.asarray(grid) == 0.0]
+        assert np.all(at_zero == (1.0 if state is InitialState.GROUND else 0.0))
+        np.testing.assert_array_equal(probs, simulate_distinguishable(system, env, cfg).probs)
 
 
 class TestIndistinguishableChain:
