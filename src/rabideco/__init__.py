@@ -13,7 +13,6 @@ from .core import (
     ProbabilitySeries,
     RabiSystem,
     binomial_weight,
-    born_excited_prob,
     born_ground_prob,
     clamp_probability,
     laguerre_l1,
@@ -39,7 +38,6 @@ from .indistinguishable import (
 from .montecarlo import (
     EnsembleConfig,
     simulate_distinguishable,
-    simulate_indistinguishable_chain,
 )
 from .fitting import (
     DampedSinusoidFit,
@@ -59,7 +57,6 @@ __all__ = [
     "ProbabilitySeries",
     "RabiSystem",
     "binomial_weight",
-    "born_excited_prob",
     "born_ground_prob",
     "clamp_probability",
     "laguerre_l1",
@@ -79,7 +76,6 @@ __all__ = [
     "sample_rescaled_series",
     "EnsembleConfig",
     "simulate_distinguishable",
-    "simulate_indistinguishable_chain",
     "DampedSinusoidFit",
     "FitConvergenceError",
     "MasterEqParams",

@@ -25,6 +25,8 @@ from .core import ProbabilitySeries
 from .experiments import (
     ConfigError,
     ExperimentKind,
+    FitResult,
+    SeriesResult,
     emit_outputs,
     load_config,
     load_fit_config,
@@ -89,7 +91,7 @@ def _cmd_simulate(cfg, out_dir: Path, formats) -> int:
         series = run_oracle_check(cfg).mc_series
     else:
         series = predictor_series(cfg)
-    for path in emit_outputs(series, cfg, out_dir, formats):
+    for path in emit_outputs(SeriesResult(series), cfg, out_dir, formats):
         print(path)
     return 0
 
@@ -98,7 +100,7 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
     cfg = load_fit_config(config_path)
     series = _read_series_csv(cfg.series_csv)
     fit = fit_damped_sinusoid(series, omega_hint=cfg.omega_hint, free_params=cfg.free_params)
-    for path in emit_outputs(fit, cfg, out_dir, ("json",)):
+    for path in emit_outputs(FitResult(fit), cfg, out_dir, ("json",)):
         print(path)
     return 0
 
@@ -110,9 +112,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(Path(args.config), out_dir)
         formats = tuple(args.format) if args.format else ("csv", "json")
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg = load_config(args.config, seed=args.seed)
         if args.command == "simulate":
             return _cmd_simulate(cfg, out_dir, formats)
         if args.command == "oracle-check":

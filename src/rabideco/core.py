@@ -7,6 +7,7 @@ are plain floats; `clamp_probability` absorbs accumulated rounding at the
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -85,14 +86,6 @@ def born_ground_prob(system: RabiSystem, t: float) -> float:
     return 1.0 - s2
 
 
-def born_excited_prob(system: RabiSystem, t: float) -> float:
-    """Complement of `born_ground_prob` (cos^2 for excited preparation).
-
-    Computed as 1 - born_ground_prob so the pair sums to 1 exactly.
-    """
-    return 1.0 - born_ground_prob(system, t)
-
-
 def binomial_weight(n: int, k: int, beta: float) -> float:
     """Probability mass C(n,k) beta^k (1-beta)^(n-k).
 
@@ -160,23 +153,23 @@ def _log_factorials(n: int) -> np.ndarray:
     return table
 
 
-def laguerre_l1(n: int, x: float) -> float:
-    """Generalized Laguerre polynomial L^(1)_n(x) by three-term recurrence.
+def _laguerre_l1_terms(x: float):
+    """L^(1)_0(x), L^(1)_1(x), ... : L^(1)_0 = 1, L^(1)_{-1} = 0 and, for m >= 1,
+    L^(1)_m = ((2m - x) L^(1)_{m-1} - m L^(1)_{m-2}) / m (so L^(1)_1 = 2 - x)."""
+    prev, cur, m = 0.0, 1.0, 0
+    while True:
+        yield cur
+        m += 1
+        prev, cur = cur, ((2.0 * m - x) * cur - m * prev) / m
 
-    L^(1)_0 = 1, L^(1)_1 = 2 - x, and for m >= 2
-    L^(1)_m = ((2m - x) L^(1)_{m-1} - m L^(1)_{m-2}) / m.
-    """
+
+def laguerre_l1(n: int, x: float) -> float:
+    """Generalized Laguerre polynomial L^(1)_n(x) by three-term recurrence."""
     if n < 0:
         raise ValueError(f"polynomial order must be non-negative, got {n}")
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 2.0 - x
-    for m in range(2, n + 1):
-        prev, cur = cur, ((2.0 * m - x) * cur - m * prev) / m
-    return cur
+    return next(itertools.islice(_laguerre_l1_terms(x), n, None))
 
 
 @dataclass(frozen=True)
@@ -197,14 +190,21 @@ def rabi_frequency_ladder(
     """Ladder omega_n = base * eta * exp(-eta^2/2) * L^(1)_n(eta^2) / sqrt(n+1).
 
     eta is the Lamb-Dicke parameter (0.202 for the trap this ladder models;
-    configurable for sensitivity studies).
+    configurable for sensitivity studies). L^(1)_n(eta^2) changes sign at
+    large n (first at n = 89 for eta = 0.202), and a ladder holds only
+    positive frequencies: the first omega_n <= 0 raises ValueError, before
+    any level above it is computed.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    x = lamb_dicke**2
+    # eta^2 overflows beyond 1.3e154; exp(-eta^2/2) is 0 from eta = 39 on anyway
+    x = lamb_dicke**2 if abs(lamb_dicke) < 1e150 else math.inf
     prefactor = lamb_dicke * math.exp(-x / 2.0)
-    entries = tuple(
-        (n, base_omega * prefactor * laguerre_l1(n, x) / math.sqrt(n + 1))
-        for n in range(n_max + 1)
-    )
-    return FrequencyLadder(base_omega, lamb_dicke, entries)
+    entries = []
+    for n, l1 in zip(range(n_max + 1), _laguerre_l1_terms(x)):
+        omega_n = base_omega * prefactor * l1 / math.sqrt(n + 1)
+        if not omega_n > 0.0:
+            raise ValueError(f"omega_{n} = {omega_n:.6g} is not > 0 at lamb_dicke "
+                             f"{lamb_dicke}, so n_max must be below {n}")
+        entries.append((n, omega_n))
+    return FrequencyLadder(base_omega, lamb_dicke, tuple(entries))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProbabilitySeries, clamp_probability, clamp_probability_array
+from .core import ProbabilitySeries, clamp_probability_array
 
 PARAM_ORDER = ("gamma", "omega", "amplitude", "offset", "phase")
 
@@ -58,22 +58,15 @@ class MasterEqParams:
 
 
 def master_eq_prob(params: MasterEqParams, t: float) -> float:
-    """Ground-state probability of the on-resonance master equation.
+    """Ground-state probability of the on-resonance master equation at t.
 
     (4 O^2 / (G^2 + 8 O^2)) * (1 - exp(-3Gt/4) (cos mu t + (3G/4mu) sin mu t))
-    with mu = sqrt(4 O^2 - (G/4)^2). Reduces to sin^2(O t) at G = 0.
+    with mu = sqrt(4 O^2 - (G/4)^2), as `master_eq_series` evaluates it.
+    Reduces to sin^2(O t) at G = 0.
     """
     if t < 0.0:
         raise ValueError(f"evolution duration must be non-negative, got {t}")
-    omega, g = params.omega, params.gamma_se
-    mu = math.sqrt(4.0 * omega**2 - (g / 4.0) ** 2)
-    pref = 4.0 * omega**2 / (g**2 + 8.0 * omega**2)
-    val = pref * (
-        1.0
-        - math.exp(-3.0 * g * t / 4.0)
-        * (math.cos(mu * t) + (3.0 * g / (4.0 * mu)) * math.sin(mu * t))
-    )
-    return clamp_probability(val)
+    return float(master_eq_series(params, [t]).probs[0])
 
 
 def master_eq_series(params: MasterEqParams, grid) -> ProbabilitySeries:

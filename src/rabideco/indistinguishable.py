@@ -192,19 +192,13 @@ def rescale_to_coordinate_time(
     continuous index n* = t / (beta dt); exact table value when n* is
     integral. Nothing smoother is justified: the index is an ensemble mean.
     """
-    n_star = _continuous_index(table, env, t_coord)
-    row = table.ground[-1]
-    lo = int(math.floor(n_star))
-    if lo == n_star:
-        return float(row[lo])
-    frac = n_star - lo
-    return clamp_probability((1.0 - frac) * row[lo] + frac * row[lo + 1])
+    return float(sample_rescaled_series(table, env, [t_coord]).probs[0])
 
 
 def sample_rescaled_series(
     table: NestedTable, env: IndistinguishableEnv, grid
 ) -> ProbabilitySeries:
-    """Vectorized `rescale_to_coordinate_time` over a sorted grid."""
+    """`rescale_to_coordinate_time` over a sorted grid, in one interpolation."""
     times = np.asarray(grid, dtype=float)
     meta = {
         "predictor": "indistinguishable",

@@ -18,7 +18,8 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def series_overlay_svg(dots, line, title: str, xlabel: str, ylabel: str) -> str:
+def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
+                       ylabel: str = "P(ground)") -> str:
     """Scatter `dots` with an overlaid `line`, both (x, y) array pairs."""
     dx, dy = (np.asarray(a, dtype=float) for a in dots)
     lx, ly = (np.asarray(a, dtype=float) for a in line)
@@ -36,10 +37,11 @@ def series_overlay_svg(dots, line, title: str, xlabel: str, ylabel: str) -> str:
     px0, px1 = _ML, _W - _MR
     py0, py1 = _H - _MB, _MT
 
-    def sx(x: float) -> float:
+    # scalars or arrays; numpy applies the same operations in the same order
+    def sx(x):
         return px0 + (x - x_lo) / (x_hi - x_lo) * (px1 - px0)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return py0 + (y - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
     parts = [
@@ -67,10 +69,10 @@ def series_overlay_svg(dots, line, title: str, xlabel: str, ylabel: str) -> str:
         parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
     if lx.size:
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(lx, ly))
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(lx).tolist(), sy(ly).tolist()))
         parts.append(f'<polyline points="{points}" fill="none" stroke="#d62728" '
                      f'stroke-width="1.5"/>')
-    for x, y in zip(dx, dy):
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1.6" fill="#1f77b4"/>')
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="#1f77b4"/>'
+              for x, y in zip(sx(dx).tolist(), sy(dy).tolist())]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -8,7 +8,6 @@ from rabideco.core import (
     RabiSystem,
     binomial_weight,
     binomial_weights_row,
-    born_excited_prob,
     born_ground_prob,
     clamp_probability,
     laguerre_l1,
@@ -53,11 +52,6 @@ class TestBornProb:
         sys_g = RabiSystem(1.3, InitialState.GROUND)
         for t in (0.0, 0.4, 2.2):
             assert born_ground_prob(sys_g, t) == pytest.approx(math.cos(1.3 * t) ** 2)
-
-    def test_complementarity_exact(self):
-        system = RabiSystem(0.7)
-        for t in np.linspace(0.0, 20.0, 101):
-            assert born_ground_prob(system, t) + born_excited_prob(system, t) == 1.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -190,6 +184,14 @@ class TestFrequencyLadder:
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError):
             rabi_frequency_ladder(1.0, -1)
+
+    def test_first_non_positive_frequency_ends_the_ladder(self):
+        # L1_88(X_LD) = 0.394 > 0 > L1_89(X_LD) = -0.0174
+        assert rabi_frequency_ladder(1.0, 88).omega_n(88) > 0.0
+        with pytest.raises(ValueError, match="omega_89 = -0.000363"):
+            rabi_frequency_ladder(1.0, 200)
+        with pytest.raises(ValueError, match="omega_0 = 0 "):
+            rabi_frequency_ladder(1.0, 3, lamb_dicke=1e200)  # exp(-eta^2/2) underflows
 
 
 class TestClamp:

@@ -279,6 +279,33 @@ class TestCli:
         cfg_path.write_text(json.dumps(fig3_config(env={"dt": 0.7, "beta": 2.0})))
         assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("config_seed,flag", [(-1, []), (3, ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, config_seed, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "OracleCrossCheck",
+            "system": {"omega": 1.0},
+            "env": {"dt": 0.2, "eta": 0.9},
+            "grid": {"t_max": 2.0, "n_points": 5},
+            "mc": {"n_systems": 100},
+            "seed": config_seed,
+        }))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path),
+                         *flag]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed")
+
+    def test_ladder_with_a_non_positive_frequency_is_a_config_error(self, tmp_path, capsys):
+        # L1_89(0.202^2) = -0.0174: omega_89 < 0, while omega_0..omega_88 are positive
+        config_from_dict(small_fig5_config(ladder={"n_max": 88, "lamb_dicke": 0.202}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_fig5_config(ladder={"n_max": 89,
+                                                                  "lamb_dicke": 0.202})))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ladder.n_max")
+        assert "omega_89" in err
+
     def test_runtime_value_error_maps_to_numerical_exit(self, tmp_path):
         # validates as a config but the 5-point grid trips the fit preconditions
         cfg_path = tmp_path / "cfg.json"
@@ -362,6 +389,51 @@ class TestCli:
         assert cli_main(["fit", "--config", "fit.json", "--out", "."]) == 0
         got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in want}
         assert got == want
+
+    # SHA-256 digests of every file `rabideco experiment` writes for each preset
+    PRESET_DIGESTS = {
+        "fig2a": ("1e4b4ba92baca6b016750878737fcb392f38aaf23dbd1bc1e174d36566588b44",
+                  "b0dc2aa5a9bde0dbd9a528c80f50a937c1dd8f01cf45bc0438f6d1656360a75f",
+                  "f443e85862d75b720d0dbafc60467bb3ab1570da2fb7023fe1e289510e07a053"),
+        "fig2a_consistent": (
+            "3cd7414f812b8a58acb52fd454e2e7df817db4f32ffda3d9ca66272bfb6cdce7",
+            "dec55839a69bbae258a38743dbfa5412da22a65465acd60311fec69c5a8a032f",
+            "13a676f908350d90b896206ec98dd033d057bb932a6bd8679b333edaac22eb09"),
+        "fig2b": ("82d24c980fca01bbbc78641cea2d273ff42d4a97f730b825484230d00f6b7219",
+                  "229680d3b3ce8b3c1f3d404c266c8a0f550eaa0d41bba5ed3a583099793ef976",
+                  "1dafa31eed9f6264af490712bdedd7412806f5e062015a3351211a64784933c0"),
+        "fig2b_consistent": (
+            "bdb0def565d6c89e0f46d1953a90018315d37bfd94d8b0c0d584c27ad86eec90",
+            "ef69986b54ab7b7ab2fd00e67e507c03980a177a5412827e6801d7c2f3e99c0c",
+            "86cbddec3407d2705e20b9a9f4d985314f7407c8ee7951e5d27469e8a95a284c"),
+        "fig3": ("8488b75990db24910362a7a77309b1aa805fd503b9ec7ee8751382795ad78ca6",
+                 "4982a40f22ef10efa9d05b94196d229dc3a31811b60503d1f8b73184638bb46c",
+                 "5e1aa55dd261c0350a3f47c4f3bf0277d41cbc9846fae7351560a2cac8ef9111"),
+        "fig5": ("348a5377a2699b9f27dbb7cb21ac92ea3ff95b18496d8e78121c2377991f6927",
+                 "52c4e134d5bc1436c611d1abf1c9e01db39afd163947d79aa2f2edaf65e5955f",
+                 "c58ea9b3fab5a9ecc5f87a9b27e30111da6250d6ea7b2b4ebcef68d16b0daf99"),
+        "fig5_master_eq": (
+            "ad73f6245d62bad4abf60d9af79c73c1f52d8f62c817d314a6e0764d559b98ce",
+            "7b88c1568ff72fd5e2f6686745401631dd2e21ff918a8c247c2c0bf4608de9f1",
+            "c4348cd4354d4ee1182fb2fa449f3abf5875394c67f3e35632e1fe1d3f9c92fa"),
+        "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
+                      "e6d160989b400e642eed42b3e350a7a92aabd9bf9e7ec71a8c94f7f7c5172129",
+                      "90399ebdc817362e2bd8124b3fda8c1783ec135953e2a4a9f574b5b89bb4e8b3"),
+        "oracle_check": ("7e463c7c389c6adee1f64accd7253dd6fe99530e9cb9d454ed3e50bde55ecf52",
+                         "bd4d4091033d93101e2ab5ecf99bcd44de7e8f5b31fc8003048d6b989500fe80",
+                         "32eef9471d90f9cd7406249efe063b3eaf90bc8127a1f73e765033aa2a4d979a"),
+    }
+
+    @pytest.mark.parametrize("prefix", sorted(PRESET_DIGESTS))
+    def test_preset_outputs_unchanged(self, tmp_path, prefix):
+        assert cli_main(["experiment", "--config", str(CONFIG_DIR / f"{prefix}.json"),
+                         "--out", str(tmp_path), "--format", "csv", "--format", "json",
+                         "--format", "svg"]) == 0
+        got = tuple(hashlib.sha256((tmp_path / f"{prefix}.{ext}").read_bytes()).hexdigest()
+                    for ext in ("csv", "json", "svg"))
+        assert got == self.PRESET_DIGESTS[prefix]
+        assert sorted(p.name for p in CONFIG_DIR.glob("*.json")) == sorted(
+            f"{name}.json" for name in self.PRESET_DIGESTS)
 
     @pytest.mark.parametrize("preset", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
     def test_preset_verdict(self, tmp_path, preset):

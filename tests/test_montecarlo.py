@@ -12,9 +12,7 @@ from rabideco.montecarlo import (
     BLOCK_SIZE,
     EnsembleConfig,
     _block_rng,
-    chain_samples,
     simulate_distinguishable,
-    simulate_indistinguishable_chain,
 )
 
 SYSTEM = RabiSystem(omega=1.0)
@@ -250,6 +248,46 @@ class TestAgainstSteppedReference:
         at_zero = probs[np.asarray(grid) == 0.0]
         assert np.all(at_zero == (1.0 if state is InitialState.GROUND else 0.0))
         np.testing.assert_array_equal(probs, simulate_distinguishable(system, env, cfg).probs)
+
+
+def chain_samples(
+    system: RabiSystem, env: IndistinguishableEnv, n: int, cfg: EnsembleConfig
+) -> np.ndarray:
+    """Per-sample unbiased estimates of the nested predictor at n dt (test oracle).
+
+    Each sample draws the interval-count chain k_1 ~ Binomial(n, beta),
+    k_2 ~ Binomial(k_1, beta), ... (max_events draws) and multiplies the
+    corresponding cos^2/sin^2 transfer factors down to the Born base case,
+    exactly mirroring the nested sum. This estimates the formula; it is not
+    a per-system physical history.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    rng = _block_rng(cfg.seed, 0)
+    size = cfg.n_systems
+    ks = [np.full(size, n, dtype=np.int64)]
+    for _ in range(env.max_events):
+        ks.append(rng.binomial(ks[-1], env.beta))
+
+    base_phase = system.omega * env.dt * ks[-1]
+    s2 = np.sin(base_phase) ** 2
+    if system.initial_state is InitialState.EXCITED:
+        vg, ve = s2, 1.0 - s2
+    else:
+        vg, ve = 1.0 - s2, s2
+    for level in range(env.max_events - 1, -1, -1):
+        gap_phase = system.omega * env.dt * (ks[level] - ks[level + 1])
+        c2 = np.cos(gap_phase) ** 2
+        s2 = np.sin(gap_phase) ** 2
+        vg, ve = c2 * vg + s2 * ve, c2 * ve + s2 * vg
+    return vg
+
+
+def simulate_indistinguishable_chain(
+    system: RabiSystem, env: IndistinguishableEnv, n: int, cfg: EnsembleConfig
+) -> float:
+    """Mean of `chain_samples`: Monte Carlo estimate of the table entry at n dt."""
+    return float(np.mean(chain_samples(system, env, n, cfg)))
 
 
 class TestIndistinguishableChain:
