@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FitConvergenceError, FloatingPointError, np.linalg.LinAlgError,
+    except (ArithmeticError, FitConvergenceError, np.linalg.LinAlgError,
             RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -135,6 +135,9 @@ _SPECS = {
         "target": _target("max_abs_z")}),
 }
 
+# the closed form squares omega: 8 omega^2 + gamma_se^2 must stay finite
+_MASTER_EQ_OMEGA = _Key(float, check=lambda v: v <= 1e150, rule="a value <= 1e+150")
+
 _FIT_SPEC = {"series_csv": _Key(str), "omega_hint": _positive(),
              "free_params": _FREE_PARAMS, "output": _output("fit")}
 
@@ -206,8 +209,9 @@ def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
     env, lad = cfg.env, cfg.ladder
     if (env.dt is None) == (env.omega0_dt is None):
         raise _config_error("exactly one of dt and omega0_dt must be given", "env", raw)
-    if cfg.predictor == "master-eq" and cfg.master_eq.gamma_se is None:
-        raise _config_error("required by the master-eq predictor", "master_eq.gamma_se", raw)
+    if cfg.predictor == "master-eq" and not cfg.master_eq.gamma_se:  # None or 0
+        raise _config_error("a value > 0 is required by the master-eq predictor",
+                            "master_eq.gamma_se", raw)
     cfg.ladder = _build("ladder.n_max", raw, rabi_frequency_ladder,
                         cfg.system.omega, lad.n_max, lad.lamb_dicke)
     omega0_dt = vars(env).pop("omega0_dt")
@@ -229,7 +233,7 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
     if kind is ExperimentKind.FIG5_GAMMA_RATIO:
         _gamma_ratio_rules(cfg, raw_text)
     if kind is ExperimentKind.MASTER_EQ_BASELINE:
-        cfg.env.omega = cfg.system.omega
+        cfg.env.omega = _checked(_MASTER_EQ_OMEGA, cfg.system.omega, "system.omega", raw_text)
     cfg.env = _build("env", raw_text, env_type, **vars(cfg.env))
     cfg.target = {key: x for key, x in vars(cfg.target).items() if x is not None}
     return cfg
@@ -446,6 +450,8 @@ def run_gamma_ratio_experiment(cfg: ExperimentConfig) -> GammaRatioResult:
             gammas.append(run_figure_experiment(level).fit.gamma)
         except Exception as exc:
             raise RuntimeError(f"gamma-ratio level n={n} failed: {exc}") from exc
+    if gammas[0] == 0.0:
+        raise RuntimeError("gamma-ratio level n=0 fitted gamma 0: the ratios are undefined")
     rows = [GammaRatioRow(n, omega_n, g, g / gammas[0])
             for (n, omega_n), g in zip(cfg.ladder.entries, gammas)]
     return GammaRatioResult(rows, fit_power_law([(row.n, row.ratio) for row in rows]))

@@ -5,7 +5,11 @@ analytic Jacobian: the model is offset + amplitude * exp(-gamma t) *
 cos(2 omega t + phase), any subset of the five parameters free. Damping is
 multiplied by 10 on a rejected step and divided by 10 on an accepted one,
 so the residual decreases monotonically; iteration stops when the relative
-parameter step drops below 1e-9 or after 200 iterations.
+parameter step drops below 1e-9 or after 200 iterations. Each iteration
+evaluates exp(-gamma t) and the cosine of the phase once, for its trial step;
+an accepted step builds only the free Jacobian columns, from those arrays and
+one sine, and a rejected step reuses J^T J and J^T r, as only the damping
+changed.
 """
 from __future__ import annotations
 
@@ -100,24 +104,32 @@ class DampedSinusoidFit:
     degenerate: bool = False
 
 
+def _terms(t, params) -> tuple:
+    """Model values, exp(-gamma t), the phase 2 omega t + phase, and its cosine."""
+    gamma, omega, amp, off, phase = params
+    arg = 2.0 * omega * t + phase
+    decay, cos_a = np.exp(-gamma * t), np.cos(arg)
+    return off + amp * decay * cos_a, decay, arg, cos_a
+
+
+def _jacobian_into(jac, columns, t, amp, decay, cos_a, sin_a) -> None:
+    """Fill column j of `jac` with the derivative by parameter `columns[j]`."""
+    derivatives = (lambda: -t * amp * decay * cos_a, lambda: -2.0 * t * amp * decay * sin_a,
+                   lambda: decay * cos_a, lambda: 1.0, lambda: -amp * decay * sin_a)
+    for j, i in enumerate(columns):
+        jac[:, j] = derivatives[i]()
+
+
 def damped_sinusoid_model(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Model values for params ordered (gamma, omega, amplitude, offset, phase)."""
-    gamma, omega, amp, off, phase = params
-    return off + amp * np.exp(-gamma * t) * np.cos(2.0 * omega * t + phase)
+    return _terms(t, params)[0]
 
 
 def damped_sinusoid_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Analytic Jacobian, columns in PARAM_ORDER."""
-    gamma, omega, amp, off, phase = params
-    decay = np.exp(-gamma * t)
-    arg = 2.0 * omega * t + phase
-    cos_a, sin_a = np.cos(arg), np.sin(arg)
+    _, decay, arg, cos_a = _terms(t, params)
     jac = np.empty((t.size, 5))
-    jac[:, 0] = -t * amp * decay * cos_a
-    jac[:, 1] = -2.0 * t * amp * decay * sin_a
-    jac[:, 2] = decay * cos_a
-    jac[:, 3] = 1.0
-    jac[:, 4] = -amp * decay * sin_a
+    _jacobian_into(jac, range(5), t, params[2], decay, cos_a, np.sin(arg))
     return jac
 
 
@@ -167,35 +179,45 @@ def fit_damped_sinusoid(
         )
 
     params = np.array([0.0, omega_hint, -0.5, 0.5, 0.0])
-    free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
+    free_idx = np.array([i for i, name in enumerate(PARAM_ORDER) if name in free])
+    k = free_idx.size
 
-    resid = damped_sinusoid_model(t, params) - y
+    model, *terms = _terms(t, params)
+    resid = model - y
     sse = float(resid @ resid)
     lam = 1e-3
     iterations = 0
+    normal = None  # J^T J, -J^T r and the clipped diagonal at `params`
     while iterations < _MAX_ITER:
         iterations += 1
-        jac = damped_sinusoid_jacobian(t, params)[:, free_idx]
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0.0] = 1e-30
+        if normal is None:
+            decay, arg, cos_a = terms
+            # column-major (n, k): a row-major J changes BLAS's summation order in
+            # J^T r by an ulp, and with it the fitted bits the preset digests pin
+            jac = np.empty((k, t.size)).T
+            _jacobian_into(jac, free_idx, t, params[2], decay, cos_a, np.sin(arg))
+            jtj = jac.T @ jac
+            diag = jtj.diagonal()
+            normal = jtj, -(jac.T @ resid), np.where(diag <= 0.0, 1e-30, diag)
+        jtj, rhs, diag = normal
+        damped = jtj.copy()
+        damped.flat[:: k + 1] += lam * diag
         try:
-            step = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+            step = np.linalg.solve(damped, rhs)
         except np.linalg.LinAlgError:
             step = None
-        if step is not None and np.all(np.isfinite(step)):
+        if step is not None and np.isfinite(step).all():
             trial = params.copy()
             trial[free_idx] += step
-            trial_resid = damped_sinusoid_model(t, trial) - y
+            trial_model, *trial_terms = _terms(t, trial)
+            trial_resid = trial_model - y
             trial_sse = float(trial_resid @ trial_resid)
         else:
             trial_sse = math.inf
         if math.isfinite(trial_sse) and trial_sse <= sse:
-            rel_step = float(
-                np.max(np.abs(step) / (np.abs(params[free_idx]) + 1e-12))
-            )
-            params, resid, sse = trial, trial_resid, trial_sse
+            rel_step = float((np.abs(step) / (np.abs(params[free_idx]) + 1e-12)).max())
+            params, resid, sse, terms = trial, trial_resid, trial_sse, trial_terms
+            normal = None
             lam = max(lam / 10.0, 1e-12)
             if rel_step < _STEP_TOL:
                 break

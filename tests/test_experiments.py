@@ -479,3 +479,47 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "b"),
                          "--seed", "2"]) == 0
         assert (tmp_path / "a" / "oc.csv").read_bytes() != (tmp_path / "b" / "oc.csv").read_bytes()
+
+
+class TestArithmeticCrashes:
+    """Inputs whose arithmetic cannot succeed exit 2 or 3 with one stderr line."""
+
+    def run_preset(self, tmp_path, capsys, preset, **overrides):
+        data = json.loads((CONFIG_DIR / preset).read_text())
+        data.update(overrides)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data, indent=2))
+        code = cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        return code, err_lines[0]
+
+    @pytest.mark.parametrize("gamma_se", [0, 0.0])
+    def test_fig5_master_eq_zero_rate_is_a_config_error(self, tmp_path, capsys, gamma_se):
+        code, err = self.run_preset(tmp_path, capsys, "fig5_master_eq.json",
+                                    master_eq={"gamma_se": gamma_se})
+        assert code == 2
+        assert err.startswith("config error: master_eq.gamma_se")
+
+    def test_fig5_zero_gamma_0_is_a_numerical_failure(self, tmp_path, capsys):
+        # gamma_se = 1e-20 passes the config rule, but level 0 fits gamma = 0
+        code, err = self.run_preset(tmp_path, capsys, "fig5_master_eq.json",
+                                    master_eq={"gamma_se": 1e-20})
+        assert code == 3
+        assert "level n=0 fitted gamma 0" in err
+
+    def test_master_eq_omega_beyond_closed_form_is_a_config_error(self, tmp_path, capsys):
+        code, err = self.run_preset(tmp_path, capsys, "master_eq.json",
+                                    system={"omega": 1e300})
+        assert code == 2
+        assert err.startswith("config error: system.omega")
+
+    def test_other_arithmetic_errors_map_to_numerical_exit(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def overflow(cfg):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr("rabideco.cli.run_experiment", overflow)
+        code, err = self.run_preset(tmp_path, capsys, "master_eq.json")
+        assert code == 3
+        assert err.startswith("numerical failure:")

@@ -1,11 +1,20 @@
+import dataclasses
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rabideco import fitting
 from rabideco.core import ProbabilitySeries, RabiSystem, born_ground_prob
+from rabideco.experiments import config_from_dict, predictor_series
 from rabideco.fitting import (
     PARAM_ORDER,
+    DampedSinusoidFit,
     FitConvergenceError,
     MasterEqParams,
     damped_sinusoid_jacobian,
@@ -15,6 +24,8 @@ from rabideco.fitting import (
     master_eq_prob,
     master_eq_series,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def series_from(func, t_max=30.0, n=400):
@@ -175,3 +186,229 @@ class TestPowerLawFit:
             fit_power_law([])
         with pytest.raises(ValueError, match="positive"):
             fit_power_law([(0, 1.0), (1, -2.0)])
+
+
+# ---- the fit as it was before its loop reused its work: the reference of the
+# differential tests below, kept verbatim but for the three function names ----
+_STEP_TOL = 1e-9
+_MAX_ITER = 200
+_LAMBDA_MAX = 1e12
+
+
+def reference_model(t: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Model values for params ordered (gamma, omega, amplitude, offset, phase)."""
+    gamma, omega, amp, off, phase = params
+    return off + amp * np.exp(-gamma * t) * np.cos(2.0 * omega * t + phase)
+
+
+def reference_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian, columns in PARAM_ORDER."""
+    gamma, omega, amp, off, phase = params
+    decay = np.exp(-gamma * t)
+    arg = 2.0 * omega * t + phase
+    cos_a, sin_a = np.cos(arg), np.sin(arg)
+    jac = np.empty((t.size, 5))
+    jac[:, 0] = -t * amp * decay * cos_a
+    jac[:, 1] = -2.0 * t * amp * decay * sin_a
+    jac[:, 2] = decay * cos_a
+    jac[:, 3] = 1.0
+    jac[:, 4] = -amp * decay * sin_a
+    return jac
+
+
+def reference_fit(
+    series: ProbabilitySeries,
+    omega_hint: float,
+    free_params: frozenset | set | None = None,
+) -> DampedSinusoidFit:
+    """Least-squares fit of the damped sinusoid to a probability series.
+
+    By default gamma and omega are free (gamma starts at 0, omega at
+    omega_hint) while amplitude = -1/2, offset = 1/2, phase = 0 stay fixed.
+    The series must have at least 10 points spanning two oscillation
+    periods of the hinted frequency. A constant series yields a flat fit
+    flagged degenerate with gamma = nan.
+    """
+    if omega_hint <= 0.0 or not math.isfinite(omega_hint):
+        raise ValueError(f"omega_hint must be positive and finite, got {omega_hint}")
+    free = frozenset(free_params) if free_params is not None else frozenset({"gamma", "omega"})
+    unknown = free - set(PARAM_ORDER)
+    if unknown:
+        raise ValueError(f"unknown fit parameters: {sorted(unknown)}")
+    if not free:
+        raise ValueError("at least one parameter must be free")
+
+    t = np.asarray(series.times, dtype=float)
+    y = np.asarray(series.probs, dtype=float)
+    if t.size < 10:
+        raise ValueError(f"need at least 10 points, got {t.size}")
+    span = float(t[-1] - t[0])
+    if span * omega_hint < 2.0 * math.pi:
+        raise ValueError(
+            f"series spans {span * omega_hint / math.pi:.2f} half-periods of the "
+            f"hinted frequency; need at least two full periods"
+        )
+
+    if float(np.ptp(y)) < 1e-12:
+        return DampedSinusoidFit(
+            gamma=math.nan,
+            omega_fit=math.nan,
+            amplitude=0.0,
+            offset=float(np.mean(y)),
+            phase=0.0,
+            residual_rms=float(np.std(y)),
+            free_params=free,
+            degenerate=True,
+        )
+
+    params = np.array([0.0, omega_hint, -0.5, 0.5, 0.0])
+    free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
+
+    resid = reference_model(t, params) - y
+    sse = float(resid @ resid)
+    lam = 1e-3
+    iterations = 0
+    while iterations < _MAX_ITER:
+        iterations += 1
+        jac = reference_jacobian(t, params)[:, free_idx]
+        jtj = jac.T @ jac
+        jtr = jac.T @ resid
+        diag = np.diag(jtj).copy()
+        diag[diag <= 0.0] = 1e-30
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None and np.all(np.isfinite(step)):
+            trial = params.copy()
+            trial[free_idx] += step
+            trial_resid = reference_model(t, trial) - y
+            trial_sse = float(trial_resid @ trial_resid)
+        else:
+            trial_sse = math.inf
+        if math.isfinite(trial_sse) and trial_sse <= sse:
+            rel_step = float(
+                np.max(np.abs(step) / (np.abs(params[free_idx]) + 1e-12))
+            )
+            params, resid, sse = trial, trial_resid, trial_sse
+            lam = max(lam / 10.0, 1e-12)
+            if rel_step < _STEP_TOL:
+                break
+        else:
+            lam *= 10.0
+            if lam > _LAMBDA_MAX:
+                raise FitConvergenceError(
+                    "damping exhausted without residual decrease",
+                    dict(zip(PARAM_ORDER, (float(p) for p in params))),
+                    math.sqrt(sse / t.size),
+                )
+
+    gamma = float(params[0])
+    if -1e-9 < gamma < 0.0:
+        gamma = 0.0  # exactly undamped inputs may round a hair negative
+    return DampedSinusoidFit(
+        gamma=gamma,
+        omega_fit=float(params[1]),
+        amplitude=float(params[2]),
+        offset=float(params[3]),
+        phase=float(params[4]),
+        residual_rms=math.sqrt(sse / t.size),
+        free_params=free,
+        iterations=iterations,
+    )
+
+
+def fit_outcome(fit, series, omega_hint, free_params):
+    """Every field of the fit, or of its FitConvergenceError, for an `==` check."""
+    try:
+        return dataclasses.astuple(fit(series, omega_hint, free_params))
+    except FitConvergenceError as exc:
+        return str(exc), exc.params, exc.residual_rms.hex()
+
+
+def assert_same_fit(series, omega_hint=1.0, free_params=None):
+    got = fit_outcome(fit_damped_sinusoid, series, omega_hint, free_params)
+    assert got == fit_outcome(reference_fit, series, omega_hint, free_params)
+    return got
+
+
+def rich_series(n=300, noise=0.0, seed=5):
+    t = np.linspace(0.0, 25.0, n)
+    y = 0.52 - 0.45 * np.exp(-0.04 * t) * np.cos(2.0 * 1.03 * t + 0.1)
+    return ProbabilitySeries(t, y + noise * np.random.default_rng(seed).standard_normal(n), {})
+
+
+def preset_series(name):
+    cfg = config_from_dict(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    return predictor_series(cfg), cfg.system.omega
+
+
+FIT_FIELDS = [field.name for field in dataclasses.fields(DampedSinusoidFit)]
+FREE_SUBSETS = [frozenset(c) for r in range(1, 6) for c in itertools.combinations(PARAM_ORDER, r)]
+
+
+class TestAgainstReferenceFit:
+    """The fit equals, bit for bit and in its iteration count, the loop that
+    rebuilt the full Jacobian and both exponentials at every iteration."""
+
+    @pytest.mark.parametrize("free", FREE_SUBSETS, ids=lambda f: "+".join(sorted(f)))
+    def test_every_free_subset(self, free):
+        assert_same_fit(rich_series(noise=0.003), free_params=free)
+
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig3", "master_eq"])
+    def test_preset_series(self, preset):
+        series, omega = preset_series(preset)
+        assert_same_fit(series, omega)
+
+    def test_master_eq_predictor_in_fig5(self):
+        for omega_n in (1.0, 0.81, 0.43):
+            series = master_eq_series(MasterEqParams(omega_n, 0.01),
+                                      np.linspace(0.0, 40.0 / omega_n, 300))
+            assert_same_fit(series, omega_n)
+
+    def test_noisy_series(self):
+        rng = np.random.default_rng(99)
+        t = np.linspace(0.0, 30.0, 400)
+        y = 0.5 * (1.0 - np.exp(-0.05 * t) * np.cos(2.0 * t)) + rng.uniform(-0.01, 0.01, t.size)
+        assert_same_fit(ProbabilitySeries(t, y, {}))
+
+    def test_rejected_steps_reuse_the_normal_equations(self, monkeypatch):
+        # a hint 25% off the true frequency makes the first steps overshoot
+        series = series_from(lambda t: 0.5 * (1.0 - np.exp(-0.05 * t) * np.cos(2.0 * t)))
+        builds = []
+        real = fitting._jacobian_into
+        monkeypatch.setattr(fitting, "_jacobian_into",
+                            lambda *args: builds.append(1) or real(*args))
+        got = assert_same_fit(series, omega_hint=1.25)
+        iterations = got[FIT_FIELDS.index("iterations")]
+        assert 1 <= len(builds) < iterations  # some steps were rejected
+
+    def test_convergence_error(self):
+        t = np.linspace(0.0, 30.0, 60)
+        y = np.sin(t) ** 2
+        y[10] = math.nan
+        got = assert_same_fit(ProbabilitySeries(t, y, {}))
+        assert got[0].startswith("damping exhausted")
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(0.0, 0.3), omega=st.floats(0.3, 3.0),
+           n=st.integers(10, 400), noise=st.floats(0.0, 0.05),
+           hint=st.floats(0.8, 1.2), seed=st.integers(0, 2**32 - 1))
+    def test_property(self, gamma, omega, n, noise, hint, seed):
+        t = np.linspace(0.0, 8.0 * math.pi / omega, n)
+        y = 0.5 * (1.0 - np.exp(-gamma * omega * t) * np.cos(2.0 * omega * t))
+        y += noise * np.random.default_rng(seed).standard_normal(n)
+        assert_same_fit(ProbabilitySeries(t, y, {}), omega_hint=hint * omega)
+
+
+class TestModelAndJacobianBits:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_to_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, rng.uniform(1.0, 100.0), int(rng.integers(1, 600)))
+        params = rng.uniform(-2.0, 2.0, 5)
+        params[rng.random(5) < 0.3] = 0.0
+        got, want = damped_sinusoid_model(t, params), reference_model(t, params)
+        assert got.tobytes() == want.tobytes()
+        got, want = damped_sinusoid_jacobian(t, params), reference_jacobian(t, params)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
