@@ -94,12 +94,14 @@ def build_predictor(
     turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
     boundary = [born_ground_prob(system, 0.0)]
     coeffs = [0j]
+    c = 0j
     # zip pairs level n-1's weight with epoch n's Born value and phase
-    for w, born_n, turn in zip(weights.tolist(), born[1:].tolist(), turns[1:].tolist()):
-        c = coeffs[-1]
+    for w, born_n, turn, unturn in zip(weights.tolist(), born[1:].tolist(),
+                                       turns[1:].tolist(), turns[1:].conj().tolist()):
         b = w * born_n + 0.5 * (1.0 - w) + (c * turn).real
         boundary.append(b)
-        coeffs.append(eta * c + (1.0 - eta) * (b - 0.5) * turn.conjugate())
+        c = eta * c + (1.0 - eta) * (b - 0.5) * unturn
+        coeffs.append(c)
     return PiecewisePredictor(
         system, env, n_max, clamp_probability_array(np.array(boundary)),
         weights, np.array(coeffs),

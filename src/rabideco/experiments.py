@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -110,14 +111,83 @@ _COMMON = {
     "output": _output("experiment"),
 }
 
-# kind -> (type built from the env section, the kind's own sections and keys)
+# ---- work budget: what a config asks for, sized from the config alone ----
+WORK_BUDGET = 1e8  # 8-byte words one stage holds, or draws it makes (about 800 MB)
+
+# words per element, tracemalloc peaks rounded up
+_PER_POINT = 44  # a grid point: series, fit and the output text
+# build_predictor's epoch arrays and Python lists; this also bounds the Monte
+# Carlo sampler's phase, lag and occupancy tables (8 words) on the same epochs
+_PER_EPOCH = 28
+_PER_CELL = 3  # a nested table cell
+_PER_ENTRY = 2  # a matrix-form entry, when the nested table takes that path
+
+
+def _size(value) -> float:
+    """A count as a float; an integer beyond float range saturates."""
+    return float(min(value, 1e300))
+
+
+def _grid_sizes(cfg) -> list:
+    points = _size(cfg.grid.n_points)
+    return [(_PER_POINT * points, {"grid.n_points": points})]
+
+
+def _t_end(grid) -> float:
+    return grid.t_max if grid.n_points > 1 else 0.0  # one point sits at t = 0
+
+
+def _predictor_sizes(cfg) -> list:
+    t_end, dt = _t_end(cfg.grid), cfg.env.dt
+    return _grid_sizes(cfg) + [
+        (_PER_EPOCH * (t_end / dt + 2.0), {"grid.t_max": t_end, "env.dt": 1.0 / dt})]
+
+
+def _oracle_sizes(cfg) -> list:
+    n, points = _size(cfg.mc.n_systems), _size(cfg.grid.n_points)
+    return _predictor_sizes(cfg) + [(n * points, {"mc.n_systems": n, "grid.n_points": points})]
+
+
+def _nested_sizes(t_end: float, env, t_key: str, dt_key: str = "env.dt") -> list:
+    """The table (max_events + 1)(n_max + 1), plus (n_max + 1)^2 on the matrix path."""
+    columns = t_end / env.beta / env.dt + 2.0  # n_max + 1 = ceil(t / (beta dt)) + 2
+    levels = _size(env.max_events) + 1.0
+    words = _PER_CELL * levels * columns
+    if levels > math.log2(columns):  # 2^(max_events + 1) > n_max + 1
+        words += _PER_ENTRY * columns * columns
+    return [(words, {t_key: t_end, dt_key: 1.0 / env.dt, "env.beta": 1.0 / env.beta,
+                     "env.max_events": levels})]
+
+
+def _fig3_sizes(cfg) -> list:
+    return _grid_sizes(cfg) + _nested_sizes(_t_end(cfg.grid), cfg.env, "grid.t_max")
+
+
+def _gamma_ratio_sizes(cfg) -> list:  # the tables wait for the ladder
+    levels, points = _size(cfg.ladder.n_max) + 1.0, _size(cfg.fit_window.n_points)
+    return [(_PER_POINT * levels * points, {"ladder.n_max": levels,
+                                            "fit_window.n_points": points})]
+
+
+def _within_budget(sizes: list, raw: str | None) -> None:
+    """ConfigError at the key with the largest factor of the first size over budget."""
+    for words, factors in sizes:
+        if words > WORK_BUDGET:
+            key = max(factors, key=factors.get)
+            raise _config_error(f"the run needs about {words:.3g} words or draws, over "
+                                f"the work budget of {WORK_BUDGET:.0e}", key, raw)
+
+
+# kind -> (type built from the env section, the kind's own sections and keys,
+# the sizes it asks for)
 _SPECS = {
-    ExperimentKind.FIG2_DISTINGUISHABLE: (DistinguishableEnv, {"env": _DIST_ENV, **_FIGURE}),
+    ExperimentKind.FIG2_DISTINGUISHABLE: (DistinguishableEnv, {"env": _DIST_ENV, **_FIGURE},
+                                          _predictor_sizes),
     ExperimentKind.FIG3_INDISTINGUISHABLE: (IndistinguishableEnv, {
         "env": _Section({"dt": _positive(), "beta": _BETA, "max_events": _MAX_EVENTS}),
-        **_FIGURE}),
+        **_FIGURE}, _fig3_sizes),
     ExperimentKind.MASTER_EQ_BASELINE: (MasterEqParams, {
-        "env": _Section({"gamma_se": _at_least(0)}), **_FIGURE}),
+        "env": _Section({"gamma_se": _at_least(0)}), **_FIGURE}, _grid_sizes),
     ExperimentKind.FIG5_GAMMA_RATIO: (IndistinguishableEnv, {
         "env": _Section({"beta": _BETA, "max_events": _MAX_EVENTS,
                          "dt": _positive(None), "omega0_dt": _positive(None)}),
@@ -129,10 +199,10 @@ _SPECS = {
         "master_eq": _Section({"gamma_se": _at_least(0, float, None)}, {}),
         "fit": _FIT,
         "target": _target("exponent", "tol"),
-    }),
+    }, _gamma_ratio_sizes),
     ExperimentKind.ORACLE_CROSS_CHECK: (DistinguishableEnv, {
         "env": _DIST_ENV, "grid": _GRID, "mc": _Section({"n_systems": _at_least(1, int)}),
-        "target": _target("max_abs_z")}),
+        "target": _target("max_abs_z")}, _oracle_sizes),
 }
 
 # the closed form squares omega: 8 omega^2 + gamma_se^2 must stay finite
@@ -217,6 +287,11 @@ def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
     omega0_dt = vars(env).pop("omega0_dt")
     if omega0_dt is not None:
         env.dt = omega0_dt / cfg.ladder.omega_n(0)
+    if cfg.predictor == "indistinguishable":  # the slowest level builds the largest table
+        slowest = min(omega for _, omega in cfg.ladder.entries)
+        _within_budget(_nested_sizes(cfg.fit_window.omega_t_span / slowest, env,
+                                     "fit_window.omega_t_span",
+                                     "env.dt" if omega0_dt is None else "env.omega0_dt"), raw)
 
 
 def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfig:
@@ -225,9 +300,10 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         raise ConfigError("top level must be a JSON object")
     common = _walk(_COMMON, {k: x for k, x in data.items() if k in _COMMON}, raw_text)
     kind = common["experiment"] = ExperimentKind(common["experiment"])
-    env_type, spec = _SPECS[kind]
+    env_type, spec, sizes = _SPECS[kind]
     cfg = ExperimentConfig(**common, **_walk(
         spec, {k: x for k, x in data.items() if k not in _COMMON}, raw_text))
+    _within_budget(sizes(cfg), raw_text)
     cfg.system = _build("system", raw_text, RabiSystem, cfg.system.omega,
                         InitialState(cfg.system.initial_state))
     if kind is ExperimentKind.FIG5_GAMMA_RATIO:
@@ -266,8 +342,9 @@ def load_fit_config(path) -> FitConfig:
 # ---- results, each writing its own outputs ----
 def _csv(header: str, rows) -> str:
     """Header line plus one line per row, numbers in shortest round-trip form."""
+    rows = list(rows)
     line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
-    return header + "\n" + "".join(line % row for row in rows)
+    return header + "\n" + line * len(rows) % tuple(chain.from_iterable(rows))
 
 
 def _fit_fields(fit: DampedSinusoidFit) -> dict:

@@ -18,6 +18,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """(x0, y0, x1, y1, ...) as Python floats, for one %-format over all points."""
+    return tuple(np.column_stack((xs, ys)).ravel().tolist())
+
+
 def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
                        ylabel: str = "P(ground)") -> str:
     """Scatter `dots` with an overlaid `line`, both (x, y) array pairs."""
@@ -69,10 +74,11 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
         parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
     if lx.size:
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(lx).tolist(), sy(ly).tolist()))
+        points = " ".join(["%.2f,%.2f"] * lx.size) % _interleaved(sx(lx), sy(ly))
         parts.append(f'<polyline points="{points}" fill="none" stroke="#d62728" '
                      f'stroke-width="1.5"/>')
-    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="#1f77b4"/>'
-              for x, y in zip(sx(dx).tolist(), sy(dy).tolist())]
+    if dx.size:
+        circle = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="#1f77b4"/>'
+        parts.append("\n".join([circle] * dx.size) % _interleaved(sx(dx), sy(dy)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

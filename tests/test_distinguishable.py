@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabideco.core import InitialState, RabiSystem, born_ground_prob
+from rabideco.core import InitialState, RabiSystem, born_ground_prob, clamp_probability_array
 from rabideco.distinguishable import (
     DistinguishableEnv,
+    PiecewisePredictor,
+    _born_ground_array,
     build_predictor,
     predict_excited_prob,
     predict_ground_prob,
@@ -267,3 +269,37 @@ class TestLongRunBehaviour:
                 sample_series(pred, np.linspace(0.0, 60.0, 400)), omega_hint=1.0
             )
             assert abs(fit.gamma - expected) < tol
+
+
+def previous_build_predictor(system, env, n_max):
+    """`build_predictor` as it was before its loop kept c in a local (verbatim)."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    dt, eta, omega = env.dt, env.eta, system.omega
+    epochs = np.arange(n_max + 1, dtype=float)
+    weights = eta**epochs
+    born = _born_ground_array(system, dt * epochs)
+    turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
+    boundary = [born_ground_prob(system, 0.0)]
+    coeffs = [0j]
+    # zip pairs level n-1's weight with epoch n's Born value and phase
+    for w, born_n, turn in zip(weights.tolist(), born[1:].tolist(), turns[1:].tolist()):
+        c = coeffs[-1]
+        b = w * born_n + 0.5 * (1.0 - w) + (c * turn).real
+        boundary.append(b)
+        coeffs.append(eta * c + (1.0 - eta) * (b - 0.5) * turn.conjugate())
+    return PiecewisePredictor(
+        system, env, n_max, clamp_probability_array(np.array(boundary)),
+        weights, np.array(coeffs),
+    )
+
+
+class TestAgainstPreviousLoop:
+    @pytest.mark.parametrize("state", list(InitialState))
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.99, 0.997, 1.0])
+    @pytest.mark.parametrize("omega_dt,n_max", [(0.08, 2500), (1.3, 300), (0.7, 0), (0.1, 1)])
+    def test_bit_identical(self, eta, omega_dt, n_max, state):
+        system, env = RabiSystem(omega_dt / 0.25, state), DistinguishableEnv(dt=0.25, eta=eta)
+        new, old = build_predictor(system, env, n_max), previous_build_predictor(system, env, n_max)
+        for field in ("boundary_values", "born_weights", "coeffs"):
+            assert getattr(new, field).tobytes() == getattr(old, field).tobytes(), field

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import shutil
@@ -10,15 +11,19 @@ import pytest
 from rabideco.cli import main as cli_main
 from rabideco.experiments import (
     ConfigError,
+    WORK_BUDGET,
     ExperimentKind,
+    _csv,
     config_from_dict,
     emit_outputs,
     load_config,
+    predictor_series,
     run_experiment,
     run_figure_experiment,
     run_gamma_ratio_experiment,
     run_oracle_check,
 )
+from rabideco.svgfig import _H, _MB, _ML, _MR, _MT, _W, _fmt, _ticks, series_overlay_svg
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,6 +51,109 @@ def small_fig5_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def previous_csv(header: str, rows) -> str:
+    """`experiments._csv` before its one-format rows (verbatim)."""
+    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
+    return header + "\n" + "".join(line % row for row in rows)
+
+
+def previous_series_overlay_svg(dots, line, title: str, xlabel: str = "t",
+                                ylabel: str = "P(ground)") -> str:
+    """`series_overlay_svg` before its one-format points (verbatim)."""
+    dx, dy = (np.asarray(a, dtype=float) for a in dots)
+    lx, ly = (np.asarray(a, dtype=float) for a in line)
+    all_x = np.concatenate([dx, lx]) if dx.size or lx.size else np.array([0.0, 1.0])
+    all_y = np.concatenate([dy, ly]) if dy.size or ly.size else np.array([0.0, 1.0])
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    px0, px1 = _ML, _W - _MR
+    py0, py1 = _H - _MB, _MT
+
+    # scalars or arrays; numpy applies the same operations in the same order
+    def sx(x):
+        return px0 + (x - x_lo) / (x_hi - x_lo) * (px1 - px0)
+
+    def sy(y):
+        return py0 + (y - y_lo) / (y_hi - y_lo) * (py1 - py0)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
+        f'<rect x="{px0}" y="{py1}" width="{px1 - px0}" height="{py0 - py1}" '
+        f'fill="none" stroke="black" stroke-width="1"/>',
+        f'<text x="{(px0 + px1) / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'<text x="{(px0 + px1) / 2:.1f}" y="{_H - 10}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
+        f'<text x="14" y="{(py0 + py1) / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 14 {(py0 + py1) / 2:.1f})">{ylabel}</text>',
+    ]
+    for xv in _ticks(x_lo, x_hi):
+        parts.append(f'<line x1="{sx(xv):.2f}" y1="{py0}" x2="{sx(xv):.2f}" '
+                     f'y2="{py0 + 4}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{sx(xv):.2f}" y="{py0 + 17}" text-anchor="middle" '
+                     f'font-family="sans-serif" font-size="10">{_fmt(xv)}</text>')
+    for yv in _ticks(y_lo, y_hi):
+        parts.append(f'<line x1="{px0 - 4}" y1="{sy(yv):.2f}" x2="{px0}" '
+                     f'y2="{sy(yv):.2f}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '
+                     f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
+    if lx.size:
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(lx).tolist(), sy(ly).tolist()))
+        parts.append(f'<polyline points="{points}" fill="none" stroke="#d62728" '
+                     f'stroke-width="1.5"/>')
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="#1f77b4"/>'
+              for x, y in zip(sx(dx).tolist(), sy(dy).tolist())]
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.0, 1.0, 0.1, -2.5e-7]
+
+
+class TestWritersAgainstPrevious:
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(0, 1.0, 0.5, 0.5)],  # a Fig5 row: n is an int
+        [(n, 2.0 ** -n, x, -x) for n, x in enumerate(SPECIALS)],
+        [tuple(SPECIALS[i:i + 4]) for i in range(len(SPECIALS) - 3)],
+    ])
+    def test_csv_bytes(self, rows):
+        header = "a,b,c,d"
+        assert _csv(header, iter(rows)) == previous_csv(header, iter(rows))
+
+    def test_csv_of_fig5_rows(self):
+        cfg = config_from_dict(small_fig5_config())
+        rows = run_gamma_ratio_experiment(cfg).rows
+        assert isinstance(rows[0].n, int)
+        assert _csv("n,omega_n,gamma_n,ratio", rows) == previous_csv("n,omega_n,gamma_n,ratio", rows)
+
+    @pytest.mark.parametrize("dots,line", [
+        ((np.linspace(0.0, 5.0, 40), np.sin(np.linspace(0.0, 5.0, 40))),
+         (np.linspace(0.0, 5.0, 7), np.cos(np.linspace(0.0, 5.0, 7)))),
+        (((), ()), ((), ())),
+        ((np.arange(5.0), np.arange(5.0)), ((), ())),
+        (((), ()), (np.arange(3.0), np.array([0.0, -0.0, 5e-324]))),
+        ((np.array([0.0, 1.0, 2.0]), np.array([0.5, float("nan"), 0.25])),
+         (np.array([0.0, 2.0]), np.array([-0.0, 5e-324]))),
+        ((np.array([0.0, 1.0]), np.array([float("inf"), 0.0])),
+         (np.array([0.0, 1.0]), np.array([-float("inf"), 1.0]))),
+        ((np.array([3, 4, 5]), np.array([1, 2, 3])), ((), ())),  # integer input
+    ])
+    def test_svg_bytes(self, dots, line):
+        with np.errstate(invalid="ignore"):
+            assert series_overlay_svg(dots, line, "t") == previous_series_overlay_svg(dots, line, "t")
 
 
 class TestConfigParsing:
@@ -419,9 +527,9 @@ class TestCli:
         "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
                       "e6d160989b400e642eed42b3e350a7a92aabd9bf9e7ec71a8c94f7f7c5172129",
                       "90399ebdc817362e2bd8124b3fda8c1783ec135953e2a4a9f574b5b89bb4e8b3"),
-        "oracle_check": ("7e463c7c389c6adee1f64accd7253dd6fe99530e9cb9d454ed3e50bde55ecf52",
-                         "bd4d4091033d93101e2ab5ecf99bcd44de7e8f5b31fc8003048d6b989500fe80",
-                         "32eef9471d90f9cd7406249efe063b3eaf90bc8127a1f73e765033aa2a4d979a"),
+        "oracle_check": ("f85899792291fec76f18da6ad7b3322079deeb6a3d21ec9567cc65e2dff1afc6",
+                         "019033dddb24c4d27e96b5681287db3555c15b5831771845ea8c82b8922c11ef",
+                         "5b2c34792851b84747c5c9fbdaa94915f73b61272e9969c1e2b498993bdf91b2"),
     }
 
     @pytest.mark.parametrize("prefix", sorted(PRESET_DIGESTS))
@@ -523,3 +631,56 @@ class TestArithmeticCrashes:
         code, err = self.run_preset(tmp_path, capsys, "master_eq.json")
         assert code == 3
         assert err.startswith("numerical failure:")
+
+
+def perfbench_configs():
+    """Every item config of the benchmark's four workloads at seeds 1 and 2."""
+    root = CONFIG_DIR.parent
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [item["config"] for name in workloads.WORKLOADS for seed in (1, 2)
+            for item in workloads.generate(name, seed, root)]
+
+
+class TestWorkBudget:
+    """Sizes the config alone decides are checked before anything is built."""
+
+    @pytest.mark.parametrize("preset,section,key,value", [
+        ("fig2a.json", "grid", "t_max", 1e300),
+        ("fig2a.json", "env", "dt", 1e-300),
+        ("fig2a.json", "grid", "t_max", 8e6),  # 1e8 epochs: allocates GBs without the budget
+        ("fig3.json", "env", "dt", 1e-300),
+        ("fig3.json", "env", "beta", 1e-300),
+        ("fig3.json", "env", "max_events", 10**9),
+        ("oracle_check.json", "grid", "t_max", 1e300),
+        ("oracle_check.json", "mc", "n_systems", 10**9),
+        ("master_eq.json", "grid", "n_points", 10**12),
+        ("fig5.json", "ladder", "n_max", 10**12),
+        ("fig5.json", "fit_window", "omega_t_span", 1e300),
+        ("fig5.json", "env", "omega0_dt", 1e-300),
+    ])
+    def test_over_budget_exits_2_at_its_key(self, tmp_path, capsys, preset, section, key, value):
+        data = json.loads((CONFIG_DIR / preset).read_text())
+        data[section][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data, indent=2))
+        code = cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err_lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"config error: {section}.{key} (line ")
+        assert "work budget" in err_lines[0]
+
+    def test_single_point_grid_builds_no_epochs(self):
+        # one grid point sits at t = 0, so t_max sets no size
+        data = json.loads((CONFIG_DIR / "fig2a.json").read_text())
+        data["grid"] = {"t_max": 1e300, "n_points": 1}
+        assert len(predictor_series(config_from_dict(data))) == 1
+
+    def test_presets_and_benchmark_items_far_below(self, monkeypatch):
+        monkeypatch.setattr("rabideco.experiments.WORK_BUDGET", WORK_BUDGET / 5.0)
+        configs = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+        for data in configs + perfbench_configs():
+            config_from_dict(data)

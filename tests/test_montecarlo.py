@@ -250,6 +250,31 @@ class TestAgainstSteppedReference:
         np.testing.assert_array_equal(probs, simulate_distinguishable(system, env, cfg).probs)
 
 
+def count_covariance(counts: np.ndarray) -> tuple[float, float]:
+    """Sample covariance of the two columns of `counts` (one row per seed) and
+    its standard error, from the spread of the per-seed products."""
+    centred = counts - counts.mean(axis=0)
+    products = centred[:, 0] * centred[:, 1]
+    seeds = len(counts)
+    return (float(products.sum()) / (seeds - 1),
+            float(products.std(ddof=1)) / math.sqrt(seeds))
+
+
+class TestJointLaw:
+    def test_neighbouring_counts_covary_as_reference(self):
+        # A member's hidden state links its measurements at neighbouring grid
+        # times: the exact count covariance is 5.63 here (the hidden states
+        # enumerated), and 0 if each grid time measured a fresh ensemble.
+        system, env, n, seeds = SYSTEM, DistinguishableEnv(dt=0.3, eta=0.5), 50, 1000
+        grid = (1.0, 1.3)
+        new = np.array([simulate_distinguishable(system, env, EnsembleConfig(n, seed, grid)).probs
+                        for seed in range(seeds)]) * n
+        ref = np.array([stepped_reference(system, env, EnsembleConfig(n, seeds + seed, grid))
+                        for seed in range(seeds)]) * n
+        (cov_new, se_new), (cov_ref, se_ref) = count_covariance(new), count_covariance(ref)
+        assert abs(cov_new - cov_ref) <= 5.0 * math.hypot(se_new, se_ref), (cov_new, cov_ref)
+
+
 def chain_samples(
     system: RabiSystem, env: IndistinguishableEnv, n: int, cfg: EnsembleConfig
 ) -> np.ndarray:
