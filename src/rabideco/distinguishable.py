@@ -81,6 +81,9 @@ def _born_ground_array(system: RabiSystem, t: np.ndarray) -> np.ndarray:
     return 1.0 - s2
 
 
+_CHUNK = 4096  # epochs per pass of build_predictor's scalar loop
+
+
 def build_predictor(
     system: RabiSystem, env: DistinguishableEnv, n_max: int
 ) -> PiecewisePredictor:
@@ -88,23 +91,29 @@ def build_predictor(
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     dt, eta, omega = env.dt, env.eta, system.omega
-    epochs = np.arange(n_max + 1, dtype=float)
-    weights = eta**epochs
-    born = _born_ground_array(system, dt * epochs)
-    turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
-    boundary = [born_ground_prob(system, 0.0)]
-    coeffs = [0j]
+    weights = eta ** np.arange(n_max + 1, dtype=float)
+    boundary = np.empty(n_max + 1)
+    coeffs = np.empty(n_max + 1, dtype=complex)
+    boundary[0], coeffs[0] = born_ground_prob(system, 0.0), 0j
     c = 0j
-    # zip pairs level n-1's weight with epoch n's Born value and phase
-    for w, born_n, turn, unturn in zip(weights.tolist(), born[1:].tolist(),
-                                       turns[1:].tolist(), turns[1:].conj().tolist()):
-        b = w * born_n + 0.5 * (1.0 - w) + (c * turn).real
-        boundary.append(b)
-        c = eta * c + (1.0 - eta) * (b - 0.5) * unturn
-        coeffs.append(c)
+    # epochs in chunks, so the Python lists the loop builds stay small
+    for start in range(1, n_max + 1, _CHUNK):
+        stop = min(start + _CHUNK, n_max + 1)
+        epochs = np.arange(start, stop, dtype=float)
+        born = _born_ground_array(system, dt * epochs)
+        turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
+        chunk_b, chunk_c = [], []
+        # zip pairs level n-1's weight with epoch n's Born value and phase
+        for w, born_n, turn, unturn in zip(weights[start - 1:stop - 1].tolist(), born.tolist(),
+                                           turns.tolist(), turns.conj().tolist()):
+            b = w * born_n + 0.5 * (1.0 - w) + (c * turn).real
+            chunk_b.append(b)
+            c = eta * c + (1.0 - eta) * (b - 0.5) * unturn
+            chunk_c.append(c)
+        boundary[start:stop] = chunk_b
+        coeffs[start:stop] = chunk_c
     return PiecewisePredictor(
-        system, env, n_max, clamp_probability_array(np.array(boundary)),
-        weights, np.array(coeffs),
+        system, env, n_max, clamp_probability_array(boundary), weights, coeffs,
     )
 
 

@@ -116,9 +116,10 @@ WORK_BUDGET = 1e8  # 8-byte words one stage holds, or draws it makes (about 800 
 
 # words per element, tracemalloc peaks rounded up
 _PER_POINT = 44  # a grid point: series, fit and the output text
-# build_predictor's epoch arrays and Python lists; this also bounds the Monte
-# Carlo sampler's phase, lag and occupancy tables (8 words) on the same epochs
-_PER_EPOCH = 28
+# the Monte Carlo sampler's phase, cosine, sine and lag tables and two occupancy
+# tables while one replaces the other (9 words); build_predictor's arrays take
+# 5.2, plus Python lists for one chunk of epochs
+_PER_EPOCH = 10
 _PER_CELL = 3  # a nested table cell
 _PER_ENTRY = 2  # a matrix-form entry, when the nested table takes that path
 
@@ -274,21 +275,26 @@ def _build(path: str, raw: str | None, factory, /, *args, **kwargs):
 
 
 def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
-    """Fig5's cross-key rules: one time scale, gamma_se for the master-eq swap,
-    every ladder omega_n > 0. Sets `cfg.ladder` and `cfg.env.dt`."""
+    """Fig5's cross-key rules: one time scale, gamma_se for the master-eq swap
+    (in the closed form's regime at every level), every ladder omega_n > 0.
+    Sets `cfg.ladder` and `cfg.env.dt`."""
     env, lad = cfg.env, cfg.ladder
     if (env.dt is None) == (env.omega0_dt is None):
         raise _config_error("exactly one of dt and omega0_dt must be given", "env", raw)
-    if cfg.predictor == "master-eq" and not cfg.master_eq.gamma_se:  # None or 0
-        raise _config_error("a value > 0 is required by the master-eq predictor",
-                            "master_eq.gamma_se", raw)
+    if cfg.predictor == "master-eq":
+        if not cfg.master_eq.gamma_se:  # None or 0
+            raise _config_error("a value > 0 is required by the master-eq predictor",
+                                "master_eq.gamma_se", raw)
+        _checked(_MASTER_EQ_OMEGA, cfg.system.omega, "system.omega", raw)
     cfg.ladder = _build("ladder.n_max", raw, rabi_frequency_ladder,
                         cfg.system.omega, lad.n_max, lad.lamb_dicke)
     omega0_dt = vars(env).pop("omega0_dt")
     if omega0_dt is not None:
         env.dt = omega0_dt / cfg.ladder.omega_n(0)
-    if cfg.predictor == "indistinguishable":  # the slowest level builds the largest table
-        slowest = min(omega for _, omega in cfg.ladder.entries)
+    slowest = min(omega for _, omega in cfg.ladder.entries)
+    if cfg.predictor == "master-eq":  # the slowest level bounds gamma_se the most
+        _build("master_eq.gamma_se", raw, MasterEqParams, slowest, cfg.master_eq.gamma_se)
+    else:  # the slowest level builds the largest table
         _within_budget(_nested_sizes(cfg.fit_window.omega_t_span / slowest, env,
                                      "fit_window.omega_t_span",
                                      "env.dt" if omega0_dt is None else "env.omega0_dt"), raw)

@@ -133,6 +133,7 @@ def damped_sinusoid_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     return jac
 
 
+@np.errstate(over="ignore")  # an overflowing J^T J gives a non-finite step: rejected
 def fit_damped_sinusoid(
     series: ProbabilitySeries,
     omega_hint: float,

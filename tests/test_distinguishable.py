@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from rabideco.core import InitialState, RabiSystem, born_ground_prob, clamp_probability_array
 from rabideco.distinguishable import (
+    _CHUNK,
     DistinguishableEnv,
     PiecewisePredictor,
     _born_ground_array,
@@ -303,3 +305,25 @@ class TestAgainstPreviousLoop:
         new, old = build_predictor(system, env, n_max), previous_build_predictor(system, env, n_max)
         for field in ("boundary_values", "born_weights", "coeffs"):
             assert getattr(new, field).tobytes() == getattr(old, field).tobytes(), field
+
+    @pytest.mark.parametrize("state", list(InitialState))
+    @pytest.mark.parametrize("eta", [0.0, 0.99, 1.0])
+    @pytest.mark.parametrize("n_max", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
+    def test_bit_identical_across_chunks(self, eta, n_max, state):
+        system, env = RabiSystem(0.08 / 0.25, state), DistinguishableEnv(dt=0.25, eta=eta)
+        new, old = build_predictor(system, env, n_max), previous_build_predictor(system, env, n_max)
+        for field in ("boundary_values", "born_weights", "coeffs"):
+            assert getattr(new, field).tobytes() == getattr(old, field).tobytes(), field
+
+    def test_transient_memory_per_epoch(self):
+        # the returned arrays take 5 words per epoch, with the clamped copy
+        n_max = 200_000
+        system, env = RabiSystem(1.0), DistinguishableEnv(dt=0.08, eta=0.99)
+        build_predictor(system, env, 10)
+        tracemalloc.start()
+        try:
+            build_predictor(system, env, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 8.0 / (n_max + 1) <= 8.0

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabideco.core import InitialState, RabiSystem
+from rabideco import montecarlo
+from rabideco.core import InitialState, ProbabilitySeries, RabiSystem
 from rabideco.distinguishable import DistinguishableEnv, build_predictor, sample_series
 from rabideco.indistinguishable import IndistinguishableEnv, build_nested_table
 from rabideco.montecarlo import (
     BLOCK_SIZE,
     EnsembleConfig,
     _block_rng,
+    _validated_grid,
+    _waiting_epochs,
     simulate_distinguishable,
 )
 
@@ -48,6 +51,92 @@ def stepped_reference(system, env, cfg):
                 in_ground[hit] = outcome[hit]
                 t_reset[hit] = t_event
     return counts / float(cfg.n_systems)
+
+
+def previous_simulate_distinguishable(system, env, cfg):
+    """`simulate_distinguishable` as it was before it kept the occupancy across
+    grid times, recounting every key at each one (verbatim)."""
+    times = _validated_grid(cfg.grid)
+    meta = {
+        "predictor": "monte-carlo-distinguishable",
+        "omega": system.omega,
+        "initial_state": system.initial_state.value,
+        "dt": env.dt,
+        "eta": env.eta,
+        "n_systems": cfg.n_systems,
+        "seed": cfg.seed,
+    }
+    if times.size == 0:
+        return ProbabilitySeries(times, np.empty(0), meta)
+
+    n_epochs = int(math.floor(float(times[-1]) / env.dt + 1e-9))
+    # epochs handled before each grid time; an epoch at n dt == t comes first
+    last_epoch = np.searchsorted(env.dt * np.arange(1, n_epochs + 1), times, side="right")
+    epoch_phase = 2.0 * system.omega * env.dt * np.arange(n_epochs + 1)
+    epoch_cos, epoch_sin = np.cos(epoch_phase), np.sin(epoch_phase)
+    # lag_bias[2m] = -cos(2w dt m) (excited), lag_bias[2m - 1] = +cos(2w dt m) (ground)
+    lag_bias = np.empty(2 * n_epochs + 1)
+    lag_bias[0::2] = -epoch_cos
+    lag_bias[1::2] = epoch_cos[1:]
+    grid_cos, grid_sin = np.cos(2.0 * system.omega * times), np.sin(2.0 * system.omega * times)
+    rate = -math.log(env.eta) if env.eta > 0.0 else math.inf
+    initial_key = 1 if system.initial_state is InitialState.GROUND else 0
+
+    counts = np.zeros(times.size, dtype=np.int64)
+    for block in range((cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        size = min(BLOCK_SIZE, cfg.n_systems - block * BLOCK_SIZE)
+        rng = _block_rng(cfg.seed, block)
+        key = np.full(size, initial_key, dtype=np.int64)
+        if rate > 0.0:
+            nxt = _waiting_epochs(rng, rate, size)
+        else:  # eta == 1: no member ever collapses
+            nxt = np.full(size, np.iinfo(np.int64).max)
+        for i, limit in enumerate(last_epoch):
+            due = np.flatnonzero(nxt <= limit)
+            while due.size:
+                n = nxt[due]
+                ground = rng.uniform(-1.0, 1.0, due.size) < lag_bias[2 * n - key[due]]
+                key[due] = 2 * n + ground
+                n += _waiting_epochs(rng, rate, due.size)
+                nxt[due] = n
+                due = due[n <= limit]
+            occupancy = np.bincount(key)
+            state = np.flatnonzero(occupancy)
+            r = state >> 1
+            sign = 2.0 * (state & 1) - 1.0
+            p = 0.5 + 0.5 * sign * (epoch_cos[r] * grid_cos[i] + epoch_sin[r] * grid_sin[i])
+            counts[i] += rng.binomial(occupancy[state], np.clip(p, 0.0, 1.0)).sum()
+    probs = counts / float(cfg.n_systems)
+    return ProbabilitySeries(times, probs, meta)
+
+
+class _CountedAt:
+    def __init__(self, ufunc):
+        self.ufunc, self.calls = ufunc, 0
+
+    def at(self, *args):
+        self.calls += 1
+        self.ufunc.at(*args)
+
+
+class BranchSpy:
+    """numpy as the sampler sees it, counting occupancy updates and recounts."""
+
+    def __init__(self):
+        self.add, self.subtract = _CountedAt(np.add), _CountedAt(np.subtract)
+        self.recounts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, *args, **kwargs):
+        self.recounts += 1
+        return np.bincount(*args, **kwargs)
+
+    @property
+    def updates(self):
+        assert self.add.calls == self.subtract.calls
+        return self.add.calls
 
 
 def assert_two_sample_close(p_new, p_ref, n):
@@ -248,6 +337,87 @@ class TestAgainstSteppedReference:
         at_zero = probs[np.asarray(grid) == 0.0]
         assert np.all(at_zero == (1.0 if state is InitialState.GROUND else 0.0))
         np.testing.assert_array_equal(probs, simulate_distinguishable(system, env, cfg).probs)
+
+
+def assert_as_previous(system, env, cfg, monkeypatch=None):
+    """Same probabilities, bit for bit, as the sampler that recounted every
+    key; with `monkeypatch`, also check that each grid time of each block
+    took exactly one of the update and recount branches. Returns the spy."""
+    spy = BranchSpy()
+    if monkeypatch is not None:
+        monkeypatch.setattr(montecarlo, "np", spy)
+    new = simulate_distinguishable(system, env, cfg)
+    if monkeypatch is not None:
+        monkeypatch.undo()
+    old = previous_simulate_distinguishable(system, env, cfg)
+    assert np.array_equal(new.times, old.times)
+    assert np.array_equal(new.probs, old.probs)
+    assert new.meta == old.meta
+    if monkeypatch is not None:
+        blocks = (cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE
+        assert spy.updates + spy.recounts == blocks * len(cfg.grid)
+    return spy
+
+
+class TestAgainstPreviousSampler:
+    """Keeping the occupancy up to date draws exactly what recounting drew."""
+
+    @pytest.mark.parametrize("n", [1, 1000, BLOCK_SIZE + 5000])
+    @pytest.mark.parametrize("state", list(InitialState))
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 0.997, 1.0])
+    def test_bit_identical(self, monkeypatch, eta, state, n):
+        dt = 0.25
+        system = RabiSystem(omega=0.3 / dt, initial_state=state)
+        repeats = (5 * dt, 5 * dt, 7.37 * dt, 7.37 * dt, 40 * dt)
+        grid = tuple(sorted(mixed_grid(dt, 40) + repeats))
+        assert_as_previous(system, DistinguishableEnv(dt, eta), EnsembleConfig(n, 31, grid),
+                           monkeypatch)
+
+    @pytest.mark.parametrize("eta", [0.5, 0.99])
+    def test_epoch_multiples(self, monkeypatch, eta):
+        grid = tuple(0.2 * np.arange(41))
+        assert_as_previous(SYSTEM, DistinguishableEnv(0.2, eta), EnsembleConfig(1000, 8, grid),
+                           monkeypatch)
+
+    @pytest.mark.parametrize("grid", [(), (0.0,), (0.0, 0.0)])
+    def test_empty_and_zero_only_grids(self, monkeypatch, grid):
+        assert_as_previous(SYSTEM, DistinguishableEnv(0.2, 0.9), EnsembleConfig(1000, 8, grid),
+                           monkeypatch)
+
+    @pytest.mark.parametrize("eta", [0.99, 0.997])
+    def test_3750_epochs(self, monkeypatch, eta):
+        grid = tuple(np.linspace(0.0, 300.0, 121))  # dt 0.08: 3750 epochs
+        assert_as_previous(SYSTEM, DistinguishableEnv(0.08, eta), EnsembleConfig(20_000, 9, grid),
+                           monkeypatch)
+
+    @pytest.mark.parametrize("eta,n", [(0.99, 200), (0.9999, 200), (0.9999, 5000)])
+    def test_1e5_epochs_few_members(self, monkeypatch, eta, n):
+        grid = tuple(np.linspace(0.0, 8000.0, 121))  # dt 0.08: 1e5 epochs
+        assert_as_previous(SYSTEM, DistinguishableEnv(0.08, eta), EnsembleConfig(n, 10, grid),
+                           monkeypatch)
+
+    def test_both_branches_run(self, monkeypatch):
+        # t = 0: no member moved; after one epoch about 10% moved (update);
+        # after twenty about 86% (recount)
+        cfg = EnsembleConfig(20_000, 11, (0.0, 0.2, 4.0))
+        spy = assert_as_previous(SYSTEM, DistinguishableEnv(0.2, 0.9), cfg, monkeypatch)
+        assert (spy.updates, spy.recounts) == (2, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eta=st.one_of(st.floats(0.0, 1.0), st.floats(0.99, 1.0)),  # few members move
+        omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
+        dt=st.floats(0.01, 2.0),
+        state=st.sampled_from(list(InitialState)),
+        n=st.one_of(st.integers(1, 3000), st.integers(3000, 12_000)),  # updates from 2000
+        # gaps in epochs: whole ones keep grid times on epochs, 0 repeats one
+        gaps=st.lists(st.one_of(st.integers(0, 8), st.floats(0.0, 8.0)), max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_properties(self, eta, omega_dt, dt, state, n, gaps, seed):
+        system = RabiSystem(omega=omega_dt / dt, initial_state=state)
+        grid = tuple(dt * np.cumsum(gaps))
+        assert_as_previous(system, DistinguishableEnv(dt, eta), EnsembleConfig(n, seed, grid))
 
 
 def count_covariance(counts: np.ndarray) -> tuple[float, float]:
