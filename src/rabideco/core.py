@@ -64,11 +64,12 @@ def clamp_probability(value: float, tol: float = PROB_TOL) -> float:
 
 
 def clamp_probability_array(values: np.ndarray, tol: float = PROB_TOL) -> np.ndarray:
+    """`clamp_probability` over a float array, in place; returns `values`."""
     lo = float(values.min(initial=0.0))
     hi = float(values.max(initial=0.0))
     if lo < -tol or hi > 1.0 + tol:
         raise ValueError(f"not probabilities (beyond {tol} slack): range [{lo}, {hi}]")
-    return np.clip(values, 0.0, 1.0)
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 def born_ground_prob(system: RabiSystem, t: float) -> float:

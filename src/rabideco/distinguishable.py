@@ -95,23 +95,37 @@ def build_predictor(
     boundary = np.empty(n_max + 1)
     coeffs = np.empty(n_max + 1, dtype=complex)
     boundary[0], coeffs[0] = born_ground_prob(system, 0.0), 0j
-    c = 0j
+    # c_n = cr + i ci in real floats. With e^{2i omega n dt} = x + i y,
+    # Re(c_{n-1} e^{2i omega n dt}) = cr x - ci y, and c_n = eta c_{n-1} + k e^{-2i omega n dt}
+    # has the parts eta cr + k x and eta ci - k y: the operations of Python's
+    # complex arithmetic, except that before Python 3.14 a float times a complex
+    # also adds a signed 0 to each part. That can only change the sign of a
+    # zero, so a zero part is recomputed in complex numbers.
+    cr = ci = 0.0
+    collapsed = 1.0 - eta
     # epochs in chunks, so the Python lists the loop builds stay small
     for start in range(1, n_max + 1, _CHUNK):
         stop = min(start + _CHUNK, n_max + 1)
         epochs = np.arange(start, stop, dtype=float)
-        born = _born_ground_array(system, dt * epochs)
+        w = weights[start - 1:stop - 1]  # level n-1's weight for epoch n
+        base = w * _born_ground_array(system, dt * epochs) + 0.5 * (1.0 - w)
         turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
-        chunk_b, chunk_c = [], []
-        # zip pairs level n-1's weight with epoch n's Born value and phase
-        for w, born_n, turn, unturn in zip(weights[start - 1:stop - 1].tolist(), born.tolist(),
-                                           turns.tolist(), turns.conj().tolist()):
-            b = w * born_n + 0.5 * (1.0 - w) + (c * turn).real
+        chunk_b, chunk_r, chunk_i = [], [], []
+        for a, x, y in zip(base.tolist(), turns.real.tolist(), turns.imag.tolist()):
+            b = a + (cr * x - ci * y)
+            k = collapsed * (b - 0.5)
+            r, i = eta * cr + k * x, eta * ci - k * y
+            if r and i:
+                cr, ci = r, i
+            else:
+                c = eta * complex(cr, ci) + k * complex(x, -y)
+                cr, ci = c.real, c.imag
             chunk_b.append(b)
-            c = eta * c + (1.0 - eta) * (b - 0.5) * unturn
-            chunk_c.append(c)
+            chunk_r.append(cr)
+            chunk_i.append(ci)
         boundary[start:stop] = chunk_b
-        coeffs[start:stop] = chunk_c
+        coeffs.real[start:stop] = chunk_r
+        coeffs.imag[start:stop] = chunk_i
     return PiecewisePredictor(
         system, env, n_max, clamp_probability_array(boundary), weights, coeffs,
     )

@@ -9,6 +9,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -559,10 +561,21 @@ def run_experiment(cfg: ExperimentConfig):
     return runs.get(cfg.experiment, run_figure_experiment)(cfg)
 
 
+def _rewrite(path: Path, body: str) -> None:
+    """`path.write_text(body)` without first truncating the old file to zero:
+    overwrite from the start, then cut a regular file at the new length."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as file:
+        file.write(body.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            file.truncate()
+
+
 def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
                  formats=("csv", "json")) -> list[Path]:
     """Write any result type of this module as CSV/JSON/SVG files named by the
-    config prefix; returns their paths in the order csv, json, svg."""
+    config prefix, each rewritten in place; returns their paths in the order
+    csv, json, svg."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -581,7 +594,7 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
             continue
         path = out / f"{cfg.output.prefix}.{fmt}"
         try:
-            path.write_text(body, encoding="utf-8", newline="")
+            _rewrite(path, body)
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
         paths.append(path)

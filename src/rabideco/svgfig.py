@@ -18,9 +18,50 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _interleaved(xs: np.ndarray, ys: np.ndarray) -> tuple:
-    """(x0, y0, x1, y1, ...) as Python floats, for one %-format over all points."""
-    return tuple(np.column_stack((xs, ys)).ravel().tolist())
+def _fixed2(values: np.ndarray) -> np.ndarray:
+    """'%.2f' % v for each v, as rows of ASCII codes right-aligned in 0 padding.
+
+    Works on k = |rint(100 v)|. Below 2^31 the product 100 v is within 2^-22
+    of its exact value, so it rounds the same way unless it lies within 1e-6
+    of a tie; those entries, the non-finite ones and the larger ones take the
+    scalar '%.2f'.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = v * 100.0
+        scalar = ~(np.abs(s) < 2.0**31) | (np.abs(s - np.floor(s) - 0.5) < 1e-6)
+        k = np.abs(np.rint(np.where(scalar, 0.0, s)))  # integers below 2^31, exact
+    places = len("%d" % (k.max(initial=0.0) // 100))  # digits of the largest whole part
+    # q[j] = k // 10^(places + 1 - j): each exact quotient is at least
+    # 10^-(places + 1) from the next integer, far more than its rounding error
+    q = np.floor(k / 10.0 ** np.arange(places + 1, -1, -1)[:, None])
+    chars = q + 48.0
+    chars[1:] -= 10.0 * q[:-1]
+    chars[:places - 1] *= q[:places - 1] != 0.0  # leading zeros become pad
+    texts = {i: b"%.2f" % v[i] for i in np.flatnonzero(scalar).tolist()}
+    width = max([places + 4] + [len(text) for text in texts.values()])
+    out = np.zeros((width, v.size), dtype=np.uint8)  # one column per entry
+    out[-places - 4] = np.signbit(v) * ord("-")  # any pad before the digits drops out
+    out[-places - 3:-3] = chars[:places]
+    out[-3] = ord(".")
+    out[-2:] = chars[places:]
+    for i, text in texts.items():
+        out[:, i] = 0
+        out[width - len(text):, i] = np.frombuffer(text, dtype=np.uint8)
+    return out.T
+
+
+def _rows(pre: str, xs: np.ndarray, mid: str, ys: np.ndarray, post: str) -> str:
+    """''.join(pre + '%.2f' % x + mid + '%.2f' % y + post), in one numpy pass."""
+    pieces = [np.frombuffer(pre.encode("ascii"), dtype=np.uint8), _fixed2(xs),
+              np.frombuffer(mid.encode("ascii"), dtype=np.uint8), _fixed2(ys),
+              np.frombuffer(post.encode("ascii"), dtype=np.uint8)]
+    table = np.empty((xs.size, sum(piece.shape[-1] for piece in pieces)), dtype=np.uint8)
+    stop = 0
+    for piece in pieces:
+        start, stop = stop, stop + piece.shape[-1]
+        table[:, start:stop] = piece
+    return str(table[table != 0], "ascii")
 
 
 def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
@@ -74,11 +115,11 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
         parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
     if lx.size:
-        points = " ".join(["%.2f,%.2f"] * lx.size) % _interleaved(sx(lx), sy(ly))
+        points = _rows("", sx(lx), ",", sy(ly), " ")[:-1]
         parts.append(f'<polyline points="{points}" fill="none" stroke="#d62728" '
                      f'stroke-width="1.5"/>')
     if dx.size:
-        circle = '<circle cx="%.2f" cy="%.2f" r="1.6" fill="#1f77b4"/>'
-        parts.append("\n".join([circle] * dx.size) % _interleaved(sx(dx), sy(dy)))
+        parts.append(_rows('<circle cx="', sx(dx), '" cy="', sy(dy),
+                           '" r="1.6" fill="#1f77b4"/>\n')[:-1])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -2,11 +2,15 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabideco.cli import main as cli_main
 from rabideco.experiments import (
@@ -23,7 +27,7 @@ from rabideco.experiments import (
     run_gamma_ratio_experiment,
     run_oracle_check,
 )
-from rabideco.svgfig import _H, _MB, _ML, _MR, _MT, _W, _fmt, _ticks, series_overlay_svg
+from rabideco.svgfig import _H, _MB, _ML, _MR, _MT, _W, _fixed2, _fmt, _ticks, series_overlay_svg
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -121,6 +125,46 @@ def previous_series_overlay_svg(dots, line, title: str, xlabel: str = "t",
 
 SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.0, 1.0, 0.1, -2.5e-7]
 
+# 513 points put the x pixels 35/32 apart, so every eighth one is a tie
+# (68.375, 77.125, ...) that '%.2f' rounds half to even on its exact value
+TIE_GRID = np.arange(513.0)
+
+# values '%.2f' finds hard: exact and near ties, signed zeros, subnormals,
+# large magnitudes, and the non-finite ones
+formatted_floats = st.one_of(
+    st.floats(-1e12, 1e12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**14, 10**14).map(lambda m: m / 200.0),
+    st.integers(-2**40, 2**40).map(lambda m: m / 8.0),
+    st.integers(-10**6, 10**6).map(lambda m: (m + 0.5) / 100.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -0.005, 0.005,
+                     -0.004999, 9.995, 21474836.47, 21474836.48, 2.0**31 / 100.0, 1e300]),
+)
+
+
+def fixed2_texts(values) -> list:
+    return [row[row != 0].tobytes().decode("ascii") for row in _fixed2(np.asarray(values))]
+
+
+class TestFixed2:
+    def test_specials_and_ties(self):
+        values = SPECIALS + [0.125, 0.135, -0.125, -0.005, -0.004, 68.375, 624.0, 1e12, -1e12,
+                             1e300, -5e-324, 21474836.475]
+        assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
+    def test_tie_grid_pixels(self):
+        xs = _ML + TIE_GRID / 512.0 * (_W - _MR - _ML)
+        assert fixed2_texts(xs) == ["%.2f" % v for v in xs.tolist()]
+        assert "68.38" in fixed2_texts(xs)  # 68.375 rounds half to even
+
+    def test_empty(self):
+        assert fixed2_texts([]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(formatted_floats, max_size=40))
+    def test_matches_percent_format(self, values):
+        assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
 
 class TestWritersAgainstPrevious:
     @pytest.mark.parametrize("rows", [
@@ -150,9 +194,20 @@ class TestWritersAgainstPrevious:
         ((np.array([0.0, 1.0]), np.array([float("inf"), 0.0])),
          (np.array([0.0, 1.0]), np.array([-float("inf"), 1.0]))),
         ((np.array([3, 4, 5]), np.array([1, 2, 3])), ((), ())),  # integer input
+        ((TIE_GRID, np.cos(TIE_GRID)), (TIE_GRID, np.linspace(-1.0, 1.0, 513))),
     ])
     def test_svg_bytes(self, dots, line):
         with np.errstate(invalid="ignore"):
+            assert series_overlay_svg(dots, line, "t") == previous_series_overlay_svg(dots, line, "t")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_dots=st.integers(0, 30), n_line=st.integers(0, 30))
+    def test_svg_bytes_property(self, data, n_dots, n_line):
+        def column(n):
+            return np.array(data.draw(st.lists(formatted_floats, min_size=n, max_size=n)))
+
+        dots, line = (column(n_dots), column(n_dots)), (column(n_line), column(n_line))
+        with np.errstate(all="ignore"):
             assert series_overlay_svg(dots, line, "t") == previous_series_overlay_svg(dots, line, "t")
 
 
@@ -338,6 +393,59 @@ class TestOutputs:
         summary = json.loads(paths[1].read_text())
         assert summary["rows"][0]["ratio"] == 1.0
         assert paths[2].read_text().startswith("<svg")
+
+    def test_rewrite_in_place(self, tmp_path):
+        cfg = config_from_dict(fig3_config())
+        result = run_experiment(cfg)
+        fresh = emit_outputs(result, cfg, tmp_path / "fresh", ("csv", "json", "svg"))
+        out = tmp_path / "out"
+        out.mkdir()
+        for path in fresh:  # a longer old file under every output name
+            (out / path.name).write_bytes(b"x" * (3 * path.stat().st_size))
+        inodes = [(out / path.name).stat().st_ino for path in fresh]
+        again = emit_outputs(result, cfg, out, ("csv", "json", "svg"))
+        assert [p.read_bytes() for p in again] == [p.read_bytes() for p in fresh]
+        assert [p.stat().st_ino for p in again] == inodes
+
+    def test_write_through_symlink_updates_target(self, tmp_path):
+        cfg = config_from_dict(fig3_config())
+        result = run_experiment(cfg)
+        (fresh,) = emit_outputs(result, cfg, tmp_path / "fresh", ("csv",))
+        target = tmp_path / "target.csv"
+        target.write_text("old contents, longer than nothing\n" * 1000)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "fig3.csv").symlink_to(target)
+        (path,) = emit_outputs(result, cfg, out, ("csv",))
+        assert path.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_existing_mode_kept(self, tmp_path):
+        cfg = config_from_dict(fig3_config())
+        path = tmp_path / "fig3.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        emit_outputs(run_experiment(cfg), cfg, tmp_path, ("csv",))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_as_write_text(self, tmp_path, umask):
+        cfg = config_from_dict(fig3_config())
+        result = run_experiment(cfg)
+        previous = os.umask(umask)
+        try:
+            (path,) = emit_outputs(result, cfg, tmp_path, ("csv",))
+            reference = tmp_path / "reference.csv"
+            reference.write_text("t\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_unwritable_path_message(self, tmp_path):
+        cfg = config_from_dict(fig3_config())
+        (tmp_path / "fig3.csv").mkdir()
+        with pytest.raises(OSError, match="cannot write .*fig3.csv: "):
+            emit_outputs(run_experiment(cfg), cfg, tmp_path, ("csv",))
 
     def test_unknown_format_rejected(self, tmp_path):
         cfg = config_from_dict(fig3_config())
