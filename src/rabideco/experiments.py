@@ -119,8 +119,10 @@ WORK_BUDGET = 1e8  # 8-byte words one stage holds, or draws it makes (about 800 
 # words per element, tracemalloc peaks rounded up
 _PER_POINT = 44  # a grid point: series, fit and the output text
 # the Monte Carlo sampler's phase, cosine, sine and lag tables and two occupancy
-# tables while one replaces the other (9 words); build_predictor's arrays take
-# 5.2, plus Python lists for one chunk of epochs
+# tables while one replaces the other (9 words). build_predictor holds nothing
+# per epoch, but Fig2 keeps the same charge as its epoch cap: at most 1e7 epochs
+# keeps every interval index n an exact integer, and over-budget grids still
+# exit 2 at their keys
 _PER_EPOCH = 10
 _PER_CELL = 3  # a nested table cell
 _PER_ENTRY = 2  # a matrix-form entry, when the nested table takes that path

@@ -1,6 +1,8 @@
 """Tiny static SVG plots, no renderer dependencies, byte-deterministic."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _W, _H = 640, 420
@@ -12,6 +14,17 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
         hi = lo + 1.0
     raw = np.linspace(lo, hi, n)
     return [float(v) for v in raw]
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], with a zero range widened to [lo, lo + 1]; where |lo| >= 2^53
+    loses that step, it is widened by 2^-50 |lo| towards zero instead."""
+    if hi != lo:
+        return lo, hi
+    if lo + 1.0 != lo or not math.isfinite(lo):
+        return lo, lo + 1.0
+    step = abs(lo) * 2.0**-50
+    return (lo - step, lo) if lo > 0.0 else (lo, lo + step)
 
 
 def _fmt(v: float) -> str:
@@ -71,12 +84,8 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
     lx, ly = (np.asarray(a, dtype=float) for a in line)
     all_x = np.concatenate([dx, lx]) if dx.size or lx.size else np.array([0.0, 1.0])
     all_y = np.concatenate([dy, ly]) if dy.size or ly.size else np.array([0.0, 1.0])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _widened(float(all_x.min()), float(all_x.max()))
+    y_lo, y_hi = _widened(float(all_y.min()), float(all_y.max()))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -212,9 +212,15 @@ def test_criterion_7_property_suite():
         if abs(math.fsum(binomial_weight(n, k, beta) for k in range(n + 1)) - 1.0) >= 1e-10:
             failures.append(f"binomial normalization n={n}")
 
-    # boundary continuity
+    # boundary continuity: the first float of interval n against the last of n - 1
     for n in range(1, pred.n_max + 1):
-        if abs(predict_ground_prob(pred, n * env_d.dt) - pred.boundary_values[n]) > 1e-12:
+        right = n * env_d.dt
+        while math.floor(math.nextafter(right, 0.0) / env_d.dt) >= n:
+            right = math.nextafter(right, 0.0)
+        while math.floor(right / env_d.dt) < n:
+            right = math.nextafter(right, math.inf)
+        left = math.nextafter(right, 0.0)
+        if abs(predict_ground_prob(pred, right) - predict_ground_prob(pred, left)) > 1e-12:
             failures.append("boundary continuity")
             break
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from rabideco.core import InitialState, RabiSystem, born_ground_prob, clamp_probability_array
 from rabideco.distinguishable import (
-    _CHUNK,
     DistinguishableEnv,
-    PiecewisePredictor,
     _born_ground_array,
     build_predictor,
     predict_excited_prob,
@@ -62,9 +60,23 @@ def assert_matches_sweep(eta, omega_dt, state, n_max, n_points=301):
     grid = np.linspace(0.0, (n_max + 1) * omega_dt * (1.0 - 1e-9), n_points)
     boundary, probs = sweep_reference(system, env, n_max, grid)
     series = sample_series(pred, grid)
-    assert float(np.max(np.abs(pred.boundary_values - boundary))) <= 1e-12
+    # p is continuous at each epoch, so the query at n dt meets p_{n-1}(n dt)
+    for n in range(n_max + 1):
+        assert abs(predict_ground_prob(pred, n * omega_dt) - boundary[n]) <= 1e-12, n
     assert float(np.max(np.abs(series.probs - probs))) <= 1e-12
     assert np.all((series.probs >= 0.0) & (series.probs <= 1.0))
+
+
+def interval_edges(dt, n):
+    """The last float of interval n - 1 and the first float of interval n."""
+    right = n * dt
+    while math.floor(right / dt) < n:
+        right = math.nextafter(right, math.inf)
+    left = math.nextafter(right, 0.0)
+    while math.floor(left / dt) >= n:
+        left = math.nextafter(left, 0.0)
+    right = math.nextafter(left, math.inf)
+    return left, right
 
 
 def make(eta=0.99, dt=0.08, t_max=60.0, omega=1.0, state=InitialState.EXCITED):
@@ -87,18 +99,23 @@ class TestIsolatedReduction:
     def test_boundary_values_are_born(self):
         pred = make(eta=1.0, dt=0.3, t_max=30.0)
         for n in range(1, pred.n_max + 1):
-            assert pred.boundary_values[n] == math.sin(n * 0.3) ** 2
+            assert predict_ground_prob(pred, n * 0.3) == math.sin(n * 0.3) ** 2
 
     def test_predict_equals_born_exactly(self):
         pred = make(eta=1.0, dt=0.3, t_max=30.0)
         for t in np.linspace(0.0, 25.0, 173):
             assert predict_ground_prob(pred, float(t)) == born_ground_prob(SYSTEM, float(t))
 
-    def test_series_equals_born_on_grid(self):
-        pred = make(eta=1.0, dt=0.3, t_max=30.0)
-        grid = np.linspace(0.0, 25.0, 100)
+    @pytest.mark.parametrize("state", list(InitialState))
+    @pytest.mark.parametrize("dt,n_max", [(0.3, 101), (0.08, 100_000), (2.9, 100_000)])
+    def test_series_equals_born_on_grid(self, dt, n_max, state):
+        system = RabiSystem(omega=1.0, initial_state=state)
+        pred = build_predictor(system, DistinguishableEnv(dt=dt, eta=1.0), n_max)
+        grid = np.linspace(0.0, n_max * dt, 1001)
         series = sample_series(pred, grid)
         expected = np.sin(grid) ** 2
+        if state is InitialState.GROUND:
+            expected = 1.0 - expected
         np.testing.assert_array_equal(series.probs, expected)
 
 
@@ -106,7 +123,7 @@ class TestRecursion:
     def test_first_boundary_is_undisturbed_born(self):
         # nothing can have interfered before the first epoch
         pred = make(eta=0.93, dt=0.4)
-        assert pred.boundary_values[1] == pytest.approx(math.sin(0.4) ** 2, abs=1e-15)
+        assert predict_ground_prob(pred, 0.4) == pytest.approx(math.sin(0.4) ** 2, abs=1e-15)
 
     def test_first_interval_is_plain_born(self):
         pred = make(eta=0.93, dt=0.4)
@@ -128,8 +145,8 @@ class TestRecursion:
     def test_boundary_continuity(self):
         pred = make(eta=0.97, dt=0.11, t_max=40.0)
         for n in range(1, pred.n_max + 1):
-            t = n * 0.11
-            assert abs(predict_ground_prob(pred, t) - pred.boundary_values[n]) < 1e-12
+            left, right = interval_edges(0.11, n)
+            assert abs(predict_ground_prob(pred, right) - predict_ground_prob(pred, left)) < 1e-12
 
     def test_complementarity(self):
         pred = make(eta=0.95, dt=0.17)
@@ -258,7 +275,8 @@ class TestLongRunBehaviour:
         dt = 0.08
         trace = (1.0 + eta) * math.cos(2.0 * dt)
         assert trace ** 2 < 4.0 * eta
-        x = make(eta=eta, dt=dt, state=state).boundary_values - 0.5
+        pred = make(eta=eta, dt=dt, state=state)
+        x = np.array([predict_ground_prob(pred, n * dt) for n in range(pred.n_max + 1)]) - 0.5
         residual = x[2:] - trace * x[1:-1] + eta * x[:-2]
         assert float(np.max(np.abs(residual))) <= 1e-12
 
@@ -273,68 +291,185 @@ class TestLongRunBehaviour:
             assert abs(fit.gamma - expected) < tol
 
 
+PREVIOUS_CHUNK = 4096  # epochs per pass of the previous build_predictor's scalar loop
+
+
 def previous_build_predictor(system, env, n_max):
-    """`build_predictor` as it was before its loop kept c in a local (verbatim)."""
+    """`build_predictor` as it was before the squarings, verbatim but for its
+    return: the epoch loop's (boundary_values, born_weights, coeffs) arrays."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     dt, eta, omega = env.dt, env.eta, system.omega
-    epochs = np.arange(n_max + 1, dtype=float)
-    weights = eta**epochs
-    born = _born_ground_array(system, dt * epochs)
-    turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
-    boundary = [born_ground_prob(system, 0.0)]
-    coeffs = [0j]
-    # zip pairs level n-1's weight with epoch n's Born value and phase
-    for w, born_n, turn in zip(weights.tolist(), born[1:].tolist(), turns[1:].tolist()):
-        c = coeffs[-1]
-        b = w * born_n + 0.5 * (1.0 - w) + (c * turn).real
-        boundary.append(b)
-        coeffs.append(eta * c + (1.0 - eta) * (b - 0.5) * turn.conjugate())
-    return PiecewisePredictor(
-        system, env, n_max, clamp_probability_array(np.array(boundary)),
-        weights, np.array(coeffs),
-    )
+    weights = eta ** np.arange(n_max + 1, dtype=float)
+    boundary = np.empty(n_max + 1)
+    coeffs = np.empty(n_max + 1, dtype=complex)
+    boundary[0], coeffs[0] = born_ground_prob(system, 0.0), 0j
+    # c_n = cr + i ci in real floats. With e^{2i omega n dt} = x + i y,
+    # Re(c_{n-1} e^{2i omega n dt}) = cr x - ci y, and c_n = eta c_{n-1} + k e^{-2i omega n dt}
+    # has the parts eta cr + k x and eta ci - k y: the operations of Python's
+    # complex arithmetic, except that before Python 3.14 a float times a complex
+    # also adds a signed 0 to each part. That can only change the sign of a
+    # zero, so a zero part is recomputed in complex numbers.
+    cr = ci = 0.0
+    collapsed = 1.0 - eta
+    # epochs in chunks, so the Python lists the loop builds stay small
+    for start in range(1, n_max + 1, PREVIOUS_CHUNK):
+        stop = min(start + PREVIOUS_CHUNK, n_max + 1)
+        epochs = np.arange(start, stop, dtype=float)
+        w = weights[start - 1:stop - 1]  # level n-1's weight for epoch n
+        base = w * _born_ground_array(system, dt * epochs) + 0.5 * (1.0 - w)
+        turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
+        chunk_b, chunk_r, chunk_i = [], [], []
+        for a, x, y in zip(base.tolist(), turns.real.tolist(), turns.imag.tolist()):
+            b = a + (cr * x - ci * y)
+            k = collapsed * (b - 0.5)
+            r, i = eta * cr + k * x, eta * ci - k * y
+            if r and i:
+                cr, ci = r, i
+            else:
+                c = eta * complex(cr, ci) + k * complex(x, -y)
+                cr, ci = c.real, c.imag
+            chunk_b.append(b)
+            chunk_r.append(cr)
+            chunk_i.append(ci)
+        boundary[start:stop] = chunk_b
+        coeffs.real[start:stop] = chunk_r
+        coeffs.imag[start:stop] = chunk_i
+    return clamp_probability_array(boundary), weights, coeffs
+
+
+def previous_sample_series(system, env, n_max, grid):
+    """The previous `sample_series` on the previous loop's arrays: its boundary
+    values and the probabilities on `grid`."""
+    boundary, weights, coeffs = previous_build_predictor(system, env, n_max)
+    times = np.asarray(grid, dtype=float)
+    n = np.floor(times / env.dt).astype(int)
+    rotated = coeffs[n] * np.exp(2j * system.omega * times)
+    probs = weights[n] * _born_ground_array(system, times) + 0.5 * (1.0 - weights[n]) + rotated.real
+    return boundary, clamp_probability_array(probs)
+
+
+def against_previous(eta, omega_dt, n_max, state, omega=1.0, n_points=501):
+    """(system, env, times, new, previous): the probabilities at `times`, a grid
+    across the built range followed by every epoch n dt, where the previous
+    path gives its boundary values p_{n-1}(n dt)."""
+    system = RabiSystem(omega, state)
+    env = DistinguishableEnv(dt=omega_dt / omega, eta=eta)
+    pred = build_predictor(system, env, n_max)
+    grid = np.linspace(0.0, (n_max + 1) * env.dt * (1.0 - 1e-9), n_points)
+    boundary, probs = previous_sample_series(system, env, n_max, grid)
+    epochs = env.dt * np.arange(n_max + 1)
+    new = [sample_series(pred, grid).probs, sample_series(pred, epochs).probs]
+    return system, env, np.concatenate([grid, epochs]), np.concatenate(new), np.concatenate([probs, boundary])
+
+
+def max_deviation_from_previous(eta, omega_dt, n_max, state, omega=1.0, n_points=501):
+    *_, new, previous = against_previous(eta, omega_dt, n_max, state, omega, n_points)
+    return float(np.max(np.abs(new - previous)))
+
+
+def worst_deviations(times, new, previous, count=20):
+    """Indices of the `count` largest |new - previous|, in time order."""
+    worst = np.argsort(np.abs(new - previous))[-count:]
+    return worst[np.argsort(times[worst], kind="stable")]
+
+
+def exact_probs(system, env, times):
+    """p(t) from the epoch map E_n = A E_{n-1} run in 40-digit arithmetic on the
+    exact values of the float inputs, at sorted `times`."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        omega, dt = mpmath.mpf(system.omega), mpmath.mpf(env.dt)
+        c, s, eta = mpmath.cos(2 * omega * dt), mpmath.sin(2 * omega * dt), mpmath.mpf(env.eta)
+        x = mpmath.mpf(-0.5 if system.initial_state is InitialState.EXCITED else 0.5)
+        y, n, out = mpmath.mpf(0), 0, []
+        for t in times.tolist():
+            while (n + 1) * dt <= t:
+                x, y, n = c * x - s * y, eta * (s * x + c * y), n + 1
+            phase = 2 * omega * (mpmath.mpf(t) - n * dt)
+            out.append(float(0.5 + x * mpmath.cos(phase) - y * mpmath.sin(phase)))
+    return np.array(out)
 
 
 class TestAgainstPreviousLoop:
+    # omega = 1 keeps omega t and 2 omega t exact in floating point, so the
+    # previous loop is exact to ~1e-15 (checked against mpmath below) and
+    # a deviation is the new path's; at other omega both carry the rounding
+    # of omega t, about eps omega t, which reaches 1e-11 at 1e5 epochs of
+    # omega dt = 3 (see test_no_further_from_exact_than_previous)
     @pytest.mark.parametrize("state", list(InitialState))
-    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.99, 0.997, 1.0])
-    @pytest.mark.parametrize("omega_dt,n_max", [(0.08, 2500), (1.3, 300), (0.7, 0), (0.1, 1)])
-    def test_bit_identical(self, eta, omega_dt, n_max, state):
-        system, env = RabiSystem(omega_dt / 0.25, state), DistinguishableEnv(dt=0.25, eta=eta)
-        new, old = build_predictor(system, env, n_max), previous_build_predictor(system, env, n_max)
-        for field in ("boundary_values", "born_weights", "coeffs"):
-            assert getattr(new, field).tobytes() == getattr(old, field).tobytes(), field
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.99, 0.997, 1.0 - 1e-5, 1.0])
+    @pytest.mark.parametrize("omega_dt,n_max", [(0.08, 2500), (1.3, 300), (2.9, 100_000),
+                                                (0.7, 0), (0.1, 1), (0.05, 2 * PREVIOUS_CHUNK + 1)])
+    def test_matches(self, eta, omega_dt, n_max, state):
+        assert max_deviation_from_previous(eta, omega_dt, n_max, state) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1.0 - 2**-53, 1.0])),
+           omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
+           n_max=st.integers(0, 100_000), state=st.sampled_from(list(InitialState)))
+    def test_matches_property(self, eta, omega_dt, n_max, state):
+        system, env, times, new, previous = against_previous(eta, omega_dt, n_max, state,
+                                                             n_points=97)
+        if float(np.max(np.abs(new - previous))) > 1e-12:
+            # the previous loop rounds b_n once per epoch; where A's slower
+            # eigenvalue is near 1 that drift adds up (test_previous_loop_drifts),
+            # so the exact values decide at the largest deviations
+            worst = worst_deviations(times, new, previous)
+            exact = exact_probs(system, env, times[worst])
+            assert float(np.max(np.abs(new[worst] - exact))) <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0**-52,
+                        reason="long double is plain double on this platform")
+    def test_squarings_in_extended_precision(self):
+        # squared in double, A and Q round apart and each A^(2^k) carries
+        # 2^k roundings: 2.8e-12 from the exact value here
+        assert max_deviation_from_previous(1.0 - 2**-53, 2.5387058540895575, 80226,
+                                           InitialState.GROUND) <= 1e-12
+
+    def test_previous_loop_drifts(self):
+        # eta = 0 and a tiny omega dt: A = [[cos, -sin], [0, 0]] has the
+        # eigenvalue cos(2 omega dt) = 1 - 2.8e-14, and the previous loop's
+        # rounding of b_n to double adds up over the 93963 epochs
+        system, env, times, new, previous = against_previous(
+            0.0, 2.385268306785017e-07, 93963, InitialState.GROUND, n_points=97)
+        worst = worst_deviations(times, new, previous)
+        exact = exact_probs(system, env, times[worst])
+        assert float(np.max(np.abs(previous[worst] - exact))) > 2e-12
+        assert float(np.max(np.abs(new[worst] - exact))) <= 1e-15
 
     @pytest.mark.parametrize("state", list(InitialState))
-    @pytest.mark.parametrize("eta", [0.0, 0.99, 1.0])
-    @pytest.mark.parametrize("n_max", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 17])
-    def test_bit_identical_across_chunks(self, eta, n_max, state):
-        system, env = RabiSystem(0.08 / 0.25, state), DistinguishableEnv(dt=0.25, eta=eta)
-        new, old = build_predictor(system, env, n_max), previous_build_predictor(system, env, n_max)
-        for field in ("boundary_values", "born_weights", "coeffs"):
-            assert getattr(new, field).tobytes() == getattr(old, field).tobytes(), field
+    @pytest.mark.parametrize("omega_dt", [0.0005, 0.08, 0.7, 1.5])
+    def test_double_eigenvalue(self, omega_dt, state):
+        # (1 + eta)^2 cos^2(2 omega dt) = 4 eta: sqrt(eta) = (1 - |sin|) / |cos|,
+        # where A is a Jordan block and A^n grows like n lambda^n
+        theta = 2.0 * omega_dt
+        eta = ((1.0 - abs(math.sin(theta))) / abs(math.cos(theta))) ** 2
+        assert abs((1.0 + eta) ** 2 * math.cos(theta) ** 2 - 4.0 * eta) <= 1e-14
+        assert max_deviation_from_previous(eta, omega_dt, 20_000, state) <= 1e-12
 
-    @settings(max_examples=60, deadline=None)
-    @given(eta=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300, 1.0])),
-           omega_dt=st.one_of(st.floats(1e-3, 3.0), st.integers(1, 48).map(lambda m: m / 16)),
-           n_max=st.integers(0, 300), state=st.sampled_from(list(InitialState)))
-    def test_bit_identical_property(self, eta, omega_dt, n_max, state):
-        # eta 0 or tiny make zero parts of c_n, whose sign must match too
-        system, env = RabiSystem(omega_dt / 0.25, state), DistinguishableEnv(dt=0.25, eta=eta)
-        new, old = build_predictor(system, env, n_max), previous_build_predictor(system, env, n_max)
-        for field in ("boundary_values", "born_weights", "coeffs"):
-            assert getattr(new, field).tobytes() == getattr(old, field).tobytes(), field
+    def test_no_further_from_exact_than_previous(self):
+        # omega = 1.37: omega t and the epoch phase round, in both paths
+        system, env, n_max = RabiSystem(1.37), DistinguishableEnv(dt=3.0 / 1.37, eta=0.99999), 20_000
+        grid = np.linspace(0.0, n_max * env.dt, 201)
+        new = sample_series(build_predictor(system, env, n_max), grid).probs
+        _, previous = previous_sample_series(system, env, n_max, grid)
+        exact = exact_probs(system, env, grid)
+        assert float(np.max(np.abs(new - exact))) <= float(np.max(np.abs(previous - exact))) + 1e-13
+        assert float(np.max(np.abs(new - exact))) <= 1e-11
 
     def test_transient_memory_per_epoch(self):
-        # the returned arrays take 4 words per epoch (boundary clamped in place)
-        n_max = 200_000
+        # one 2x2x2 squaring per bit of n_max, 64 bytes each; nothing per epoch
         system, env = RabiSystem(1.0), DistinguishableEnv(dt=0.08, eta=0.99)
         build_predictor(system, env, 10)
-        tracemalloc.start()
-        try:
-            build_predictor(system, env, n_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 8.0 / (n_max + 1) <= 5.0
+        peaks = {}
+        for n_max in (1_000, 200_000):
+            tracemalloc.start()
+            try:
+                build_predictor(system, env, n_max)
+                peaks[n_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra_bits = (200_000).bit_length() - (1_000).bit_length()
+        assert peaks[200_000] <= peaks[1_000] + 64 * extra_bits
+        assert peaks[200_000] < 8192
