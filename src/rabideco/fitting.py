@@ -3,13 +3,16 @@
 The damped-sinusoid fitter is a small Levenberg-Marquardt loop with an
 analytic Jacobian: the model is offset + amplitude * exp(-gamma t) *
 cos(2 omega t + phase), any subset of the five parameters free. Damping is
-multiplied by 10 on a rejected step and divided by 10 on an accepted one,
-so the residual decreases monotonically; iteration stops when the relative
-parameter step drops below 1e-9 or after 200 iterations. Each iteration
-evaluates exp(-gamma t) and the cosine of the phase once, for its trial step;
-an accepted step builds only the free Jacobian columns, from those arrays and
-one sine, and a rejected step reuses J^T J and J^T r, as only the damping
-changed.
+multiplied by 10 on a rejected step and divided by 10 on an accepted one, so
+the residual decreases monotonically. The fit ends after 200 iterations or
+at its first proposed step below 1e-9 relative to the parameters (MINPACK's
+step-size test, More 1978), kept unless it raises the residual: more damping
+would only shrink it. A step with a non-finite residual is a plain rejection.
+Each iteration solves the k x k damped normal equations on Python floats and
+evaluates exp(-gamma t) and the cosine of the phase once, for its trial step,
+from -t and 2t formed once per fit; an accepted step overwrites the free rows
+of one preallocated J^T from those arrays and one sine, and a rejected step
+reuses J^T J and J^T r, as only the damping changed.
 """
 from __future__ import annotations
 
@@ -104,36 +107,60 @@ class DampedSinusoidFit:
     degenerate: bool = False
 
 
-def _terms(t, params) -> tuple:
+def _terms(params, neg_t, two_t) -> tuple:
     """Model values, exp(-gamma t), the phase 2 omega t + phase, and its cosine."""
     gamma, omega, amp, off, phase = params
-    arg = 2.0 * omega * t + phase
-    decay, cos_a = np.exp(-gamma * t), np.cos(arg)
+    arg = omega * two_t + phase
+    decay, cos_a = np.exp(gamma * neg_t), np.cos(arg)
     return off + amp * decay * cos_a, decay, arg, cos_a
 
 
-def _jacobian_into(jac, columns, t, amp, decay, cos_a, sin_a) -> None:
-    """Fill column j of `jac` with the derivative by parameter `columns[j]`."""
-    derivatives = (lambda: -t * amp * decay * cos_a, lambda: -2.0 * t * amp * decay * sin_a,
-                   lambda: decay * cos_a, lambda: 1.0, lambda: -amp * decay * sin_a)
-    for j, i in enumerate(columns):
-        jac[:, j] = derivatives[i]()
+def _jacobian_into(rows, columns, neg_t, two_t, amp, decay, cos_a, sin_a) -> None:
+    """Overwrite row j of `rows` with the derivative by parameter `columns[j]`,
+    its factors multiplied left to right."""
+    factors = ((neg_t, amp, decay, cos_a), (two_t, -amp, decay, sin_a), (decay, cos_a),
+               (1.0, 1.0), (decay, -amp, sin_a))
+    for row, i in zip(rows, columns):
+        first, second, *rest = factors[i]
+        np.multiply(first, second, out=row)
+        for factor in rest:
+            row *= factor
+
+
+def _solve(a: list, b: list) -> list | None:
+    """x with a x = b by Gaussian elimination with partial pivoting on Python
+    floats, for the fit's k <= 5; a and b are overwritten. None on a zero pivot."""
+    k = len(b)
+    for c in range(k):
+        p = max(range(c, k), key=lambda r: abs(a[r][c]))
+        if a[p][c] == 0.0:
+            return None
+        a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
+        for r in range(c + 1, k):
+            f = a[r][c] / a[c][c]
+            for j in range(c + 1, k):
+                a[r][j] -= f * a[c][j]
+            b[r] -= f * b[c]
+    for r in reversed(range(k)):
+        b[r] = (b[r] - sum(a[r][j] * b[j] for j in range(r + 1, k))) / a[r][r]
+    return b
 
 
 def damped_sinusoid_model(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Model values for params ordered (gamma, omega, amplitude, offset, phase)."""
-    return _terms(t, params)[0]
+    return _terms(params, -t, 2.0 * t)[0]
 
 
 def damped_sinusoid_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Analytic Jacobian, columns in PARAM_ORDER."""
-    _, decay, arg, cos_a = _terms(t, params)
-    jac = np.empty((t.size, 5))
-    _jacobian_into(jac, range(5), t, params[2], decay, cos_a, np.sin(arg))
-    return jac
+    neg_t, two_t = -t, 2.0 * t
+    _, decay, arg, cos_a = _terms(params, neg_t, two_t)
+    rows = np.empty((5, t.size))
+    _jacobian_into(rows, range(5), neg_t, two_t, params[2], decay, cos_a, np.sin(arg))
+    return rows.T
 
 
-@np.errstate(over="ignore")  # an overflowing J^T J gives a non-finite step: rejected
+@np.errstate(over="ignore")  # an overflowing trial has a non-finite SSE: rejected
 def fit_damped_sinusoid(
     series: ProbabilitySeries,
     omega_hint: float,
@@ -179,57 +206,55 @@ def fit_damped_sinusoid(
             degenerate=True,
         )
 
-    params = np.array([0.0, omega_hint, -0.5, 0.5, 0.0])
-    free_idx = np.array([i for i, name in enumerate(PARAM_ORDER) if name in free])
-    k = free_idx.size
+    params = [0.0, float(omega_hint), -0.5, 0.5, 0.0]
+    free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
+    neg_t, two_t = -t, 2.0 * t
+    rows = np.empty((len(free_idx), t.size))  # J^T, one row per free parameter
 
-    model, *terms = _terms(t, params)
+    model, *terms = _terms(params, neg_t, two_t)
     resid = model - y
     sse = float(resid @ resid)
     lam = 1e-3
     iterations = 0
-    normal = None  # J^T J, -J^T r and the clipped diagonal at `params`
+    normal = None  # J^T J, -J^T r and the clipped diagonal at `params`, as lists
     while iterations < _MAX_ITER:
         iterations += 1
         if normal is None:
             decay, arg, cos_a = terms
-            # column-major (n, k): a row-major J changes BLAS's summation order in
-            # J^T r by an ulp, and with it the fitted bits the preset digests pin
-            jac = np.empty((k, t.size)).T
-            _jacobian_into(jac, free_idx, t, params[2], decay, cos_a, np.sin(arg))
-            jtj = jac.T @ jac
-            diag = jtj.diagonal()
-            normal = jtj, -(jac.T @ resid), np.where(diag <= 0.0, 1e-30, diag)
+            _jacobian_into(rows, free_idx, neg_t, two_t, params[2], decay, cos_a, np.sin(arg))
+            jtj = (rows @ rows.T).tolist()
+            normal = (jtj, [-v for v in (rows @ resid).tolist()],
+                      [1e-30 if row[j] <= 0.0 else row[j] for j, row in enumerate(jtj)])
         jtj, rhs, diag = normal
-        damped = jtj.copy()
-        damped.flat[:: k + 1] += lam * diag
-        try:
-            step = np.linalg.solve(damped, rhs)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and np.isfinite(step).all():
-            trial = params.copy()
-            trial[free_idx] += step
-            trial_model, *trial_terms = _terms(t, trial)
+        damped = [row[:] for row in jtj]
+        for j, d in enumerate(diag):
+            damped[j][j] += lam * d
+        step = _solve(damped, rhs[:])
+        trial_sse, last = math.inf, False
+        if step is not None and all(map(math.isfinite, step)):
+            trial = params[:]
+            for i, s in zip(free_idx, step):
+                trial[i] += s
+            trial_model, *trial_terms = _terms(trial, neg_t, two_t)
             trial_resid = trial_model - y
             trial_sse = float(trial_resid @ trial_resid)
-        else:
-            trial_sse = math.inf
+            # a step below tolerance is the last: more damping only shrinks it
+            last = math.isfinite(trial_sse) and max(
+                abs(s) / (abs(params[i]) + 1e-12) for i, s in zip(free_idx, step)) < _STEP_TOL
         if math.isfinite(trial_sse) and trial_sse <= sse:
-            rel_step = float((np.abs(step) / (np.abs(params[free_idx]) + 1e-12)).max())
             params, resid, sse, terms = trial, trial_resid, trial_sse, trial_terms
             normal = None
             lam = max(lam / 10.0, 1e-12)
-            if rel_step < _STEP_TOL:
-                break
-        else:
+        elif not last:
             lam *= 10.0
             if lam > _LAMBDA_MAX:
                 raise FitConvergenceError(
                     "damping exhausted without residual decrease",
-                    dict(zip(PARAM_ORDER, (float(p) for p in params))),
+                    dict(zip(PARAM_ORDER, params)),
                     math.sqrt(sse / t.size),
                 )
+        if last:
+            break
 
     gamma = float(params[0])
     if -1e-9 < gamma < 0.0:

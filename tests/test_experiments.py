@@ -639,6 +639,8 @@ class TestCli:
     # SHA-256 digests of every file `rabideco experiment` writes for each preset;
     # the fig2* CSV/JSON and the oracle_check CSV re-pinned when the
     # distinguishable predictor moved to powers of the epoch map (|dp| <= 2.2e-16)
+    # and the fig5 / fig5_master_eq CSV/JSON when the fit stopped at its first step
+    # below tolerance (gamma_n within 2.0e-10 relative)
     PRESET_DIGESTS = {
         "fig2a": ("f46e985ec88c8a932957d546add89af88ce9c10c3b1de16bb6a2ff59333e8feb",
                   "e804c10123182f6325600b4d32588f07ae087cf07a94977a76a2059b73c60e4b",
@@ -657,12 +659,12 @@ class TestCli:
         "fig3": ("8488b75990db24910362a7a77309b1aa805fd503b9ec7ee8751382795ad78ca6",
                  "4982a40f22ef10efa9d05b94196d229dc3a31811b60503d1f8b73184638bb46c",
                  "5e1aa55dd261c0350a3f47c4f3bf0277d41cbc9846fae7351560a2cac8ef9111"),
-        "fig5": ("348a5377a2699b9f27dbb7cb21ac92ea3ff95b18496d8e78121c2377991f6927",
-                 "52c4e134d5bc1436c611d1abf1c9e01db39afd163947d79aa2f2edaf65e5955f",
+        "fig5": ("54250195f25227fcca7122aef7cf05ffc20538ce29886c0fc3d5ebf21ed0c780",
+                 "d866ecab241126647b33221802f44c5da4d9cbd2bc61f403b4ed6c7fa9437656",
                  "c58ea9b3fab5a9ecc5f87a9b27e30111da6250d6ea7b2b4ebcef68d16b0daf99"),
         "fig5_master_eq": (
-            "ad73f6245d62bad4abf60d9af79c73c1f52d8f62c817d314a6e0764d559b98ce",
-            "7b88c1568ff72fd5e2f6686745401631dd2e21ff918a8c247c2c0bf4608de9f1",
+            "f0f897f20c66b647b8839cad6f1c7eeae393f769a689438ceabf1a6bd023338e",
+            "1d4247fe5b982b53d890091c6e10f182d68e097d2fea84f5223987e7937e7b99",
             "c4348cd4354d4ee1182fb2fa449f3abf5875394c67f3e35632e1fe1d3f9c92fa"),
         "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
                       "e6d160989b400e642eed42b3e350a7a92aabd9bf9e7ec71a8c94f7f7c5172129",

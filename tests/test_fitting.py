@@ -318,18 +318,50 @@ def reference_fit(
     )
 
 
-def fit_outcome(fit, series, omega_hint, free_params):
-    """Every field of the fit, or of its FitConvergenceError, for an `==` check."""
+FIT_PARAMS = ("gamma", "omega_fit", "amplitude", "offset", "phase")  # PARAM_ORDER's fields
+FREE_SUBSETS = [frozenset(c) for r in range(1, 6) for c in itertools.combinations(PARAM_ORDER, r)]
+
+
+def assert_close_params(got: dict, want: dict, free) -> None:
+    """Free parameters within 1e-7 relative (1e-12 absolute near 0), that is
+    100 times the step tolerance; fixed ones exactly equal."""
+    for name in PARAM_ORDER:
+        g, w = got[name], want[name]
+        if name in free:
+            assert abs(g - w) <= max(1e-7 * abs(w), 1e-12), (name, g, w)
+        else:
+            assert g == w, (name, g, w)
+
+
+def assert_close_fit(series, omega_hint=1.0, free_params=None):
+    """The fit ends as the reference does: converged, with a residual no
+    larger (to 1e-9 relative) and `assert_close_params`, or raising the same
+    FitConvergenceError. Returns both fits, or None when both raised.
+
+    A failed fit's message names its last iterate, whose bits may differ: the
+    two solve the damped normal equations with different rounding, and on the
+    long walks that end in "damping exhausted" (1 in 2000 random series) that
+    moves the last iterate by about 1e-12. So the reason must match exactly,
+    the residual to the message's digits, and the last iterate to
+    `assert_close_params`."""
+    free = frozenset(free_params) if free_params is not None else frozenset({"gamma", "omega"})
     try:
-        return dataclasses.astuple(fit(series, omega_hint, free_params))
+        want = reference_fit(series, omega_hint, free_params)
     except FitConvergenceError as exc:
-        return str(exc), exc.params, exc.residual_rms.hex()
-
-
-def assert_same_fit(series, omega_hint=1.0, free_params=None):
-    got = fit_outcome(fit_damped_sinusoid, series, omega_hint, free_params)
-    assert got == fit_outcome(reference_fit, series, omega_hint, free_params)
-    return got
+        with pytest.raises(FitConvergenceError) as err:
+            fit_damped_sinusoid(series, omega_hint, free_params)
+        reason = str(exc).split(" (last iterate")[0]
+        assert str(err.value).split(" (last iterate")[0] == reason
+        assert f"{err.value.residual_rms:.3e}" == f"{exc.residual_rms:.3e}"
+        assert_close_params(err.value.params, exc.params, free)
+        return None
+    got = fit_damped_sinusoid(series, omega_hint, free_params)
+    assert (got.free_params, got.degenerate) == (want.free_params, want.degenerate)
+    assert got.residual_rms <= want.residual_rms * (1.0 + 1e-9) + 1e-15
+    assert_close_params(*({name: getattr(fit, field_name)
+                           for name, field_name in zip(PARAM_ORDER, FIT_PARAMS)}
+                          for fit in (got, want)), free)
+    return got, want
 
 
 def rich_series(n=300, noise=0.0, seed=5):
@@ -343,52 +375,104 @@ def preset_series(name):
     return predictor_series(cfg), cfg.system.omega
 
 
-FIT_FIELDS = [field.name for field in dataclasses.fields(DampedSinusoidFit)]
-FREE_SUBSETS = [frozenset(c) for r in range(1, 6) for c in itertools.combinations(PARAM_ORDER, r)]
+def noisy_series():
+    rng = np.random.default_rng(99)
+    t = np.linspace(0.0, 30.0, 400)
+    y = 0.5 * (1.0 - np.exp(-0.05 * t) * np.cos(2.0 * t)) + rng.uniform(-0.01, 0.01, t.size)
+    return ProbabilitySeries(t, y, {})
+
+
+def overshooting_series():
+    # fitted with a hint 25% off the true frequency, the first steps overshoot
+    return series_from(lambda t: 0.5 * (1.0 - np.exp(-0.05 * t) * np.cos(2.0 * t))), 1.25
+
+
+def deterministic_cases():
+    """(series, omega_hint, free_params) of every deterministic differential case."""
+    cases = [(rich_series(noise=0.003), 1.0, free) for free in FREE_SUBSETS]
+    cases += [(*preset_series(name), None) for name in ("fig2a", "fig2b", "fig3", "master_eq")]
+    cases += [(master_eq_series(MasterEqParams(omega_n, 0.01),
+                                np.linspace(0.0, 40.0 / omega_n, 300)), omega_n, None)
+              for omega_n in (1.0, 0.81, 0.43)]
+    return cases + [(noisy_series(), 1.0, None), (*overshooting_series(), None)]
 
 
 class TestAgainstReferenceFit:
-    """The fit equals, bit for bit and in its iteration count, the loop that
-    rebuilt the full Jacobian and both exponentials at every iteration."""
+    """The fit ends where the loop that rebuilt the full Jacobian and both
+    exponentials at every iteration ends, to within 100 times the step
+    tolerance (`assert_close_fit`), and in fewer iterations overall."""
 
     @pytest.mark.parametrize("free", FREE_SUBSETS, ids=lambda f: "+".join(sorted(f)))
     def test_every_free_subset(self, free):
-        assert_same_fit(rich_series(noise=0.003), free_params=free)
+        assert_close_fit(rich_series(noise=0.003), free_params=free)
 
     @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig3", "master_eq"])
     def test_preset_series(self, preset):
         series, omega = preset_series(preset)
-        assert_same_fit(series, omega)
+        assert_close_fit(series, omega)
 
     def test_master_eq_predictor_in_fig5(self):
         for omega_n in (1.0, 0.81, 0.43):
             series = master_eq_series(MasterEqParams(omega_n, 0.01),
                                       np.linspace(0.0, 40.0 / omega_n, 300))
-            assert_same_fit(series, omega_n)
+            assert_close_fit(series, omega_n)
 
     def test_noisy_series(self):
-        rng = np.random.default_rng(99)
-        t = np.linspace(0.0, 30.0, 400)
-        y = 0.5 * (1.0 - np.exp(-0.05 * t) * np.cos(2.0 * t)) + rng.uniform(-0.01, 0.01, t.size)
-        assert_same_fit(ProbabilitySeries(t, y, {}))
+        assert_close_fit(noisy_series())
+
+    def test_fewer_iterations_in_total(self):
+        # not per case: on random series the new loop now and then takes a few more
+        got = want = 0
+        for series, hint, free in deterministic_cases():
+            new, ref = assert_close_fit(series, hint, free)
+            got, want = got + new.iterations, want + ref.iterations
+        assert got < want
 
     def test_rejected_steps_reuse_the_normal_equations(self, monkeypatch):
-        # a hint 25% off the true frequency makes the first steps overshoot
-        series = series_from(lambda t: 0.5 * (1.0 - np.exp(-0.05 * t) * np.cos(2.0 * t)))
+        series, hint = overshooting_series()
         builds = []
         real = fitting._jacobian_into
         monkeypatch.setattr(fitting, "_jacobian_into",
                             lambda *args: builds.append(1) or real(*args))
-        got = assert_same_fit(series, omega_hint=1.25)
-        iterations = got[FIT_FIELDS.index("iterations")]
-        assert 1 <= len(builds) < iterations  # some steps were rejected
+        got, _ = assert_close_fit(series, omega_hint=hint)
+        assert 1 <= len(builds) < got.iterations  # some steps were rejected
+
+    @staticmethod
+    def first_step_below_tolerance(monkeypatch, series, omega):
+        """The fit, and the 1-based iteration that proposed its first step of
+        relative size below the step tolerance."""
+        steps, trials = [], []
+        real_solve, real_terms = fitting._solve, fitting._terms
+        monkeypatch.setattr(fitting, "_solve",
+                            lambda *args: steps.append(real_solve(*args)) or steps[-1])
+        monkeypatch.setattr(fitting, "_terms",
+                            lambda params, *args: trials.append(list(params))
+                            or real_terms(params, *args))
+        fit = fit_damped_sinusoid(series, omega)
+        assert len(trials) == len(steps) + 1 == fit.iterations + 1  # every step finite
+        free_idx = [PARAM_ORDER.index(name) for name in ("gamma", "omega")]
+        # the step was taken from trial - step
+        rel = [max(abs(s) / (abs(trial[i] - s) + 1e-12) for i, s in zip(free_idx, step))
+               for step, trial in zip(steps, trials[1:])]
+        return fit, next(j for j, r in enumerate(rel, start=1) if r < fitting._STEP_TOL)
+
+    def test_fig3_stops_at_its_first_step_below_tolerance(self, monkeypatch):
+        fit, first = self.first_step_below_tolerance(monkeypatch, *preset_series("fig3"))
+        assert fit.iterations <= first + 1
+
+    def test_rejected_tail_below_tolerance_is_cut(self, monkeypatch):
+        # a Fig5 master-eq level, where the reference goes on rejecting steps
+        series = master_eq_series(MasterEqParams(1.0, 0.01), np.linspace(0.0, 40.0, 300))
+        fit, first = self.first_step_below_tolerance(monkeypatch, series, 1.0)
+        assert fit.iterations <= first + 1 < reference_fit(series, 1.0).iterations - 1
 
     def test_convergence_error(self):
         t = np.linspace(0.0, 30.0, 60)
         y = np.sin(t) ** 2
         y[10] = math.nan
-        got = assert_same_fit(ProbabilitySeries(t, y, {}))
-        assert got[0].startswith("damping exhausted")
+        assert assert_close_fit(ProbabilitySeries(t, y, {})) is None
+        with pytest.raises(FitConvergenceError, match="^damping exhausted"):
+            fit_damped_sinusoid(ProbabilitySeries(t, y, {}), 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(0.0, 0.3), omega=st.floats(0.3, 3.0),
@@ -398,7 +482,45 @@ class TestAgainstReferenceFit:
         t = np.linspace(0.0, 8.0 * math.pi / omega, n)
         y = 0.5 * (1.0 - np.exp(-gamma * omega * t) * np.cos(2.0 * omega * t))
         y += noise * np.random.default_rng(seed).standard_normal(n)
-        assert_same_fit(ProbabilitySeries(t, y, {}), omega_hint=hint * omega)
+        assert_close_fit(ProbabilitySeries(t, y, {}), omega_hint=hint * omega)
+
+
+class TestSolve:
+    """`fitting._solve` against numpy's LAPACK solve, which the fit used before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.0, 8.0), lam=st.floats(1e-12, 1e12))
+    def test_matches_lapack(self, k, seed, scale, lam):
+        # the fit's systems: J^T J plus lam times its diagonal, J of k columns
+        rng = np.random.default_rng(seed)
+        jac = rng.standard_normal((3 * k, k)) * 10.0 ** rng.uniform(-scale, scale, k)
+        a = jac.T @ jac
+        a += lam * np.diag(a.diagonal())
+        b = rng.standard_normal(k)
+        got = np.array(fitting._solve(a.tolist(), b.tolist()))
+        want = np.linalg.solve(a, b)
+        # both are backward stable: compare residuals against the system's scale
+        bound = 1e-12 * (np.abs(a) @ np.abs(want) + np.abs(b))
+        assert np.all(np.abs(a @ got - b) <= bound)
+        assert np.all(np.abs(a @ want - b) <= bound)
+
+    def test_well_conditioned_to_1e_12(self):
+        rng = np.random.default_rng(3)
+        for k in range(1, 6):
+            a = rng.standard_normal((k, k)) + 4.0 * np.eye(k)
+            b = rng.standard_normal(k)
+            got = fitting._solve(a.tolist(), b.tolist())
+            np.testing.assert_allclose(got, np.linalg.solve(a, b), rtol=1e-12, atol=1e-15)
+
+    def test_pivots(self):
+        assert fitting._solve([[0.0, 1.0], [2.0, 0.0]], [3.0, 4.0]) == [2.0, 3.0]
+
+    def test_zero_pivot_is_none(self):
+        assert fitting._solve([[0.0]], [1.0]) is None
+        assert fitting._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
 
 class TestModelAndJacobianBits:
