@@ -360,7 +360,8 @@ def _csv(header: str, rows) -> str:
 def _fit_fields(fit: DampedSinusoidFit) -> dict:
     return {"gamma": fit.gamma, "omega_fit": fit.omega_fit, "amplitude": fit.amplitude,
             "offset": fit.offset, "phase": fit.phase, "residual_rms": fit.residual_rms,
-            "free_params": sorted(fit.free_params), "degenerate": fit.degenerate}
+            "free_params": sorted(fit.free_params), "degenerate": fit.degenerate,
+            "iterations": fit.iterations}
 
 
 def _verdict(summary: dict, target: dict, key: str, got: float) -> None:

@@ -413,6 +413,12 @@ class TestOutputs:
         assert summary["pass"] is True
         assert summary["target"] == {"gamma_over_omega": 0.039, "tol": 0.005}
 
+    def test_fit_iterations_in_summary(self, tmp_path):
+        cfg = config_from_dict(fig3_config())
+        result = run_experiment(cfg)
+        summary = json.loads(emit_outputs(result, cfg, tmp_path, ("json",))[0].read_text())
+        assert summary["fit"]["iterations"] == result.fit.iterations >= 1
+
     def test_gamma_ratio_outputs(self, tmp_path):
         cfg = config_from_dict(small_fig5_config())
         paths = emit_outputs(run_experiment(cfg), cfg, tmp_path, ("csv", "json", "svg"))
@@ -582,6 +588,7 @@ class TestCli:
         assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "refit.json").read_text())
         assert summary["gamma"] == pytest.approx(0.05, abs=1e-6)
+        assert summary["iterations"] >= 1
 
     @pytest.mark.parametrize("rows,overrides,key_path", [
         (["0.0,0.5", "1.0"], {}, "series_csv"),
@@ -619,12 +626,13 @@ class TestCli:
     def test_simulate_and_fit_outputs_unchanged(self, tmp_path, monkeypatch):
         # SHA-256 digests of the files the CLI wrote for the fig2a preset
         # before `simulate` and `fit` shared `emit_outputs`; the CSV and the
-        # refit re-pinned when the predictor moved to powers of the epoch map
+        # refit re-pinned when the predictor moved to powers of the epoch map, and
+        # again when the fit block gained `iterations`
         want = {
             "fig2a.csv": "3ac5584e7793daee85b2fde56e31cb63c8828db493b332c49f270b35caaf641d",
             "fig2a.json": "558d9424cdacaf70c80be49f2d64c14c920ef4cd31249c901110bc237bce54aa",
             "fig2a.svg": "2f27ef90bcec0d1c316af647777ec75c3d6bbdf817dccb2d65a2c197066455ae",
-            "refit.json": "db3c81eaf060f7dca3dcc673de8c1c15004bfd303e63b7a330300d9f4b9af071",
+            "refit.json": "263dd87ff49de8af7a26b7f5b8bd735b9d2848243ffac45b516b875ca0cfe7e4",
         }
         monkeypatch.chdir(tmp_path)  # relative paths keep series_csv out of the digest
         shutil.copy(CONFIG_DIR / "fig2a.json", "fig2a.json")
@@ -640,24 +648,25 @@ class TestCli:
     # the fig2* CSV/JSON and the oracle_check CSV re-pinned when the
     # distinguishable predictor moved to powers of the epoch map (|dp| <= 2.2e-16)
     # and the fig5 / fig5_master_eq CSV/JSON when the fit stopped at its first step
-    # below tolerance (gamma_n within 2.0e-10 relative)
+    # below tolerance (gamma_n within 2.0e-10 relative); the JSON of every preset
+    # with a `fit` block (fig2*, fig3, master_eq) when that block gained `iterations`
     PRESET_DIGESTS = {
         "fig2a": ("f46e985ec88c8a932957d546add89af88ce9c10c3b1de16bb6a2ff59333e8feb",
-                  "e804c10123182f6325600b4d32588f07ae087cf07a94977a76a2059b73c60e4b",
+                  "3f4cc8530b4d75ec9c8d8a0de99ccd3b457266184e0dbdc2952efc1c8e245396",
                   "f443e85862d75b720d0dbafc60467bb3ab1570da2fb7023fe1e289510e07a053"),
         "fig2a_consistent": (
             "2d0523afeeb204cee4c1d37bb903f6dcfb49a69079eadb2df622af49567ee51a",
-            "ddda2c20afd42c8ee06dcce2b56fcd035e301e5f467815233fab9134b263e6dd",
+            "902838d6ae28c51f5ebf7ba1f8e5bd063f5acb3e9368ca63171fc1f74126af35",
             "13a676f908350d90b896206ec98dd033d057bb932a6bd8679b333edaac22eb09"),
         "fig2b": ("6a0e139c93bc42b2b6d3958a74325bc30439b957188c588007b39d08b98a6c2b",
-                  "5bcf3c6fb240fec15d47939108707c1dcd3ba699eb71fd88a456c03a9087b58e",
+                  "aa579d3809bdcb8b7e42b2e5283f2632c89051fc0afa0dc4b19567bec6263a9a",
                   "1dafa31eed9f6264af490712bdedd7412806f5e062015a3351211a64784933c0"),
         "fig2b_consistent": (
             "d33db1cc11bb42b021c0267f84907175a7d1ed473c9c75285464912df4b52282",
-            "8b93fd6b57f9e9fe8fdbdd9d283f35e6b5f56002c75ea6107b4e6200575a6977",
+            "39f0e972fdae5d000de77d5c5b808de18c623006b10e70b3d74bc2f41bb94a0f",
             "86cbddec3407d2705e20b9a9f4d985314f7407c8ee7951e5d27469e8a95a284c"),
         "fig3": ("8488b75990db24910362a7a77309b1aa805fd503b9ec7ee8751382795ad78ca6",
-                 "4982a40f22ef10efa9d05b94196d229dc3a31811b60503d1f8b73184638bb46c",
+                 "a1a723b53256303cfd26336ed9c96a4d2f2a7f062f14dc0f73c4570f3d55ea94",
                  "5e1aa55dd261c0350a3f47c4f3bf0277d41cbc9846fae7351560a2cac8ef9111"),
         "fig5": ("54250195f25227fcca7122aef7cf05ffc20538ce29886c0fc3d5ebf21ed0c780",
                  "d866ecab241126647b33221802f44c5da4d9cbd2bc61f403b4ed6c7fa9437656",
@@ -667,7 +676,7 @@ class TestCli:
             "1d4247fe5b982b53d890091c6e10f182d68e097d2fea84f5223987e7937e7b99",
             "c4348cd4354d4ee1182fb2fa449f3abf5875394c67f3e35632e1fe1d3f9c92fa"),
         "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
-                      "e6d160989b400e642eed42b3e350a7a92aabd9bf9e7ec71a8c94f7f7c5172129",
+                      "1b90495ab429e9c74540e4bffcd8f280d19d36153ea2446a4fb5f687fc7a89d8",
                       "90399ebdc817362e2bd8124b3fda8c1783ec135953e2a4a9f574b5b89bb4e8b3"),
         "oracle_check": ("d9f112a5c2c91be3e3dcd975e6bf8cbb24b051adc6f63fb4fec9d48e0240f308",
                          "019033dddb24c4d27e96b5681287db3555c15b5831771845ea8c82b8922c11ef",
