@@ -28,7 +28,9 @@ As a real 2-vector that is one fixed map per epoch, E_n = A E_{n-1}, with
 so E_n = A^n E_0, and by Cayley-Hamilton the boundary values obey
 b_{n+1} - 1/2 = tr A (b_n - 1/2) - det A (b_{n-1} - 1/2). While
 (tr A)^2 < 4 det A both eigenvalues have modulus sqrt(eta), and the envelope
-contracts by sqrt(eta) per epoch.
+contracts by sqrt(eta) per epoch; otherwise both are real, nothing oscillates
+about 1/2 at long times, and the larger one sets the decay
+(`epoch_map_spectrum`).
 
 `build_predictor` forms the squarings A^(2^k), one per bit of n_max, and a
 query multiplies those that the bits of its n select: O(log n_max) per point,
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +93,29 @@ class PiecewisePredictor:
     env: DistinguishableEnv
     n_max: int
     squarings: np.ndarray  # shape (n_max.bit_length(), 2, 2, 2)
+
+
+class EpochMapSpectrum(NamedTuple):
+    """Eigenvalues of the epoch map A and the asymptotic decay rate they fix."""
+
+    regime: str  # "complex": an envelope decaying at gamma; "real": no oscillation left
+    roots: tuple  # the larger modulus first
+    gamma: float
+
+
+def epoch_map_spectrum(system: RabiSystem, env: DistinguishableEnv) -> EpochMapSpectrum:
+    """Roots of lambda^2 - (1 + eta) cos(2 omega dt) lambda + eta, A's characteristic
+    polynomial. Complex roots have modulus sqrt(eta), so gamma = -ln(eta) / (2 dt);
+    real roots give gamma = -ln|lambda_max| / dt."""
+    trace = (1.0 + env.eta) * math.cos(2.0 * system.omega * env.dt)
+    disc = trace * trace - 4.0 * env.eta
+    if disc < 0.0:
+        root = complex(trace, math.sqrt(-disc)) / 2.0
+        return EpochMapSpectrum("complex", (root, root.conjugate()),
+                                -math.log(env.eta) / (2.0 * env.dt))
+    # never 0, as no double's cosine is; adding like signs does not cancel
+    big = (trace + math.copysign(math.sqrt(disc), trace)) / 2.0
+    return EpochMapSpectrum("real", (big, env.eta / big), -math.log(abs(big)) / env.dt)
 
 
 def _born_ground_array(system: RabiSystem, t: np.ndarray) -> np.ndarray:

@@ -21,9 +21,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import InitialState, LAMB_DICKE, ProbabilitySeries, RabiSystem, rabi_frequency_ladder
-from .distinguishable import DistinguishableEnv, build_predictor, sample_series
-from .fitting import (PARAM_ORDER, DampedSinusoidFit, MasterEqParams, PowerLawFit,
-                      damped_sinusoid_model, fit_damped_sinusoid, fit_power_law,
+from .distinguishable import (DistinguishableEnv, build_predictor, epoch_map_spectrum,
+                              sample_series)
+from .fitting import (PARAM_ORDER, DampedSinusoidFit, FitConvergenceError, MasterEqParams,
+                      PowerLawFit, damped_sinusoid_model, fit_damped_sinusoid, fit_power_law,
                       master_eq_series)
 from .indistinguishable import IndistinguishableEnv, build_nested_table, sample_rescaled_series
 from .montecarlo import EnsembleConfig, simulate_distinguishable
@@ -512,13 +513,28 @@ def predictor_series(cfg: ExperimentConfig) -> ProbabilitySeries:
     return sample_rescaled_series(build_nested_table(cfg.system, env, n_max), env, grid)
 
 
+def _regime_note(spectrum) -> str:
+    """The epoch map's regime and exact rate, for a failed Fig2 fit's message."""
+    roots = " and ".join(f"{root:#.3g}" for root in spectrum.roots)
+    if spectrum.regime == "complex":
+        return (f"the epoch map has complex roots {roots}, so the envelope decays at "
+                f"gamma = -ln(eta)/(2 dt) = {spectrum.gamma:#.3g}")
+    return (f"the epoch map has real roots {roots}, so there is no oscillation to fit; "
+            f"the exact rate is gamma = -ln|lambda_max|/dt = {spectrum.gamma:#.3g}")
+
+
 def run_figure_experiment(cfg: ExperimentConfig) -> FigureResult:
     """Series plus damped-sinusoid fit for the single-curve experiments."""
     series = predictor_series(cfg)
     if len(series) == 0:
         return FigureResult(series=series, fit=None, fit_curve=np.empty(0))
-    fit = fit_damped_sinusoid(series, omega_hint=cfg.system.omega,
-                              free_params=cfg.fit.free_params)
+    try:
+        fit = fit_damped_sinusoid(series, omega_hint=cfg.system.omega,
+                                  free_params=cfg.fit.free_params)
+    except FitConvergenceError as exc:
+        if isinstance(cfg.env, DistinguishableEnv):
+            exc.args = (f"{exc}; {_regime_note(epoch_map_spectrum(cfg.system, cfg.env))}",)
+        raise
     params = np.array([fit.gamma, fit.omega_fit, fit.amplitude, fit.offset, fit.phase])
     return FigureResult(series, fit, damped_sinusoid_model(series.times, params))
 

@@ -11,6 +11,7 @@ from rabideco.distinguishable import (
     DistinguishableEnv,
     _born_ground_array,
     build_predictor,
+    epoch_map_spectrum,
     predict_excited_prob,
     predict_ground_prob,
     sample_series,
@@ -289,6 +290,50 @@ class TestLongRunBehaviour:
                 sample_series(pred, np.linspace(0.0, 60.0, 400)), omega_hint=1.0
             )
             assert abs(fit.gamma - expected) < tol
+
+
+class TestEpochMapSpectrum:
+    @pytest.mark.parametrize("eta,omega_dt", [(0.99, 0.08), (0.5, 0.08), (0.9, 0.7), (0.0, 0.3),
+                                              (0.3, 1.4), (0.5, 2.9), (1.0, 0.08)])
+    def test_roots_are_the_eigenvalues_of_a(self, eta, omega_dt):
+        env = DistinguishableEnv(omega_dt, eta)
+        spectrum = epoch_map_spectrum(SYSTEM, env)
+        matrix = build_predictor(SYSTEM, env, 1).squarings[0][0]  # A, rounded once
+        want = sorted(np.linalg.eigvals(matrix), key=lambda z: (-abs(z), -z.imag))
+        np.testing.assert_allclose(spectrum.roots, want, rtol=0.0, atol=1e-12)
+        assert spectrum.regime == ("complex" if np.iscomplexobj(spectrum.roots[0]) else "real")
+
+    @pytest.mark.parametrize("eta,dt", [(0.99, 0.08), (0.997, 0.1), (0.9, 0.3)])
+    def test_complex_roots_have_modulus_sqrt_eta(self, eta, dt):
+        spectrum = epoch_map_spectrum(SYSTEM, DistinguishableEnv(dt, eta))
+        assert spectrum.regime == "complex"
+        assert [abs(root) for root in spectrum.roots] == pytest.approx([math.sqrt(eta)] * 2,
+                                                                          rel=1e-14)
+        assert spectrum.gamma == -math.log(eta) / (2.0 * dt)
+
+    @pytest.mark.parametrize("state", [InitialState.EXCITED, InitialState.GROUND])
+    @pytest.mark.parametrize("eta,dt", [(0.5, 0.08), (0.2, 0.3), (0.6, 0.05)])
+    def test_real_rate_is_the_log_slope_of_the_predictor(self, eta, dt, state):
+        # with real roots b_n - 1/2 ~ c lambda_max^n, the slower root alone at large n
+        env = DistinguishableEnv(dt, eta)
+        spectrum = epoch_map_spectrum(SYSTEM, env)
+        assert spectrum.regime == "real"
+        pred = build_predictor(RabiSystem(1.0, state), env, 402)
+        n = next(n for n in range(10, 400) if (spectrum.roots[1] / spectrum.roots[0]) ** n < 1e-17)
+        x0, x1 = (predict_ground_prob(pred, m * dt) - 0.5 for m in (n, n + 1))
+        assert -math.log(x1 / x0) / dt == pytest.approx(spectrum.gamma, rel=1e-9)
+
+    def test_fig2_eta_half(self):
+        spectrum = epoch_map_spectrum(SYSTEM, DistinguishableEnv(0.08, 0.5))
+        assert spectrum.regime == "real"
+        assert spectrum.roots == pytest.approx((0.96002, 0.52082), abs=1e-5)
+        assert spectrum.gamma == pytest.approx(0.5101, abs=1e-4)
+
+    def test_total_collapse(self):
+        # eta = 0 at cos(2 omega dt) = 0 maps every state to 1/2 in one epoch
+        spectrum = epoch_map_spectrum(RabiSystem(math.pi / 4.0), DistinguishableEnv(1.0, 0.0))
+        assert spectrum.regime == "real" and spectrum.roots[1] == 0.0
+        assert spectrum.gamma > 30.0
 
 
 PREVIOUS_CHUNK = 4096  # epochs per pass of the previous build_predictor's scalar loop

@@ -573,6 +573,20 @@ class TestCli:
         fit_cfg.write_text(json.dumps({"series_csv": str(series), "omega_hint": 1.0}))
         assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path)]) == 3
 
+    def test_fig2_real_roots_name_the_regime(self, tmp_path, capsys):
+        # at eta 0.5 the epoch map has real roots: nothing oscillates, and the
+        # fit exhausts its damping
+        cfg = json.loads((CONFIG_DIR / "fig2a.json").read_text())
+        cfg["env"]["eta"] = 0.5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: damping exhausted")
+        assert "real roots 0.960 and 0.521" in err
+        assert "gamma = -ln|lambda_max|/dt = 0.510" in err
+        assert len(err.splitlines()) == 1
+
     def test_fit_command_round_trip(self, tmp_path):
         t = np.linspace(0.0, 30.0, 300)
         y = 0.5 * (1.0 - np.exp(-0.05 * t) * np.cos(2.0 * t))
