@@ -74,7 +74,7 @@ def _rows(pre: str, xs: np.ndarray, mid: str, ys: np.ndarray, post: str) -> str:
     for piece in pieces:
         start, stop = stop, stop + piece.shape[-1]
         table[:, start:stop] = piece
-    return str(table[table != 0], "ascii")
+    return table.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
