@@ -113,7 +113,7 @@ def epoch_map_spectrum(system: RabiSystem, env: DistinguishableEnv) -> EpochMapS
         root = complex(trace, math.sqrt(-disc)) / 2.0
         return EpochMapSpectrum("complex", (root, root.conjugate()),
                                 -math.log(env.eta) / (2.0 * env.dt))
-    # never 0, as no double's cosine is; adding like signs does not cancel
+    # the trace is never 0, as no double's cosine is; like signs do not cancel
     big = (trace + math.copysign(math.sqrt(disc), trace)) / 2.0
     return EpochMapSpectrum("real", (big, env.eta / big), -math.log(abs(big)) / env.dt)
 

@@ -160,7 +160,7 @@ def damped_sinusoid_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-@np.errstate(over="ignore")  # an overflowing trial has a non-finite SSE: rejected
+@np.errstate(over="ignore")  # overflow makes a step or its SSE non-finite: rejected
 def fit_damped_sinusoid(
     series: ProbabilitySeries,
     omega_hint: float,
