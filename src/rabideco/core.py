@@ -3,6 +3,9 @@
 Angular frequencies are in radians per unit coordinate time. Probabilities
 are plain floats; `clamp_probability` absorbs accumulated rounding at the
 1e-12 level and treats anything worse as a bug.
+
+`InitialState` is the one place that decides the preparation: every predictor
+reads its Born law and the amplitude a of P_g = 1/2 + a cos(2 omega t) from it.
 """
 from __future__ import annotations
 
@@ -26,6 +29,16 @@ BINOM_DIRECT_MAX_N = 60
 class InitialState(enum.Enum):
     EXCITED = "excited"
     GROUND = "ground"
+
+    @property
+    def amplitude(self) -> float:
+        """a in the Born law P_g(t) = 1/2 + a cos(2 omega t): -1/2 excited, +1/2 ground."""
+        return -0.5 if self is InitialState.EXCITED else 0.5
+
+    def born_ground(self, phase):
+        """P_g at phase omega t, float or array: sin^2, or 1 - sin^2 for ground."""
+        s2 = np.sin(phase) ** 2
+        return s2 if self is InitialState.EXCITED else 1.0 - s2
 
 
 @dataclass(frozen=True)
@@ -73,18 +86,13 @@ def clamp_probability_array(values: np.ndarray, tol: float = PROB_TOL) -> np.nda
 
 
 def born_ground_prob(system: RabiSystem, t: float) -> float:
-    """Probability to find the system in the ground state after evolving for t.
-
-    sin^2(omega t) for excited preparation, cos^2(omega t) for ground
-    preparation; t is a duration since the (active or passive) preparation
-    and must be non-negative.
+    """Probability to find the system in the ground state after evolving for t:
+    `InitialState.born_ground` at omega t. t is a duration since the (active or
+    passive) preparation and must be non-negative.
     """
     if t < 0.0:
         raise ValueError(f"evolution duration must be non-negative, got {t}")
-    s2 = math.sin(system.omega * t) ** 2
-    if system.initial_state is InitialState.EXCITED:
-        return s2
-    return 1.0 - s2
+    return float(system.initial_state.born_ground(system.omega * t))
 
 
 def binomial_weight(n: int, k: int, beta: float) -> float:

@@ -13,7 +13,7 @@ ground-state probability is piecewise: on [n dt, (n+1) dt) it is p_n, with
 
 where b_n = p_{n-1}(n dt). Every level oscillates about 1/2 at 2 omega,
 
-    p_n(t) = 1/2 + Re(E_n e^{2i omega (t - n dt)}),   E_0 = -1/2 (excited) or +1/2 (ground).
+    p_n(t) = 1/2 + Re(E_n e^{2i omega (t - n dt)}),   E_0 = `InitialState.amplitude`.
 
 Let F = E_{n-1} e^{2i omega dt}, so that b_n = 1/2 + Re F. The survivors go on
 as 1/2 + Re(F e^{2i omega (t - n dt)}), and the collapsed part's cos^2/sin^2
@@ -118,13 +118,6 @@ def epoch_map_spectrum(system: RabiSystem, env: DistinguishableEnv) -> EpochMapS
     return EpochMapSpectrum("real", (big, env.eta / big), -math.log(abs(big)) / env.dt)
 
 
-def _born_ground_array(system: RabiSystem, t: np.ndarray) -> np.ndarray:
-    s2 = np.sin(system.omega * t) ** 2
-    if system.initial_state.value == "excited":
-        return s2
-    return 1.0 - s2
-
-
 def build_predictor(
     system: RabiSystem, env: DistinguishableEnv, n_max: int
 ) -> PiecewisePredictor:
@@ -155,11 +148,11 @@ def _check_built_range(pred: PiecewisePredictor, t_coord: float) -> None:
 
 def _ground(pred: PiecewisePredictor, times: np.ndarray) -> np.ndarray:
     """p_n(t) for times inside the built range, unclamped."""
-    dt, omega = pred.env.dt, pred.system.omega
+    dt, omega, prepared = pred.env.dt, pred.system.omega, pred.system.initial_state
     n = np.floor(times / dt)
     # rows E_n, B_n; both start at E_0
     state = np.zeros((2, 2, times.size))
-    state[:, 0] = -0.5 if pred.system.initial_state.value == "excited" else 0.5
+    state[:, 0] = prepared.amplitude
     bits = (n.astype(np.int64) >> np.arange(len(pred.squarings))[:, None] & 1).astype(bool)
     for power, selected in zip(pred.squarings, bits):
         state = np.where(selected, power @ state, state)
@@ -167,7 +160,7 @@ def _ground(pred: PiecewisePredictor, times: np.ndarray) -> np.ndarray:
     phase = 2.0 * omega * (times - n * np.longdouble(dt)).astype(float)
     (ex, ey), (bx, by) = state
     w = pred.env.eta ** n
-    return (w * _born_ground_array(pred.system, times) + 0.5 * (1.0 - w)
+    return (w * prepared.born_ground(omega * times) + 0.5 * (1.0 - w)
             + ((ex - bx) * np.cos(phase) - (ey - by) * np.sin(phase)))
 
 

@@ -211,8 +211,12 @@ _SPECS = {
         "target": _target("max_abs_z")}, _oracle_sizes),
 }
 
-# the closed form squares omega: 8 omega^2 + gamma_se^2 must stay finite
-_MASTER_EQ_OMEGA = _Key(float, check=lambda v: v <= 1e150, rule="a value <= 1e+150")
+# the closed form models excited preparation only, and it squares omega:
+# 8 omega^2 + gamma_se^2 must stay finite
+_MASTER_EQ_SYSTEM = {
+    "initial_state": _Key(str, check="excited".__eq__, rule="'excited' (the master-equation "
+                          "baseline models excited preparation only)"),
+    "omega": _Key(float, check=lambda v: v <= 1e150, rule="a value <= 1e+150")}
 
 _FIT_SPEC = {"series_csv": _Key(str), "omega_hint": _positive(),
              "free_params": _FREE_PARAMS, "output": _output("fit")}
@@ -280,9 +284,9 @@ def _build(path: str, raw: str | None, factory, /, *args, **kwargs):
 
 
 def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
-    """Fig5's cross-key rules: one time scale, gamma_se for the master-eq swap
-    (in the closed form's regime at every level), every ladder omega_n > 0.
-    Sets `cfg.ladder` and `cfg.env.dt`."""
+    """Fig5's cross-key rules: one time scale, excited preparation and gamma_se
+    for the master-eq swap (in the closed form's regime at every level), every
+    ladder omega_n > 0. Sets `cfg.ladder` and `cfg.env.dt`."""
     env, lad = cfg.env, cfg.ladder
     if (env.dt is None) == (env.omega0_dt is None):
         raise _config_error("exactly one of dt and omega0_dt must be given", "env", raw)
@@ -290,7 +294,7 @@ def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
         if not cfg.master_eq.gamma_se:  # None or 0
             raise _config_error("a value > 0 is required by the master-eq predictor",
                                 "master_eq.gamma_se", raw)
-        _checked(_MASTER_EQ_OMEGA, cfg.system.omega, "system.omega", raw)
+        _walk(_MASTER_EQ_SYSTEM, vars(cfg.system), raw, "system")
     cfg.ladder = _build("ladder.n_max", raw, rabi_frequency_ladder,
                         cfg.system.omega, lad.n_max, lad.lamb_dicke)
     omega0_dt = vars(env).pop("omega0_dt")
@@ -315,12 +319,12 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
     cfg = ExperimentConfig(**common, **_walk(
         spec, {k: x for k, x in data.items() if k not in _COMMON}, raw_text))
     _within_budget(sizes(cfg), raw_text)
-    cfg.system = _build("system", raw_text, RabiSystem, cfg.system.omega,
-                        InitialState(cfg.system.initial_state))
     if kind is ExperimentKind.FIG5_GAMMA_RATIO:
         _gamma_ratio_rules(cfg, raw_text)
     if kind is ExperimentKind.MASTER_EQ_BASELINE:
-        cfg.env.omega = _checked(_MASTER_EQ_OMEGA, cfg.system.omega, "system.omega", raw_text)
+        cfg.env.omega = _walk(_MASTER_EQ_SYSTEM, vars(cfg.system), raw_text, "system")["omega"]
+    cfg.system = _build("system", raw_text, RabiSystem, cfg.system.omega,
+                        InitialState(cfg.system.initial_state))
     cfg.env = _build("env", raw_text, env_type, **vars(cfg.env))
     cfg.target = {key: x for key, x in vars(cfg.target).items() if x is not None}
     return cfg

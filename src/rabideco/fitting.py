@@ -65,7 +65,7 @@ class MasterEqParams:
 
 
 def master_eq_prob(params: MasterEqParams, t: float) -> float:
-    """Ground-state probability of the on-resonance master equation at t.
+    """Ground-state probability of the on-resonance master equation at t, prepared excited.
 
     (4 O^2 / (G^2 + 8 O^2)) * (1 - exp(-3Gt/4) (cos mu t + (3G/4mu) sin mu t))
     with mu = sqrt(4 O^2 - (G/4)^2), as `master_eq_series` evaluates it.
@@ -169,7 +169,8 @@ def fit_damped_sinusoid(
     """Least-squares fit of the damped sinusoid to a probability series.
 
     By default gamma and omega are free (gamma starts at 0, omega at
-    omega_hint) while amplitude = -1/2, offset = 1/2, phase = 0 stay fixed.
+    omega_hint) while offset = 1/2, phase = 0 and the amplitude stay fixed:
+    +1/2 when the first sample is above 1/2 (ground preparation), else -1/2.
     The series must have at least 10 points spanning two oscillation
     periods of the hinted frequency. A constant series yields a flat fit
     flagged degenerate with gamma = nan.
@@ -206,7 +207,7 @@ def fit_damped_sinusoid(
             degenerate=True,
         )
 
-    params = [0.0, float(omega_hint), -0.5, 0.5, 0.0]
+    params = [0.0, float(omega_hint), 0.5 if y[0] > 0.5 else -0.5, 0.5, 0.0]
     free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
     neg_t, two_t = -t, 2.0 * t
     rows = np.empty((len(free_idx), t.size))  # J^T, one row per free parameter

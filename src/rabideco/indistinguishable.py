@@ -12,8 +12,8 @@ interval probability beta. With P_e = 1 - P_g this is the affine map
 g_j = S + M g_{j-1}, M[n, k] = b(n, k) cos(2 omega (n-k) dt) and
 S[n] = sum_k b(n, k) sin^2(omega (n-k) dt).
 
-Level 0 is 1/2 + Re(a u^n), a = -1/2 (excited preparation) or +1/2
-(ground), u = exp(2 i omega dt). The constant 1/2 passes through every
+Level 0 is 1/2 + Re(a u^n), a = `InitialState.amplitude` (-1/2 excited,
++1/2 ground), u = exp(2 i omega dt). The constant 1/2 passes through every
 level unchanged, and the binomial generating function
 sum_k b(n, k) x^k y^(n-k) = (beta x + (1-beta) y)^n sends each term a z^n
 to the two terms (a/2) (beta z + (1-beta) u)^n and
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    InitialState,
     ProbabilitySeries,
     RabiSystem,
     binomial_weights_row,
@@ -106,15 +105,12 @@ def build_nested_table(
     phase = system.omega * env.dt
     ks = np.arange(n_max + 1)
     ground = np.empty((levels + 1, n_max + 1))
-    if system.initial_state is InitialState.EXCITED:
-        ground[0], amplitude = np.sin(phase * ks) ** 2, -0.5
-    else:
-        ground[0], amplitude = np.cos(phase * ks) ** 2, 0.5
+    ground[0] = system.initial_state.born_ground(phase * ks)
 
     if env.beta == 1.0:
         ground[1:] = ground[0]  # no collapse ever happens: every level is Born
     elif 2 ** (levels + 1) <= n_max + 1:
-        _fill_exponential_sum(ground, phase, env.beta, amplitude)
+        _fill_exponential_sum(ground, phase, env.beta, system.initial_state.amplitude)
     elif levels:
         _fill_matrix_form(ground, phase, env.beta)
     return NestedTable(system, env, n_max, clamp_probability_array(ground))
@@ -227,20 +223,17 @@ def approx_closed_form(
     Keeping only the k = n binomial weight and summing the remaining
     geometric series gives
 
-        P_g(t) ~ (1/4) * (2 - z^(t/(beta dt)) - conj(z)^(t/(beta dt))),
+        P_g(t) ~ 1/2 + a Re z^(t/(beta dt)),
         z = 1 - beta * (1 - exp(-2 i dt omega)),
 
-    which is real. Good for beta near 1 and 2 omega dt < pi (the principal
-    branch of the complex power); elsewhere it is only indicative.
+    with a = `InitialState.amplitude`. Good for beta near 1 and 2 omega dt < pi
+    (the principal branch of the complex power); elsewhere it is only indicative.
     """
     if t_coord < 0.0:
         raise ValueError(f"coordinate time must be non-negative, got {t_coord}")
     z = 1.0 - env.beta * (1.0 - np.exp(-2.0j * env.dt * system.omega))
     w = z ** (t_coord / (env.beta * env.dt))
-    val = 0.5 * (1.0 - w.real)
-    if system.initial_state is InitialState.GROUND:
-        val = 0.5 * (1.0 + w.real)
-    return clamp_probability(float(val))
+    return clamp_probability(float(0.5 + system.initial_state.amplitude * w.real))
 
 
 def approx_gamma(system: RabiSystem, env: IndistinguishableEnv) -> float:

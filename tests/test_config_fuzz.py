@@ -1,7 +1,8 @@
 """Config fuzzer: one mutation of a shipped preset, run through `cli.main`.
 
-Whatever the mutation, the CLI exits 0, 2 or 3 with at most one stderr line,
-an exit-2 line names the key path first, and no exception escapes `main`.
+Whatever the mutation, and in either initial state, the CLI exits 0, 2 or 3
+with at most one stderr line, an exit-2 line names the key path first, and no
+exception escapes `main`.
 The Monte Carlo preset runs with a small ensemble, and every size a mutation
 can set is either the preset's own or far over the work budget, so each run
 takes milliseconds."""
@@ -47,9 +48,10 @@ def at(data, path):
 
 @st.composite
 def mutated_presets(draw):
-    """(preset name, description, mutated config)."""
+    """(preset name, description, mutated config), prepared in either state."""
     name = draw(st.sampled_from(sorted(PRESETS)))
     data = copy.deepcopy(PRESETS[name])
+    state = data["system"]["initial_state"] = draw(st.sampled_from(["excited", "ground"]))
     if "mc" in data:
         data["mc"]["n_systems"] = min(data["mc"]["n_systems"], N_SYSTEMS_CAP)
     paths = list(key_paths(data))
@@ -64,7 +66,7 @@ def mutated_presets(draw):
     else:
         value = draw(st.sampled_from(SECTION_VALUES if how == "section type" else VALUES))
         at(data, path[:-1])[path[-1]] = value
-    return name, f"{how} {'.'.join(path) or '<top>'}", data
+    return name, f"{state}: {how} {'.'.join(path) or '<top>'}", data
 
 
 def run_cli(data):

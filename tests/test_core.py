@@ -57,6 +57,17 @@ class TestBornProb:
         with pytest.raises(ValueError):
             born_ground_prob(RabiSystem(1.0), -0.1)
 
+    @pytest.mark.parametrize("state", list(InitialState))
+    def test_born_law_oscillates_with_the_amplitude(self, state):
+        # P_g = 1/2 + a cos(2 phase); the array law is the scalar one elementwise
+        phase = np.linspace(0.0, 20.0, 101)
+        law = state.born_ground(phase)
+        assert state.amplitude == (-0.5 if state is InitialState.EXCITED else 0.5)
+        np.testing.assert_allclose(law, 0.5 + state.amplitude * np.cos(2.0 * phase),
+                                   rtol=0.0, atol=1e-15)
+        system = RabiSystem(1.0, state)
+        assert law.tolist() == [born_ground_prob(system, t) for t in phase.tolist()]
+
 
 class TestBinomialWeight:
     def test_certain_survival(self):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rabideco.core import InitialState, RabiSystem, born_ground_prob, clamp_probability_array
 from rabideco.distinguishable import (
     DistinguishableEnv,
-    _born_ground_array,
     build_predictor,
     epoch_map_spectrum,
     predict_excited_prob,
@@ -362,7 +361,7 @@ def previous_build_predictor(system, env, n_max):
         stop = min(start + PREVIOUS_CHUNK, n_max + 1)
         epochs = np.arange(start, stop, dtype=float)
         w = weights[start - 1:stop - 1]  # level n-1's weight for epoch n
-        base = w * _born_ground_array(system, dt * epochs) + 0.5 * (1.0 - w)
+        base = w * system.initial_state.born_ground(omega * (dt * epochs)) + 0.5 * (1.0 - w)
         turns = np.exp(2j * omega * dt * epochs)  # e^{2i omega n dt}
         chunk_b, chunk_r, chunk_i = [], [], []
         for a, x, y in zip(base.tolist(), turns.real.tolist(), turns.imag.tolist()):
@@ -390,7 +389,8 @@ def previous_sample_series(system, env, n_max, grid):
     times = np.asarray(grid, dtype=float)
     n = np.floor(times / env.dt).astype(int)
     rotated = coeffs[n] * np.exp(2j * system.omega * times)
-    probs = weights[n] * _born_ground_array(system, times) + 0.5 * (1.0 - weights[n]) + rotated.real
+    born = system.initial_state.born_ground(system.omega * times)
+    probs = weights[n] * born + 0.5 * (1.0 - weights[n]) + rotated.real
     return boundary, clamp_probability_array(probs)
 
 

@@ -798,6 +798,63 @@ class TestArithmeticCrashes:
         assert err.startswith("numerical failure:")
 
 
+class TestGroundPreparation:
+    """Collapses onto energy eigenstates make every decay factor independent of
+    the eigenstate the ensemble starts in: a preset run through `cli.main` with
+    only `system.initial_state` flipped to ground fits the excited preset's
+    gamma, and the master-equation baseline, which models excited preparation
+    only, rejects ground at its key."""
+
+    @staticmethod
+    def write_flipped(tmp_path, preset, state):
+        data = json.loads((CONFIG_DIR / f"{preset}.json").read_text())
+        data["system"]["initial_state"] = state
+        cfg_path = tmp_path / f"{preset}_{state}.json"
+        cfg_path.write_text(json.dumps(data, indent=2))
+        return cfg_path, data["output"]["prefix"]
+
+    def summary(self, tmp_path, preset, state, command="experiment"):
+        cfg_path, prefix = self.write_flipped(tmp_path, preset, state)
+        out = tmp_path / state
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        return json.loads((out / f"{prefix}.json").read_text())
+
+    @pytest.mark.parametrize("preset", ["fig2a", "fig2b", "fig2a_consistent",
+                                        "fig2b_consistent", "fig3"])
+    def test_figure_fits_the_excited_gamma(self, tmp_path, preset):
+        ground, excited = (self.summary(tmp_path, preset, s) for s in ("ground", "excited"))
+        assert ground["parameters"]["initial_state"] == "ground"
+        assert ground["fit"]["gamma"] == pytest.approx(excited["fit"]["gamma"],
+                                                       rel=1e-12, abs=0.0)
+        assert ground["pass"] is excited["pass"] is True
+
+    def test_fig5_fits_every_excited_gamma_n(self, tmp_path):
+        ground, excited = (self.summary(tmp_path, "fig5", s) for s in ("ground", "excited"))
+        assert len(ground["rows"]) == len(excited["rows"])
+        for got, want in zip(ground["rows"], excited["rows"]):
+            assert got["gamma_n"] == pytest.approx(want["gamma_n"], rel=1e-12, abs=0.0)
+        assert ground["power_law"]["exponent"] == pytest.approx(
+            excited["power_law"]["exponent"], rel=1e-12, abs=0.0)
+        assert ground["pass"] is excited["pass"] is True
+
+    def test_oracle_check_passes(self, tmp_path):
+        summary = self.summary(tmp_path, "oracle_check", "ground", "oracle-check")
+        assert summary["parameters"]["initial_state"] == "ground"
+        assert summary["pass"] is True
+
+    @pytest.mark.parametrize("preset", ["master_eq", "fig5_master_eq"])
+    def test_master_eq_baseline_rejects_ground(self, tmp_path, capsys, preset):
+        cfg_path, _ = self.write_flipped(tmp_path, preset, "ground")
+        code = cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err_lines = capsys.readouterr().err.splitlines()
+        line = next(i for i, text in enumerate(cfg_path.read_text().splitlines(), start=1)
+                    if '"initial_state"' in text)
+        assert code == 2
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"config error: system.initial_state (line {line}): ")
+        assert "excited preparation only" in err_lines[0]
+
+
 def perfbench_configs():
     """Every item config of the benchmark's four workloads at seeds 1 and 2."""
     root = CONFIG_DIR.parent

@@ -88,6 +88,16 @@ class TestDampedSinusoidFit:
         fit = fit_damped_sinusoid(series, omega_hint=1.0)
         assert abs(fit.gamma) < 1e-6
 
+    def test_ground_prepared_mirror_fits_the_same(self):
+        # 1 - y starts at 1 > 1/2, so its fit starts from amplitude +1/2 and
+        # mirrors the fit of y step for step
+        series, omega = preset_series("fig2a")
+        mirror = ProbabilitySeries(series.times, 1.0 - series.probs, {})
+        got, want = (fit_damped_sinusoid(s, omega) for s in (mirror, series))
+        assert got.amplitude == -want.amplitude == 0.5
+        assert got.gamma == pytest.approx(want.gamma, rel=1e-12, abs=0.0)
+        assert got.omega_fit == pytest.approx(want.omega_fit, rel=1e-12, abs=0.0)
+
     def test_hint_need_not_be_exact(self):
         series = series_from(lambda t: 0.5 * (1.0 - np.exp(-0.03 * t) * np.cos(2.0 * 1.1 * t)))
         fit = fit_damped_sinusoid(series, omega_hint=1.0)
@@ -223,7 +233,8 @@ def reference_fit(
     """Least-squares fit of the damped sinusoid to a probability series.
 
     By default gamma and omega are free (gamma starts at 0, omega at
-    omega_hint) while amplitude = -1/2, offset = 1/2, phase = 0 stay fixed.
+    omega_hint) while offset = 1/2, phase = 0 and the amplitude stay fixed:
+    +1/2 when the first sample is above 1/2 (ground preparation), else -1/2.
     The series must have at least 10 points spanning two oscillation
     periods of the hinted frequency. A constant series yields a flat fit
     flagged degenerate with gamma = nan.
@@ -260,7 +271,7 @@ def reference_fit(
             degenerate=True,
         )
 
-    params = np.array([0.0, omega_hint, -0.5, 0.5, 0.0])
+    params = np.array([0.0, omega_hint, 0.5 if y[0] > 0.5 else -0.5, 0.5, 0.0])
     free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
 
     resid = reference_model(t, params) - y
@@ -476,10 +487,12 @@ class TestAgainstReferenceFit:
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(0.0, 0.3), omega=st.floats(0.3, 3.0),
            n=st.integers(10, 400), noise=st.floats(0.0, 0.05),
-           hint=st.floats(0.8, 1.2), seed=st.integers(0, 2**32 - 1))
-    def test_property(self, gamma, omega, n, noise, hint, seed):
+           hint=st.floats(0.8, 1.2), seed=st.integers(0, 2**32 - 1),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_property(self, gamma, omega, n, noise, hint, seed, sign):
+        # sign -1 (excited) starts at 0, sign +1 (ground) at 1
         t = np.linspace(0.0, 8.0 * math.pi / omega, n)
-        y = 0.5 * (1.0 - np.exp(-gamma * omega * t) * np.cos(2.0 * omega * t))
+        y = 0.5 * (1.0 + sign * np.exp(-gamma * omega * t) * np.cos(2.0 * omega * t))
         y += noise * np.random.default_rng(seed).standard_normal(n)
         assert_close_fit(ProbabilitySeries(t, y, {}), omega_hint=hint * omega)
 
