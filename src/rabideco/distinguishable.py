@@ -58,7 +58,6 @@ import numpy as np
 from .core import (
     ProbabilitySeries,
     RabiSystem,
-    clamp_probability,
     clamp_probability_array,
 )
 
@@ -166,8 +165,7 @@ def _ground(pred: PiecewisePredictor, times: np.ndarray) -> np.ndarray:
 
 def predict_ground_prob(pred: PiecewisePredictor, t_coord: float) -> float:
     """Predicted probability to find a member in the ground state at t_coord."""
-    _check_built_range(pred, t_coord)
-    return clamp_probability(float(_ground(pred, np.array([t_coord]))[0]))
+    return float(sample_series(pred, [t_coord]).probs[0])
 
 
 def predict_excited_prob(pred: PiecewisePredictor, t_coord: float) -> float:

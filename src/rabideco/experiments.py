@@ -125,7 +125,7 @@ _PER_POINT = 44  # a grid point: series, fit and the output text
 # keeps every interval index n an exact integer, and over-budget grids still
 # exit 2 at their keys
 _PER_EPOCH = 10
-_PER_CELL = 3  # a nested table cell
+_PER_CELL = 3  # a nested table cell, charged per level though only the top row is held
 _PER_ENTRY = 2  # a matrix-form entry, when the nested table takes that path
 
 
@@ -155,7 +155,11 @@ def _oracle_sizes(cfg) -> list:
 
 
 def _nested_sizes(t_end: float, env, t_key: str, dt_key: str = "env.dt") -> list:
-    """The table (max_events + 1)(n_max + 1), plus (n_max + 1)^2 on the matrix path."""
+    """The table (max_events + 1)(n_max + 1), plus (n_max + 1)^2 on the matrix path.
+
+    The table holds one row of n_max + 1 now; the per-level charge is kept so
+    that the same configs exit 2 as when it held every level.
+    """
     columns = t_end / env.beta / env.dt + 2.0  # n_max + 1 = ceil(t / (beta dt)) + 2
     levels = _size(env.max_events) + 1.0
     words = _PER_CELL * levels * columns
@@ -599,14 +603,14 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
     """Write any result type of this module as CSV/JSON/SVG files named by the
     config prefix, each rewritten in place; returns their paths in the order
     csv, json, svg."""
+    unknown = set(formats) - {"csv", "json", "svg"}
+    if unknown:
+        raise ConfigError(f"unknown output format(s): {sorted(unknown)}", "format")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    unknown = set(formats) - {"csv", "json", "svg"}
-    if unknown:
-        raise ConfigError(f"unknown output format(s): {sorted(unknown)}", "format")
     writers = {"csv": result.csv,
                "json": lambda: json.dumps(result.summary(cfg), indent=2, sort_keys=True) + "\n",
                "svg": lambda: result.svg(cfg)}

@@ -19,9 +19,9 @@ sum_k b(n, k) x^k y^(n-k) = (beta x + (1-beta) y)^n sends each term a z^n
 to the two terms (a/2) (beta z + (1-beta) u)^n and
 (a/2) (beta z + (1-beta) conj(u))^n.
 Level j is therefore an exact sum of 2^j exponentials, every node on the
-chord between u and conj(u), and costs O(2^j n) with no binomial masses.
-Deep truncations (2^(i+1) > n_max + 1) apply the matrix form instead, at
-O(i n^2). The literal nested sum would cost O(n^i).
+chord between u and conj(u). The table holds level i alone, at O(2^i n) with
+no binomial masses; deep truncations (2^(i+1) > n_max + 1) apply g <- S + M g
+i times instead, at O(i n^2). The literal nested sum would cost O(n^i).
 
 Coordinate time enters through the mean of the binomial distribution:
 after stepping to n dt, on average beta*n intervals precede the last
@@ -69,11 +69,11 @@ class IndistinguishableEnv:
 
 @dataclass(frozen=True, eq=False)
 class NestedTable:
-    """Per-level probability rows at the discrete times k dt.
+    """The top truncation level at the discrete times k dt.
 
-    ground[j, k] is the ground probability at k dt allowing at most j
-    collapses, j = 0..max_events, k = 0..n_max; `excited` is its
-    complement. Immutable after construction; concurrent queries are safe.
+    ground[k] is the ground probability at k dt allowing at most
+    env.max_events collapses, k = 0..n_max; `excited` is its complement.
+    A lower level is its own table. Immutable; concurrent queries are safe.
     """
 
     system: RabiSystem
@@ -93,64 +93,60 @@ _BLOCK = 1 << 16
 def build_nested_table(
     system: RabiSystem, env: IndistinguishableEnv, n_max: int
 ) -> NestedTable:
-    """Every truncation level 0..max_events at the times k dt, k = 0..n_max.
+    """The truncation level max_events at the times k dt, k = 0..n_max.
 
-    Takes whichever exact form does less work: the exponential sum, about
-    2^(i+1) (n_max + 1) terms over all levels, while 2^(i+1) <= n_max + 1;
-    else the matrix form, whose M has (n_max + 1)^2 entries.
+    Takes whichever exact form does less work: the exponential sum, 2^i
+    nodes by n_max + 1 columns, while 2^(i+1) <= n_max + 1; else the matrix
+    form, whose M has (n_max + 1)^2 entries.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     levels = env.max_events
     phase = system.omega * env.dt
     ks = np.arange(n_max + 1)
-    ground = np.empty((levels + 1, n_max + 1))
-    ground[0] = system.initial_state.born_ground(phase * ks)
-
-    if env.beta == 1.0:
-        ground[1:] = ground[0]  # no collapse ever happens: every level is Born
-    elif 2 ** (levels + 1) <= n_max + 1:
-        _fill_exponential_sum(ground, phase, env.beta, system.initial_state.amplitude)
-    elif levels:
-        _fill_matrix_form(ground, phase, env.beta)
+    ground = system.initial_state.born_ground(phase * ks)
+    if env.beta < 1.0 and levels:  # at beta = 1 no collapse ever happens: every level is Born
+        if 2 ** (levels + 1) <= n_max + 1:
+            ground = _exponential_sum(ks, levels, phase, env.beta, system.initial_state.amplitude)
+        else:
+            ground = _matrix_form(ground, levels, phase, env.beta)
     return NestedTable(system, env, n_max, clamp_probability_array(ground))
 
 
-def _fill_exponential_sum(ground: np.ndarray, phase: float, beta: float,
-                          amplitude: float) -> None:
-    """Levels 1.. as 1/2 + (amplitude / 2^j) Re sum_m z_m^n.
+def _exponential_sum(ns: np.ndarray, levels: int, phase: float, beta: float,
+                     amplitude: float) -> np.ndarray:
+    """Level `levels` as 1/2 + (amplitude / 2^levels) Re sum_m z_m^n.
 
     Every node is z = cos(2 phase) + i s sin(2 phase) with s in [-1, 1]:
     level 0 has s = 1, and the two images of a node have
     s -> 1 - beta (1 - s) and s -> beta (1 + s) - 1.
     """
-    ns = np.arange(ground.shape[1])
     cos_2p, sin_2p = math.cos(2.0 * phase), math.sin(2.0 * phase)
     s = np.ones(1)
-    for j in range(1, ground.shape[0]):
+    for _ in range(levels):
         s = np.concatenate((1.0 - beta * (1.0 - s), beta * (1.0 + s) - 1.0))
-        # log|z| from 1 - |z|^2 while that is small (exact 0 at s = 1), else
-        # from |z|^2 itself, which stays positive: cos(2 phase) is never 0
-        q = (1.0 - s) * (1.0 + s) * sin_2p**2
-        log_abs = 0.5 * np.where(q < 0.5, np.log1p(-np.minimum(q, 0.5)),
-                                 np.log(cos_2p**2 + (s * sin_2p) ** 2))
-        arg = np.arctan2(s * sin_2p, cos_2p)
-        total = np.zeros(len(ns))
-        step = max(1, _BLOCK // len(ns))
-        for lo in range(0, len(s), step):
-            blk = slice(lo, lo + step)
-            total += (np.exp(np.outer(log_abs[blk], ns))
-                      * np.cos(np.outer(arg[blk], ns))).sum(axis=0)
-        ground[j] = 0.5 + amplitude / 2**j * total
+    # log|z| from 1 - |z|^2 while that is small (exact 0 at s = 1), else
+    # from |z|^2 itself, which stays positive: cos(2 phase) is never 0
+    q = (1.0 - s) * (1.0 + s) * sin_2p**2
+    log_abs = 0.5 * np.where(q < 0.5, np.log1p(-np.minimum(q, 0.5)),
+                             np.log(cos_2p**2 + (s * sin_2p) ** 2))
+    arg = np.arctan2(s * sin_2p, cos_2p)
+    total = np.zeros(len(ns))
+    step = max(1, _BLOCK // len(ns))
+    for lo in range(0, len(s), step):
+        blk = slice(lo, lo + step)
+        total += (np.exp(np.outer(log_abs[blk], ns))
+                  * np.cos(np.outer(arg[blk], ns))).sum(axis=0)
+    return 0.5 + amplitude / 2**levels * total
 
 
-def _fill_matrix_form(ground: np.ndarray, phase: float, beta: float) -> None:
-    """Levels 1.. as g_j = S + M g_{j-1}, one binomial row per n.
+def _matrix_form(g: np.ndarray, levels: int, phase: float, beta: float) -> np.ndarray:
+    """Level `levels` from the Born row g by g <- S + M g, one binomial row per n.
 
     M is lower triangular with (n_max + 1)^2 entries; this path is taken
     only when the table is narrower than the exponential sum is long.
     """
-    n_cols = ground.shape[1]
+    n_cols = len(g)
     lags = np.arange(n_cols)
     cos_lag = np.cos(2.0 * phase * lags)
     sin2_lag = np.sin(phase * lags) ** 2
@@ -160,23 +156,9 @@ def _fill_matrix_form(ground: np.ndarray, phase: float, beta: float) -> None:
         w = binomial_weights_row(n, beta)
         mat[n, : n + 1] = w * cos_lag[n::-1]
         shift[n] = w @ sin2_lag[n::-1]
-    for j in range(1, ground.shape[0]):
-        ground[j] = shift + mat @ ground[j - 1]
-
-
-def _continuous_index(table: NestedTable, env: IndistinguishableEnv, t_coord: float) -> float:
-    if t_coord < 0.0:
-        raise ValueError(f"coordinate time must be non-negative, got {t_coord}")
-    n_star = t_coord / (env.beta * env.dt)
-    if n_star > table.n_max:
-        # Tolerate the last grid point landing epsilon past the table edge.
-        if n_star <= table.n_max * (1.0 + 1e-12) + 1e-12:
-            return float(table.n_max)
-        raise ValueError(
-            f"t={t_coord} maps to index {n_star:.3f} beyond the table "
-            f"(n_max={table.n_max}); rebuild with a larger n_max"
-        )
-    return n_star
+    for _ in range(levels):
+        g = shift + mat @ g
+    return g
 
 
 def rescale_to_coordinate_time(
@@ -194,7 +176,9 @@ def rescale_to_coordinate_time(
 def sample_rescaled_series(
     table: NestedTable, env: IndistinguishableEnv, grid
 ) -> ProbabilitySeries:
-    """`rescale_to_coordinate_time` over a sorted grid, in one interpolation."""
+    """`rescale_to_coordinate_time` over a sorted grid, with the table's own env."""
+    if env != table.env:
+        raise ValueError(f"env {env} differs from the table's {table.env}")
     times = np.asarray(grid, dtype=float)
     meta = {
         "predictor": "indistinguishable",
@@ -208,10 +192,16 @@ def sample_rescaled_series(
         return ProbabilitySeries(times, np.empty(0), meta)
     if np.any(np.diff(times) < 0.0):
         raise ValueError("grid must be sorted ascending")
-    _continuous_index(table, env, float(times[0]))
-    _continuous_index(table, env, float(times[-1]))
-    n_star = np.minimum(times / (env.beta * env.dt), float(table.n_max))
-    probs = np.interp(n_star, np.arange(table.n_max + 1), table.ground[-1])
+    if times[0] < 0.0:
+        raise ValueError(f"coordinate time must be non-negative, got {times[0]}")
+    n_star = times / (env.beta * env.dt)
+    # tolerate the last point landing epsilon past the edge: np.interp holds ground[-1]
+    if n_star[-1] > table.n_max * (1.0 + 1e-12) + 1e-12:
+        raise ValueError(
+            f"t={times[-1]} maps to index {n_star[-1]:.3f} beyond the table "
+            f"(n_max={table.n_max}); rebuild with a larger n_max"
+        )
+    probs = np.interp(n_star, np.arange(table.n_max + 1), table.ground)
     return ProbabilitySeries(times, clamp_probability_array(probs), meta)
 
 

@@ -61,8 +61,8 @@ def assert_matches_sweep(eta, omega_dt, state, n_max, n_points=301):
     boundary, probs = sweep_reference(system, env, n_max, grid)
     series = sample_series(pred, grid)
     # p is continuous at each epoch, so the query at n dt meets p_{n-1}(n dt)
-    for n in range(n_max + 1):
-        assert abs(predict_ground_prob(pred, n * omega_dt) - boundary[n]) <= 1e-12, n
+    at_epochs = sample_series(pred, omega_dt * np.arange(n_max + 1)).probs
+    assert float(np.max(np.abs(at_epochs - boundary))) <= 1e-12
     assert float(np.max(np.abs(series.probs - probs))) <= 1e-12
     assert np.all((series.probs >= 0.0) & (series.probs <= 1.0))
 
@@ -276,7 +276,7 @@ class TestLongRunBehaviour:
         trace = (1.0 + eta) * math.cos(2.0 * dt)
         assert trace ** 2 < 4.0 * eta
         pred = make(eta=eta, dt=dt, state=state)
-        x = np.array([predict_ground_prob(pred, n * dt) for n in range(pred.n_max + 1)]) - 0.5
+        x = sample_series(pred, dt * np.arange(pred.n_max + 1)).probs - 0.5
         residual = x[2:] - trace * x[1:-1] + eta * x[:-2]
         assert float(np.max(np.abs(residual))) <= 1e-12
 

@@ -487,6 +487,13 @@ class TestOutputs:
         with pytest.raises(ConfigError, match="format"):
             emit_outputs(run_experiment(cfg), cfg, tmp_path, ("pdf",))
 
+    def test_unknown_format_creates_no_directory(self, tmp_path):
+        cfg = config_from_dict(fig3_config())
+        out = tmp_path / "new" / "dir"
+        with pytest.raises(ConfigError, match="format"):
+            emit_outputs(run_experiment(cfg), cfg, out, ("png",))
+        assert not (tmp_path / "new").exists()
+
 
 class TestCli:
     def test_experiment_command(self, tmp_path, capsys):

@@ -1,17 +1,26 @@
+import dataclasses
 import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabideco import indistinguishable
-from rabideco.core import InitialState, ProbabilitySeries, RabiSystem, binomial_weight
+from rabideco.core import (
+    InitialState,
+    ProbabilitySeries,
+    RabiSystem,
+    binomial_weight,
+    binomial_weights_row,
+    clamp_probability_array,
+)
 from rabideco.fitting import fit_damped_sinusoid
 from rabideco.indistinguishable import (
     IndistinguishableEnv,
+    NestedTable,
     approx_closed_form,
     approx_gamma,
     build_nested_table,
@@ -60,6 +69,13 @@ def nested_sum_enumeration(omega, dt, beta, i, n):
     return total
 
 
+def every_level(system, env, n_max):
+    """Rows of the levels 0..env.max_events, one table per level."""
+    return np.array([
+        build_nested_table(system, dataclasses.replace(env, max_events=j), n_max).ground
+        for j in range(env.max_events + 1)])
+
+
 class TestEnv:
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
@@ -75,16 +91,16 @@ class TestEnv:
 class TestTable:
     def test_isolated_reduction_all_levels(self):
         env = IndistinguishableEnv(dt=0.45, beta=1.0, max_events=4)
-        table = build_nested_table(RabiSystem(1.0), env, 25)
+        ground = every_level(RabiSystem(1.0), env, 25)
         for j in range(5):
             for k in range(26):
-                assert table.ground[j, k] == math.sin(k * 0.45) ** 2
+                assert ground[j, k] == math.sin(k * 0.45) ** 2
 
     def test_level_zero_is_born(self):
-        env = IndistinguishableEnv(dt=0.3, beta=0.6, max_events=2)
+        env = IndistinguishableEnv(dt=0.3, beta=0.6, max_events=0)
         table = build_nested_table(RabiSystem(1.4), env, 12)
         for k in range(13):
-            assert table.ground[0, k] == pytest.approx(math.sin(1.4 * 0.3 * k) ** 2, abs=1e-15)
+            assert table.ground[k] == pytest.approx(math.sin(1.4 * 0.3 * k) ** 2, abs=1e-15)
 
     def test_worked_single_event_case_term_by_term(self):
         # at most one collapse in four epochs: the five-term expansion
@@ -99,14 +115,14 @@ class TestTable:
             )
             for k in range(5)
         )
-        assert table.ground[1, 4] == pytest.approx(expected, abs=1e-14)
+        assert table.ground[4] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7, 12])
     def test_single_event_general_row(self, n):
         omega, dt, beta = 0.9, 0.35, 0.7
         env = IndistinguishableEnv(dt=dt, beta=beta, max_events=1)
         table = build_nested_table(RabiSystem(omega), env, 12)
-        assert table.ground[1, n] == pytest.approx(
+        assert table.ground[n] == pytest.approx(
             single_event_formula(omega, dt, beta, n), abs=1e-13
         )
 
@@ -118,23 +134,21 @@ class TestTable:
         table = build_nested_table(RabiSystem(omega), env, 6)
         for n in range(7):
             assert abs(
-                table.ground[i, n] - nested_sum_enumeration(omega, dt, beta, i, n)
+                table.ground[n] - nested_sum_enumeration(omega, dt, beta, i, n)
             ) < 1e-12
 
     def test_complementarity_every_level(self):
         env = IndistinguishableEnv(dt=0.6, beta=0.9, max_events=5)
-        table = build_nested_table(RabiSystem(1.0), env, 40)
-        np.testing.assert_allclose(table.ground + table.excited, 1.0, atol=1e-12)
+        for j in range(6):
+            table = build_nested_table(RabiSystem(1.0), dataclasses.replace(env, max_events=j), 40)
+            np.testing.assert_allclose(table.ground + table.excited, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [0.99, 0.995])
     @pytest.mark.parametrize("dt", [0.015, 0.1, 0.5])
     def test_truncation_differences_shrink(self, beta, dt):
         env = IndistinguishableEnv(dt=dt, beta=beta, max_events=6)
-        table = build_nested_table(RabiSystem(1.0), env, 20)
-        diffs = [
-            float(np.max(np.abs(table.ground[j + 1] - table.ground[j])))
-            for j in range(6)
-        ]
+        ground = every_level(RabiSystem(1.0), env, 20)
+        diffs = [float(np.max(np.abs(ground[j + 1] - ground[j]))) for j in range(6)]
         assert all(a >= b for a, b in zip(diffs, diffs[1:]))
 
     def test_truncation_converged_at_small_phase(self):
@@ -142,16 +156,15 @@ class TestTable:
         # so for interference scales well inside a Rabi period the order-5
         # truncation is settled to better than 1e-3 over the first 20 steps
         env = IndistinguishableEnv(dt=0.015, beta=0.995, max_events=6)
-        table = build_nested_table(RabiSystem(1.0), env, 20)
-        assert float(np.max(np.abs(table.ground[6] - table.ground[5]))) < 1e-3
+        ground = every_level(RabiSystem(1.0), env, 20)
+        assert float(np.max(np.abs(ground[6] - ground[5]))) < 1e-3
 
     def test_scale_invariance(self):
         c = 2.5
         env = IndistinguishableEnv(dt=0.4, beta=0.9, max_events=3)
         env_scaled = IndistinguishableEnv(dt=0.4 / c, beta=0.9, max_events=3)
-        t1 = build_nested_table(RabiSystem(1.0), env, 15)
-        t2 = build_nested_table(RabiSystem(c), env_scaled, 15)
-        np.testing.assert_allclose(t1.ground, t2.ground, atol=1e-12)
+        np.testing.assert_allclose(every_level(RabiSystem(1.0), env, 15),
+                                   every_level(RabiSystem(c), env_scaled, 15), atol=1e-12)
 
 
 @functools.lru_cache(maxsize=8)
@@ -206,6 +219,85 @@ def mp_top_level(omega, dt, beta, i, ns, state):
                 for n in ns]
 
 
+# The table builder before it kept the top level alone, verbatim but for the
+# names: every level 0..max_events in a (max_events + 1, n_max + 1) array.
+_PREVIOUS_BLOCK = 1 << 16
+
+
+def previous_build_nested_table(
+    system: RabiSystem, env: IndistinguishableEnv, n_max: int
+) -> NestedTable:
+    """Every truncation level 0..max_events at the times k dt, k = 0..n_max.
+
+    Takes whichever exact form does less work: the exponential sum, about
+    2^(i+1) (n_max + 1) terms over all levels, while 2^(i+1) <= n_max + 1;
+    else the matrix form, whose M has (n_max + 1)^2 entries.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    levels = env.max_events
+    phase = system.omega * env.dt
+    ks = np.arange(n_max + 1)
+    ground = np.empty((levels + 1, n_max + 1))
+    ground[0] = system.initial_state.born_ground(phase * ks)
+
+    if env.beta == 1.0:
+        ground[1:] = ground[0]  # no collapse ever happens: every level is Born
+    elif 2 ** (levels + 1) <= n_max + 1:
+        _previous_fill_exponential_sum(ground, phase, env.beta, system.initial_state.amplitude)
+    elif levels:
+        _previous_fill_matrix_form(ground, phase, env.beta)
+    return NestedTable(system, env, n_max, clamp_probability_array(ground))
+
+
+def _previous_fill_exponential_sum(ground: np.ndarray, phase: float, beta: float,
+                                   amplitude: float) -> None:
+    """Levels 1.. as 1/2 + (amplitude / 2^j) Re sum_m z_m^n.
+
+    Every node is z = cos(2 phase) + i s sin(2 phase) with s in [-1, 1]:
+    level 0 has s = 1, and the two images of a node have
+    s -> 1 - beta (1 - s) and s -> beta (1 + s) - 1.
+    """
+    ns = np.arange(ground.shape[1])
+    cos_2p, sin_2p = math.cos(2.0 * phase), math.sin(2.0 * phase)
+    s = np.ones(1)
+    for j in range(1, ground.shape[0]):
+        s = np.concatenate((1.0 - beta * (1.0 - s), beta * (1.0 + s) - 1.0))
+        # log|z| from 1 - |z|^2 while that is small (exact 0 at s = 1), else
+        # from |z|^2 itself, which stays positive: cos(2 phase) is never 0
+        q = (1.0 - s) * (1.0 + s) * sin_2p**2
+        log_abs = 0.5 * np.where(q < 0.5, np.log1p(-np.minimum(q, 0.5)),
+                                 np.log(cos_2p**2 + (s * sin_2p) ** 2))
+        arg = np.arctan2(s * sin_2p, cos_2p)
+        total = np.zeros(len(ns))
+        step = max(1, _PREVIOUS_BLOCK // len(ns))
+        for lo in range(0, len(s), step):
+            blk = slice(lo, lo + step)
+            total += (np.exp(np.outer(log_abs[blk], ns))
+                      * np.cos(np.outer(arg[blk], ns))).sum(axis=0)
+        ground[j] = 0.5 + amplitude / 2**j * total
+
+
+def _previous_fill_matrix_form(ground: np.ndarray, phase: float, beta: float) -> None:
+    """Levels 1.. as g_j = S + M g_{j-1}, one binomial row per n.
+
+    M is lower triangular with (n_max + 1)^2 entries; this path is taken
+    only when the table is narrower than the exponential sum is long.
+    """
+    n_cols = ground.shape[1]
+    lags = np.arange(n_cols)
+    cos_lag = np.cos(2.0 * phase * lags)
+    sin2_lag = np.sin(phase * lags) ** 2
+    mat = np.zeros((n_cols, n_cols))
+    shift = np.empty(n_cols)
+    for n in range(n_cols):
+        w = binomial_weights_row(n, beta)
+        mat[n, : n + 1] = w * cos_lag[n::-1]
+        shift[n] = w @ sin2_lag[n::-1]
+    for j in range(1, ground.shape[0]):
+        ground[j] = shift + mat @ ground[j - 1]
+
+
 def _row_calls(monkeypatch):
     calls = []
     row = indistinguishable.binomial_weights_row
@@ -229,9 +321,9 @@ class TestAgainstDynamicProgram:
     def test_every_level(self, beta, omega_dt, state, i, n_max):
         system = RabiSystem(1.0, state)
         env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
-        table = build_nested_table(system, env, n_max)
+        ground = every_level(system, env, n_max)
         ref = dp_reference(system, env, n_max)
-        assert float(np.max(np.abs(table.ground - ref))) <= 1e-12
+        assert float(np.max(np.abs(ground - ref))) <= 1e-12
 
     def test_node_near_the_origin(self):
         # beta = 1/2 and 2 omega dt = pi/2 put a level-1 node at
@@ -239,8 +331,8 @@ class TestAgainstDynamicProgram:
         system = RabiSystem(1.0)
         env = IndistinguishableEnv(dt=math.pi / 4, beta=0.5, max_events=2)
         with np.errstate(divide="raise", invalid="raise"):
-            table = build_nested_table(system, env, 40)
-        assert float(np.max(np.abs(table.ground - dp_reference(system, env, 40)))) <= 1e-12
+            ground = every_level(system, env, 40)
+        assert float(np.max(np.abs(ground - dp_reference(system, env, 40)))) <= 1e-12
 
     @pytest.mark.parametrize("beta, i, n_max, rows", [
         (0.9, 6, 127, 0), (0.9, 6, 126, 127), (0.9, 1, 3, 0), (0.9, 1, 2, 3),
@@ -263,12 +355,10 @@ class TestAgainstDynamicProgram:
     def test_property(self, beta, omega_dt, i, n_max, state):
         system = RabiSystem(1.0, state)
         env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
-        table = build_nested_table(system, env, n_max)
-        assert table.ground.shape == (i + 1, n_max + 1)
-        assert np.all((table.ground >= 0.0) & (table.ground <= 1.0))
-        assert np.all((table.excited >= 0.0) & (table.excited <= 1.0))
+        ground = every_level(system, env, n_max)
+        assert np.all((ground >= 0.0) & (ground <= 1.0))
         ref = dp_reference(system, env, n_max)
-        assert float(np.max(np.abs(table.ground - ref))) <= 1e-12
+        assert float(np.max(np.abs(ground - ref))) <= 1e-12
 
     @pytest.mark.parametrize("state", list(InitialState))
     @pytest.mark.parametrize("beta, omega_dt", [(0.995, 0.7), (0.9, 0.05), (0.998, 1.9)])
@@ -277,8 +367,32 @@ class TestAgainstDynamicProgram:
         table = build_nested_table(RabiSystem(1.0, state), env, 1600)
         ns = list(range(0, 1601, 50)) + [1599]
         want = mp_top_level(1.0, omega_dt, beta, 5, ns, state)
-        got = table.ground[5, ns]
+        got = table.ground[ns]
         assert float(np.max(np.abs(got - np.array(want)))) <= 1e-13
+
+
+class TestAgainstPreviousTable:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        beta=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+        omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
+        i=st.integers(0, 8),
+        n_max=st.integers(0, 300),
+        state=st.sampled_from(list(InitialState)),
+    )
+    # both sides of the path rule 2^(i+1) <= n_max + 1, and beta = 1
+    @example(beta=0.9, omega_dt=0.7, i=5, n_max=63, state=InitialState.EXCITED)
+    @example(beta=0.9, omega_dt=0.7, i=5, n_max=62, state=InitialState.GROUND)
+    @example(beta=0.3, omega_dt=2.9, i=8, n_max=300, state=InitialState.EXCITED)
+    @example(beta=0.6, omega_dt=1.1, i=7, n_max=300, state=InitialState.GROUND)
+    @example(beta=1.0, omega_dt=0.4, i=6, n_max=200, state=InitialState.EXCITED)
+    def test_top_row_bit_for_bit(self, beta, omega_dt, i, n_max, state):
+        system = RabiSystem(1.0, state)
+        env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
+        table = build_nested_table(system, env, n_max)
+        assert table.ground.shape == (n_max + 1,)
+        np.testing.assert_array_equal(
+            table.ground, previous_build_nested_table(system, env, n_max).ground[-1])
 
 
 class TestRescale:
@@ -294,12 +408,12 @@ class TestRescale:
         table, env = self.make()
         for k in (1, 5, 33):
             t = k * env.beta * env.dt
-            assert rescale_to_coordinate_time(table, env, t) == table.ground[-1, k]
+            assert rescale_to_coordinate_time(table, env, t) == table.ground[k]
 
     def test_linear_between_columns(self):
         table, env = self.make()
         t = 7.5 * env.beta * env.dt
-        mid = 0.5 * (table.ground[-1, 7] + table.ground[-1, 8])
+        mid = 0.5 * (table.ground[7] + table.ground[8])
         assert rescale_to_coordinate_time(table, env, t) == pytest.approx(mid, abs=1e-12)
 
     def test_isolated_curve_is_born(self):
@@ -315,6 +429,11 @@ class TestRescale:
         table, env = self.make(n_max=10)
         with pytest.raises(ValueError, match="n_max"):
             rescale_to_coordinate_time(table, env, 11.0 * env.beta * env.dt)
+
+    def test_env_must_be_the_tables(self):
+        table, env = self.make(beta=0.995)
+        with pytest.raises(ValueError, match="differs from the table's"):
+            sample_rescaled_series(table, dataclasses.replace(env, beta=0.9), [0.0, 1.0])
 
     def test_series_matches_scalar(self):
         table, env = self.make()
