@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ProbabilitySeries
+from .core import InvalidEntryError, ProbabilitySeries
 from .experiments import (
     ConfigError,
     ExperimentKind,
@@ -34,7 +34,7 @@ from .experiments import (
     run_experiment,
     run_oracle_check,
 )
-from .fitting import FitConvergenceError, fit_damped_sinusoid
+from .fitting import fit_damped_sinusoid
 
 
 @functools.cache
@@ -66,20 +66,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_series_csv(path: Path) -> ProbabilitySeries:
+def _read_series_csv(path: Path) -> tuple[ProbabilitySeries, list]:
+    """The series in a CSV file and the line each of its rows came from."""
+    rows, lines = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ConfigError(f"{path} has no usable header row", "series_csv")
         try:
-            rows = [(float(r[0]), float(r[1])) for r in reader]
-        except (IndexError, ValueError):
+            header = next(reader, None)
+            for r in reader:
+                rows.append((float(r[0]), float(r[1])))
+                lines.append(reader.line_num)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}", "series_csv") from None
+        except (IndexError, ValueError, csv.Error):
             raise ConfigError(f"{path} line {reader.line_num}: expected two numbers",
                               "series_csv") from None
-    times = np.array([r[0] for r in rows])
-    probs = np.array([r[1] for r in rows])
-    return ProbabilitySeries(times, probs, {"source": str(path)})
+    if header is None or len(header) < 2:
+        raise ConfigError(f"{path} has no usable header row", "series_csv")
+    times, probs = np.array(rows).reshape(-1, 2).T.copy()  # two contiguous rows
+    return ProbabilitySeries(times, probs, {"source": str(path)}), lines
 
 
 def _cmd_simulate(cfg, out_dir: Path, formats) -> int:
@@ -98,8 +103,12 @@ def _cmd_simulate(cfg, out_dir: Path, formats) -> int:
 
 def _cmd_fit(config_path: Path, out_dir: Path) -> int:
     cfg = load_fit_config(config_path)
-    series = _read_series_csv(cfg.series_csv)
-    fit = fit_damped_sinusoid(series, omega_hint=cfg.omega_hint, free_params=cfg.free_params)
+    series, lines = _read_series_csv(cfg.series_csv)
+    try:
+        fit = fit_damped_sinusoid(series, omega_hint=cfg.omega_hint, free_params=cfg.free_params)
+    except InvalidEntryError as exc:  # a time or sample of the file
+        raise ConfigError(f"{cfg.series_csv} line {lines[exc.index]}: {exc}",
+                          "series_csv") from None
     for path in emit_outputs(FitResult(fit), cfg, out_dir, ("json",)):
         print(path)
     return 0
@@ -129,8 +138,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, FitConvergenceError, np.linalg.LinAlgError,
-            RuntimeError, ValueError) as exc:
+    except (ArithmeticError, RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,11 +1,12 @@
 """Closed-form primitives for driven two-level systems.
 
-Angular frequencies are in radians per unit coordinate time. Probabilities
-are plain floats; `clamp_probability` absorbs accumulated rounding at the
-1e-12 level and treats anything worse as a bug.
-
-`InitialState` is the one place that decides the preparation: every predictor
-reads its Born law and the amplitude a of P_g = 1/2 + a cos(2 omega t) from it.
+Angular frequencies are in radians per unit coordinate time. This module is
+the one place that decides, for every predictor, the oracle and the fit, what
+a valid time is (`time_grid`: finite, non-negative, ascending), what a valid
+probability is (`clamp_probability_array` and its scalar view absorb rounding
+of at most PROB_TOL and raise on anything worse, NaN included) and how the
+system was prepared (`InitialState`: its Born law and the amplitude a of
+P_g = 1/2 + a cos(2 omega t)).
 """
 from __future__ import annotations
 
@@ -65,33 +66,48 @@ class ProbabilitySeries:
         return len(self.times)
 
 
-def clamp_probability(value: float, tol: float = PROB_TOL) -> float:
-    """Snap a float to [0, 1], tolerating rounding of at most `tol`.
+class InvalidEntryError(ValueError):
+    """`values[index]` is the first entry of an array that is not `rule`."""
 
-    Values outside [-tol, 1 + tol] indicate a genuine error upstream and
-    raise instead of being silently clipped.
-    """
-    if value < -tol or value > 1.0 + tol:
-        raise ValueError(f"not a probability (beyond {tol} slack): {value!r}")
-    return min(1.0, max(0.0, value))
+    def __init__(self, name: str, rule: str, values: np.ndarray, index: int):
+        super().__init__(f"{name} must be {rule}: {name}[{index}] = {values[index]}")
+        self.index = index
 
 
-def clamp_probability_array(values: np.ndarray, tol: float = PROB_TOL) -> np.ndarray:
-    """`clamp_probability` over a float array, in place; returns `values`."""
+def time_grid(grid) -> np.ndarray:
+    """`grid` as a 1-D float array; `InvalidEntryError` at its first time that is
+    NaN, infinite, negative or below the one before. Empty grids are valid."""
+    times = np.asarray(grid, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
+    bad = np.flatnonzero(~(np.isfinite(times) & (times >= np.append(0.0, times[:-1]))))
+    if bad.size:
+        raise InvalidEntryError("times", "finite, non-negative and sorted ascending", times,
+                                int(bad[0]))
+    return times
+
+
+def clamp_probability_array(values: np.ndarray) -> np.ndarray:
+    """Snap a float array to [0, 1] in place and return it. Values outside
+    [-PROB_TOL, 1 + PROB_TOL], or NaN, are an error upstream and raise."""
     lo = float(values.min(initial=0.0))
     hi = float(values.max(initial=0.0))
-    if lo < -tol or hi > 1.0 + tol:
-        raise ValueError(f"not probabilities (beyond {tol} slack): range [{lo}, {hi}]")
+    if not (lo >= -PROB_TOL and hi <= 1.0 + PROB_TOL):  # NaN fails both
+        raise ValueError(f"not probabilities (beyond {PROB_TOL} slack): range [{lo}, {hi}]")
     return np.clip(values, 0.0, 1.0, out=values)
+
+
+def clamp_probability(value: float) -> float:
+    """`clamp_probability_array` for one float."""
+    return float(clamp_probability_array(np.array([value]))[0])
 
 
 def born_ground_prob(system: RabiSystem, t: float) -> float:
     """Probability to find the system in the ground state after evolving for t:
     `InitialState.born_ground` at omega t. t is a duration since the (active or
-    passive) preparation and must be non-negative.
+    passive) preparation, valid for `time_grid`.
     """
-    if t < 0.0:
-        raise ValueError(f"evolution duration must be non-negative, got {t}")
+    (t,) = time_grid([t])
     return float(system.initial_state.born_ground(system.omega * t))
 
 

@@ -59,6 +59,7 @@ from .core import (
     ProbabilitySeries,
     RabiSystem,
     clamp_probability_array,
+    time_grid,
 )
 
 
@@ -134,17 +135,6 @@ def build_predictor(
     return PiecewisePredictor(system, env, n_max, squarings)
 
 
-def _check_built_range(pred: PiecewisePredictor, t_coord: float) -> None:
-    if t_coord < 0.0:
-        raise ValueError(f"coordinate time must be non-negative, got {t_coord}")
-    n = int(math.floor(t_coord / pred.env.dt))
-    if n > pred.n_max:
-        raise ValueError(
-            f"t={t_coord} lies beyond the built range "
-            f"[0, {(pred.n_max + 1) * pred.env.dt}); rebuild with n_max >= {n}"
-        )
-
-
 def _ground(pred: PiecewisePredictor, times: np.ndarray) -> np.ndarray:
     """p_n(t) for times inside the built range, unclamped."""
     dt, omega, prepared = pred.env.dt, pred.system.omega, pred.system.initial_state
@@ -174,8 +164,8 @@ def predict_excited_prob(pred: PiecewisePredictor, t_coord: float) -> float:
 
 
 def sample_series(pred: PiecewisePredictor, grid) -> ProbabilitySeries:
-    """Evaluate the ground-state predictor on a sorted, non-negative grid."""
-    times = np.asarray(grid, dtype=float)
+    """Evaluate the ground-state predictor on a `time_grid` inside the built range."""
+    times = time_grid(grid)
     meta = {
         "predictor": "distinguishable",
         "omega": pred.system.omega,
@@ -183,10 +173,10 @@ def sample_series(pred: PiecewisePredictor, grid) -> ProbabilitySeries:
         "dt": pred.env.dt,
         "eta": pred.env.eta,
     }
-    if times.size == 0:
-        return ProbabilitySeries(times, np.empty(0), meta)
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("grid must be sorted ascending")
-    _check_built_range(pred, float(times[0]))
-    _check_built_range(pred, float(times[-1]))
+    n = int(math.floor(times.max(initial=0.0) / pred.env.dt))
+    if n > pred.n_max:
+        raise ValueError(
+            f"t={times[-1]} lies beyond the built range "
+            f"[0, {(pred.n_max + 1) * pred.env.dt}); rebuild with n_max >= {n}"
+        )
     return ProbabilitySeries(times, clamp_probability_array(_ground(pred, times)), meta)

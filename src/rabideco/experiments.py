@@ -335,9 +335,11 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
 
 
 def _read_json_object(path) -> tuple[dict, str]:
-    raw_text = Path(path).read_text(encoding="utf-8")
     try:
+        raw_text = Path(path).read_text(encoding="utf-8")
         data = json.loads(raw_text)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", "", exc.lineno) from exc
     return data, raw_text

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProbabilitySeries, clamp_probability_array
+from .core import InvalidEntryError, ProbabilitySeries, clamp_probability_array, time_grid
 
 PARAM_ORDER = ("gamma", "omega", "amplitude", "offset", "phase")
 
@@ -71,15 +71,11 @@ def master_eq_prob(params: MasterEqParams, t: float) -> float:
     with mu = sqrt(4 O^2 - (G/4)^2), as `master_eq_series` evaluates it.
     Reduces to sin^2(O t) at G = 0.
     """
-    if t < 0.0:
-        raise ValueError(f"evolution duration must be non-negative, got {t}")
     return float(master_eq_series(params, [t]).probs[0])
 
 
 def master_eq_series(params: MasterEqParams, grid) -> ProbabilitySeries:
-    times = np.asarray(grid, dtype=float)
-    if times.size and times.min() < 0.0:
-        raise ValueError("grid times must be non-negative")
+    times = time_grid(grid)
     omega, g = params.omega, params.gamma_se
     mu = math.sqrt(4.0 * omega**2 - (g / 4.0) ** 2)
     pref = 4.0 * omega**2 / (g**2 + 8.0 * omega**2)
@@ -184,8 +180,11 @@ def fit_damped_sinusoid(
     if not free:
         raise ValueError("at least one parameter must be free")
 
-    t = np.asarray(series.times, dtype=float)
+    t = time_grid(series.times)
     y = np.asarray(series.probs, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise InvalidEntryError("probs", "finite", y, int(bad[0]))
     if t.size < 10:
         raise ValueError(f"need at least 10 points, got {t.size}")
     span = float(t[-1] - t[0])

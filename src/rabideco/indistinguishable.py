@@ -41,6 +41,7 @@ from .core import (
     binomial_weights_row,
     clamp_probability,
     clamp_probability_array,
+    time_grid,
 )
 
 
@@ -176,10 +177,10 @@ def rescale_to_coordinate_time(
 def sample_rescaled_series(
     table: NestedTable, env: IndistinguishableEnv, grid
 ) -> ProbabilitySeries:
-    """`rescale_to_coordinate_time` over a sorted grid, with the table's own env."""
+    """`rescale_to_coordinate_time` over a `time_grid`, with the table's own env."""
     if env != table.env:
         raise ValueError(f"env {env} differs from the table's {table.env}")
-    times = np.asarray(grid, dtype=float)
+    times = time_grid(grid)
     meta = {
         "predictor": "indistinguishable",
         "omega": table.system.omega,
@@ -188,15 +189,9 @@ def sample_rescaled_series(
         "beta": env.beta,
         "max_events": env.max_events,
     }
-    if times.size == 0:
-        return ProbabilitySeries(times, np.empty(0), meta)
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("grid must be sorted ascending")
-    if times[0] < 0.0:
-        raise ValueError(f"coordinate time must be non-negative, got {times[0]}")
     n_star = times / (env.beta * env.dt)
     # tolerate the last point landing epsilon past the edge: np.interp holds ground[-1]
-    if n_star[-1] > table.n_max * (1.0 + 1e-12) + 1e-12:
+    if n_star.max(initial=0.0) > table.n_max * (1.0 + 1e-12) + 1e-12:
         raise ValueError(
             f"t={times[-1]} maps to index {n_star[-1]:.3f} beyond the table "
             f"(n_max={table.n_max}); rebuild with a larger n_max"
@@ -219,10 +214,9 @@ def approx_closed_form(
     with a = `InitialState.amplitude`. Good for beta near 1 and 2 omega dt < pi
     (the principal branch of the complex power); elsewhere it is only indicative.
     """
-    if t_coord < 0.0:
-        raise ValueError(f"coordinate time must be non-negative, got {t_coord}")
+    (t,) = time_grid([t_coord])
     z = 1.0 - env.beta * (1.0 - np.exp(-2.0j * env.dt * system.omega))
-    w = z ** (t_coord / (env.beta * env.dt))
+    w = z ** (t / (env.beta * env.dt))
     return clamp_probability(float(0.5 + system.initial_state.amplitude * w.real))
 
 

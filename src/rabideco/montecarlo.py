@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitialState, ProbabilitySeries, RabiSystem
+from .core import InitialState, ProbabilitySeries, RabiSystem, time_grid
 from .distinguishable import DistinguishableEnv
 
 BLOCK_SIZE = 65536
@@ -86,13 +86,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def _validated_grid(grid) -> np.ndarray:
-    times = np.asarray(grid, dtype=float)
-    if times.size and (np.any(np.diff(times) < 0.0) or times[0] < 0.0):
-        raise ValueError("grid must be sorted ascending and non-negative")
-    return times
-
-
 def simulate_distinguishable(
     system: RabiSystem, env: DistinguishableEnv, cfg: EnsembleConfig
 ) -> ProbabilitySeries:
@@ -111,7 +104,7 @@ def simulate_distinguishable(
     p = 1/2 + 1/2 sign (cos 2w dt r cos 2wt + sin 2w dt r sin 2wt),
     which is exactly 0 or 1 at t = 0.
     """
-    times = _validated_grid(cfg.grid)
+    times = time_grid(cfg.grid)
     meta = {
         "predictor": "monte-carlo-distinguishable",
         "omega": system.omega,
@@ -121,10 +114,7 @@ def simulate_distinguishable(
         "n_systems": cfg.n_systems,
         "seed": cfg.seed,
     }
-    if times.size == 0:
-        return ProbabilitySeries(times, np.empty(0), meta)
-
-    n_epochs = int(math.floor(float(times[-1]) / env.dt + 1e-9))
+    n_epochs = int(math.floor(times.max(initial=0.0) / env.dt + 1e-9))
     # epochs handled before each grid time; an epoch at n dt == t comes first
     last_epoch = np.searchsorted(env.dt * np.arange(1, n_epochs + 1), times, side="right")
     epoch_phase = 2.0 * system.omega * env.dt * np.arange(n_epochs + 1)

@@ -1,4 +1,5 @@
-"""Config fuzzer: one mutation of a shipped preset, run through `cli.main`.
+"""Config fuzzer: one mutation of a shipped preset, or raw bytes, run through
+`cli.main`.
 
 Whatever the mutation, and in either initial state, the CLI exits 0, 2 or 3
 with at most one stderr line, an exit-2 line names the key path first, and no
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabideco.cli import main as cli_main
@@ -71,11 +72,13 @@ def mutated_presets(draw):
 
 def run_cli(data):
     """Exit code, stderr lines and the warnings raised (each one a stderr line
-    outside pytest, which captures them) of one `experiment` run."""
+    outside pytest, which captures them) of one `experiment` run; `data` is a
+    config object, or the raw bytes of the config file."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir:
         cfg_path = Path(out_dir) / "cfg.json"
-        cfg_path.write_text(json.dumps(data, indent=2))
+        cfg_path.write_bytes(data if isinstance(data, bytes) else
+                             json.dumps(data, indent=2).encode())
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -94,6 +97,17 @@ class TestConfigFuzz:
         assert not caught, (name, mutation, caught)
         if code == 2:
             assert KEY_PATH_LINE.match(lines[0]), (name, mutation, lines[0])
+
+
+class TestRawBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.binary(max_size=200))
+    @example(raw=b"\xff\xfe" + json.dumps(PRESETS["fig3.json"]).encode("utf-16-le"))
+    @example(raw=json.dumps(PRESETS["fig3.json"]).encode()[:-1] + b"\x80}")
+    def test_raw_bytes_exit_2(self, raw):
+        code, lines, caught = run_cli(raw)
+        assert (code, len(lines), caught) == (2, 1, []), (raw, lines)
+        assert lines[0].startswith("config error: "), (raw, lines)
 
 
 class TestFoundByFuzzer:

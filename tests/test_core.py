@@ -5,14 +5,33 @@ import pytest
 
 from rabideco.core import (
     InitialState,
+    InvalidEntryError,
+    ProbabilitySeries,
     RabiSystem,
     binomial_weight,
     binomial_weights_row,
     born_ground_prob,
     clamp_probability,
+    clamp_probability_array,
     laguerre_l1,
     rabi_frequency_ladder,
+    time_grid,
 )
+from rabideco.distinguishable import (
+    DistinguishableEnv,
+    build_predictor,
+    predict_ground_prob,
+    sample_series,
+)
+from rabideco.fitting import MasterEqParams, fit_damped_sinusoid, master_eq_prob, master_eq_series
+from rabideco.indistinguishable import (
+    IndistinguishableEnv,
+    approx_closed_form,
+    build_nested_table,
+    rescale_to_coordinate_time,
+    sample_rescaled_series,
+)
+from rabideco.montecarlo import EnsembleConfig, simulate_distinguishable
 
 X_LD = 0.202**2  # 0.040804
 
@@ -216,3 +235,78 @@ class TestClamp:
             clamp_probability(-1e-9)
         with pytest.raises(ValueError):
             clamp_probability(1.0 + 1e-9)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="not probabilities"):
+            clamp_probability(math.nan)
+        with pytest.raises(ValueError, match="not probabilities"):
+            clamp_probability_array(np.array([0.2, math.nan, 0.7]))
+
+    def test_array_snaps_in_place(self):
+        values = np.array([-1e-13, 0.5, 1.0 + 1e-13])
+        assert clamp_probability_array(values) is values
+        np.testing.assert_array_equal(values, [0.0, 0.5, 1.0])
+
+
+# Every public function that takes a time or a grid, fed a bad grid or a bad
+# single time. Each must reject it with the one error of `time_grid`.
+_SYSTEM = RabiSystem(omega=1.0)
+_DIST = DistinguishableEnv(dt=0.5, eta=0.9)
+_NESTED = IndistinguishableEnv(dt=0.5, beta=0.9, max_events=2)
+_MASTER = MasterEqParams(omega=1.0, gamma_se=0.1)
+GRID_FUNCTIONS = {
+    "time_grid": time_grid,
+    "sample_series": lambda g: sample_series(build_predictor(_SYSTEM, _DIST, 40), g),
+    "sample_rescaled_series": lambda g: sample_rescaled_series(
+        build_nested_table(_SYSTEM, _NESTED, 40), _NESTED, g),
+    "master_eq_series": lambda g: master_eq_series(_MASTER, g),
+    "simulate_distinguishable": lambda g: simulate_distinguishable(
+        _SYSTEM, _DIST, EnsembleConfig(n_systems=10, seed=1, grid=tuple(g))),
+    "fit_damped_sinusoid": lambda g: fit_damped_sinusoid(
+        ProbabilitySeries(np.array(g), np.full(len(g), 0.5)), omega_hint=1.0),
+}
+SCALAR_FUNCTIONS = {
+    "born_ground_prob": lambda t: born_ground_prob(_SYSTEM, t),
+    "master_eq_prob": lambda t: master_eq_prob(_MASTER, t),
+    "approx_closed_form": lambda t: approx_closed_form(_SYSTEM, _NESTED, t),
+    "predict_ground_prob": lambda t: predict_ground_prob(build_predictor(_SYSTEM, _DIST, 40), t),
+    "rescale_to_coordinate_time": lambda t: rescale_to_coordinate_time(
+        build_nested_table(_SYSTEM, _NESTED, 40), _NESTED, t),
+}
+# (grid, index of its first bad time)
+BAD_GRIDS = {"nan": ([0.0, math.nan], 1), "inf": ([0.0, math.inf], 1),
+             "minus_inf": ([-math.inf, 1.0], 0), "negative": ([-0.5, 1.0], 0),
+             "descending": ([1.0, 0.5], 1)}
+BAD_TIMES = {"nan": math.nan, "inf": math.inf, "minus_inf": -math.inf, "negative": -0.5}
+
+
+def shared_error(index):
+    return rf"^times must be finite, non-negative and sorted ascending: times\[{index}\] = "
+
+
+class TestTimeContract:
+    @pytest.mark.parametrize("bad", BAD_GRIDS)
+    @pytest.mark.parametrize("name", GRID_FUNCTIONS)
+    def test_bad_grid_raises_the_shared_error(self, name, bad):
+        grid, index = BAD_GRIDS[bad]
+        with pytest.raises(InvalidEntryError, match=shared_error(index)) as err:
+            GRID_FUNCTIONS[name](grid)
+        assert err.value.index == index
+
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    @pytest.mark.parametrize("name", SCALAR_FUNCTIONS)
+    def test_bad_time_raises_the_shared_error(self, name, bad):
+        with pytest.raises(InvalidEntryError, match=shared_error(0)) as err:
+            SCALAR_FUNCTIONS[name](BAD_TIMES[bad])
+        assert err.value.index == 0
+
+    def test_valid_grids_pass_unchanged(self):
+        for grid in ([], [0.0], [0.0, 0.0, 2.5], np.linspace(0.0, 1e6, 7)):
+            times = time_grid(grid)
+            assert times.dtype == float and times.ndim == 1
+            np.testing.assert_array_equal(times, np.asarray(grid, dtype=float))
+
+    def test_not_one_dimensional(self):
+        for grid in (1.0, [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="1-D"):
+                time_grid(grid)

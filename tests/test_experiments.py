@@ -571,10 +571,10 @@ class TestCli:
         assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
 
     def test_numerical_failure_exit_code(self, tmp_path):
+        # times up to 1e300 overflow the fit's normal equations
         series = tmp_path / "series.csv"
-        t = np.linspace(0.0, 30.0, 60)
-        rows = ["t_coord,p"] + [f"{x},{'nan' if i == 10 else math.sin(x) ** 2}"
-                                for i, x in enumerate(t)]
+        t = np.linspace(0.0, 1e300, 60)
+        rows = ["t_coord,p"] + [f"{x!r},{math.sin(x) ** 2!r}" for x in t.tolist()]
         series.write_text("\n".join(rows) + "\n")
         fit_cfg = tmp_path / "fit.json"
         fit_cfg.write_text(json.dumps({"series_csv": str(series), "omega_hint": 1.0}))
@@ -613,12 +613,13 @@ class TestCli:
 
     @pytest.mark.parametrize("rows,overrides,key_path", [
         (["0.0,0.5", "1.0"], {}, "series_csv"),
+        (["0.0,0.5", "1.0," + "5" * 200_000], {}, "series_csv"),  # over csv's field limit
         (None, {"free_params": "gamma"}, "free_params"),
         (None, {"omega_hint": "abc"}, "omega_hint"),
         (None, {"omega_hint": 0.0}, "omega_hint"),
         (None, {"output": {"prefix": "../escape"}}, "output.prefix"),
-    ], ids=["one_column_row", "free_params_string", "omega_hint_string", "omega_hint_zero",
-            "prefix_escape"])
+    ], ids=["one_column_row", "oversized_cell", "free_params_string", "omega_hint_string",
+            "omega_hint_zero", "prefix_escape"])
     def test_fit_bad_input_is_a_config_error(self, tmp_path, capsys, rows, overrides, key_path):
         if rows is None:
             t = np.linspace(0.0, 30.0, 100)
@@ -634,6 +635,43 @@ class TestCli:
         assert err.startswith(f"config error: {key_path}")
         assert "Traceback" not in err
         assert not (tmp_path / "sub" / "escape.json").exists()
+
+    @pytest.mark.parametrize("line,time,prob", [
+        (12, "nan", None), (2, "-0.5", None), (50, "0.1", None), (30, None, "inf"),
+        (31, None, "-inf"), (77, None, "nan"),
+    ], ids=["nan_time", "negative_time", "time_decreases", "inf_prob", "minus_inf_prob",
+            "nan_prob"])
+    def test_fit_bad_cell_is_a_config_error_at_its_line(self, tmp_path, capsys, line, time,
+                                                       prob):
+        cells = [[repr(x), repr(math.sin(x) ** 2)] for x in np.linspace(0.0, 30.0, 100).tolist()]
+        row = cells[line - 2]  # line 1 is the header
+        row[:] = [time or row[0], prob or row[1]]
+        (tmp_path / "series.csv").write_text(
+            "t_coord,p\n" + "".join(",".join(cell) + "\n" for cell in cells))
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({"series_csv": "series.csv", "omega_hint": 1.0}))
+        assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: series_csv: ")
+        assert f"series.csv line {line}: " in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["experiment", "fit"])
+    def test_config_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe" + json.dumps(fig3_config()).encode("utf-16-le"))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: <config>: not UTF-8 text")
+
+    def test_series_csv_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "series.csv").write_bytes(b"\xff\xfe" + "t_coord,p\n0.0,0.0\n".encode(
+            "utf-16-le"))
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({"series_csv": "series.csv", "omega_hint": 1.0}))
+        assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: series_csv: ")
+        assert "is not UTF-8 text" in err
 
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--seed", "5"]])
     def test_fit_rejects_format_and_seed(self, tmp_path, capsys, flag):

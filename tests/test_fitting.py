@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabideco import fitting
-from rabideco.core import ProbabilitySeries, RabiSystem, born_ground_prob
+from rabideco.core import InvalidEntryError, ProbabilitySeries, RabiSystem, born_ground_prob
 from rabideco.experiments import config_from_dict, predictor_series
 from rabideco.fitting import (
     PARAM_ORDER,
@@ -146,12 +146,20 @@ class TestDampedSinusoidFit:
             fit_damped_sinusoid(good, omega_hint=1.0, free_params={"decay"})
 
     def test_nonconvergence_diagnostics(self):
+        # times up to 1e300 overflow J^T J, so no step is ever accepted
+        t = np.linspace(0.0, 1e300, 60)
+        with pytest.raises(FitConvergenceError) as err:
+            fit_damped_sinusoid(ProbabilitySeries(t, np.sin(t) ** 2, {}), omega_hint=1.0)
+        assert set(err.value.params) == set(PARAM_ORDER)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises_before_iterating(self, bad):
         t = np.linspace(0.0, 30.0, 60)
         y = np.sin(t) ** 2
-        y[10] = math.nan
-        with pytest.raises(FitConvergenceError) as err:
+        y[10] = bad
+        with pytest.raises(InvalidEntryError, match=r"^probs must be finite: probs\[10\] = ") as err:
             fit_damped_sinusoid(ProbabilitySeries(t, y, {}), omega_hint=1.0)
-        assert set(err.value.params) == set(PARAM_ORDER)
+        assert err.value.index == 10
 
     def test_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(7)
@@ -477,12 +485,13 @@ class TestAgainstReferenceFit:
         assert fit.iterations <= first + 1 < reference_fit(series, 1.0).iterations - 1
 
     def test_convergence_error(self):
-        t = np.linspace(0.0, 30.0, 60)
-        y = np.sin(t) ** 2
-        y[10] = math.nan
-        assert assert_close_fit(ProbabilitySeries(t, y, {})) is None
+        # times up to 1e300 overflow J^T J in both fits
+        t = np.linspace(0.0, 1e300, 60)
+        series = ProbabilitySeries(t, np.sin(t) ** 2, {})
+        with np.errstate(over="ignore"):
+            assert assert_close_fit(series) is None
         with pytest.raises(FitConvergenceError, match="^damping exhausted"):
-            fit_damped_sinusoid(ProbabilitySeries(t, y, {}), 1.0)
+            fit_damped_sinusoid(series, 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(0.0, 0.3), omega=st.floats(0.3, 3.0),

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabideco import montecarlo
-from rabideco.core import InitialState, ProbabilitySeries, RabiSystem
+from rabideco.core import InitialState, ProbabilitySeries, RabiSystem, time_grid
 from rabideco.distinguishable import DistinguishableEnv, build_predictor, sample_series
 from rabideco.indistinguishable import IndistinguishableEnv, build_nested_table
 from rabideco.montecarlo import (
     BLOCK_SIZE,
     EnsembleConfig,
     _block_rng,
-    _validated_grid,
     _waiting_epochs,
     simulate_distinguishable,
 )
@@ -56,7 +55,7 @@ def stepped_reference(system, env, cfg):
 def previous_simulate_distinguishable(system, env, cfg):
     """`simulate_distinguishable` as it was before it kept the occupancy across
     grid times, recounting every key at each one (verbatim)."""
-    times = _validated_grid(cfg.grid)
+    times = time_grid(cfg.grid)
     meta = {
         "predictor": "monte-carlo-distinguishable",
         "omega": system.omega,
