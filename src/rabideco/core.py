@@ -75,8 +75,7 @@ class InvalidEntryError(ValueError):
 
 
 def time_grid(grid) -> np.ndarray:
-    """`grid` as a 1-D float array; `InvalidEntryError` at its first time that is
-    NaN, infinite, negative or below the one before. Empty grids are valid."""
+    """`grid` as a 1-D float array; raises at its first NaN, inf, negative or descending time."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
@@ -88,8 +87,7 @@ def time_grid(grid) -> np.ndarray:
 
 
 def clamp_probability_array(values: np.ndarray) -> np.ndarray:
-    """Snap a float array to [0, 1] in place and return it. Values outside
-    [-PROB_TOL, 1 + PROB_TOL], or NaN, are an error upstream and raise."""
+    """Snap a float array to [0, 1] in place and return it; NaN or a PROB_TOL overshoot raises."""
     lo = float(values.min(initial=0.0))
     hi = float(values.max(initial=0.0))
     if not (lo >= -PROB_TOL and hi <= 1.0 + PROB_TOL):  # NaN fails both

@@ -173,7 +173,7 @@ def sample_series(pred: PiecewisePredictor, grid) -> ProbabilitySeries:
         "dt": pred.env.dt,
         "eta": pred.env.eta,
     }
-    n = int(math.floor(times.max(initial=0.0) / pred.env.dt))
+    n = int(math.floor(times[-1] / pred.env.dt)) if times.size else 0
     if n > pred.n_max:
         raise ValueError(
             f"t={times[-1]} lies beyond the built range "

@@ -191,7 +191,7 @@ def sample_rescaled_series(
     }
     n_star = times / (env.beta * env.dt)
     # tolerate the last point landing epsilon past the edge: np.interp holds ground[-1]
-    if n_star.max(initial=0.0) > table.n_max * (1.0 + 1e-12) + 1e-12:
+    if times.size and n_star[-1] > table.n_max * (1.0 + 1e-12) + 1e-12:
         raise ValueError(
             f"t={times[-1]} maps to index {n_star[-1]:.3f} beyond the table "
             f"(n_max={table.n_max}); rebuild with a larger n_max"

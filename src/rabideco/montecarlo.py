@@ -114,7 +114,9 @@ def simulate_distinguishable(
         "n_systems": cfg.n_systems,
         "seed": cfg.seed,
     }
-    n_epochs = int(math.floor(times.max(initial=0.0) / env.dt + 1e-9))
+    if times.size == 0:
+        return ProbabilitySeries(times, np.empty(0), meta)
+    n_epochs = int(math.floor(float(times[-1]) / env.dt + 1e-9))
     # epochs handled before each grid time; an epoch at n dt == t comes first
     last_epoch = np.searchsorted(env.dt * np.arange(1, n_epochs + 1), times, side="right")
     epoch_phase = 2.0 * system.omega * env.dt * np.arange(n_epochs + 1)

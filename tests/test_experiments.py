@@ -946,6 +946,22 @@ class TestWorkBudget:
         data["grid"] = {"t_max": 1e300, "n_points": 1}
         assert len(predictor_series(config_from_dict(data))) == 1
 
+    @pytest.mark.parametrize("command", ["experiment", "simulate", "oracle-check"])
+    def test_empty_oracle_grid_draws_nothing(self, tmp_path, monkeypatch, command):
+        # an empty grid charges no draws, so the budget passes any n_systems;
+        # the oracle must then return before its first block
+        def no_draws(seed, block):
+            raise AssertionError(f"drew block {block} for an empty grid")
+
+        monkeypatch.setattr("rabideco.montecarlo._block_rng", no_draws)
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["grid"]["n_points"] = 0
+        data["mc"]["n_systems"] = 10**15
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "oracle_check.csv").read_text().count("\n") == 1
+
     def test_presets_and_benchmark_items_far_below(self, monkeypatch):
         monkeypatch.setattr("rabideco.experiments.WORK_BUDGET", WORK_BUDGET / 5.0)
         configs = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
