@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import InitialState, LAMB_DICKE, ProbabilitySeries, RabiSystem, rabi_frequency_ladder
+from .core import (WORK_BUDGET, InitialState, LAMB_DICKE, ProbabilitySeries, RabiSystem,
+                   rabi_frequency_ladder)
 from .distinguishable import (DistinguishableEnv, build_predictor, epoch_map_spectrum,
                               sample_series)
 from .fitting import (PARAM_ORDER, DampedSinusoidFit, FitConvergenceError, MasterEqParams,
@@ -115,12 +116,11 @@ _COMMON = {
 }
 
 # ---- work budget: what a config asks for, sized from the config alone ----
-WORK_BUDGET = 1e8  # 8-byte words one stage holds, or draws it makes (about 800 MB)
-
-# words per element, tracemalloc peaks rounded up
+# checked against core.WORK_BUDGET; words per element, tracemalloc peaks rounded up
 _PER_POINT = 44  # a grid point: series, fit and the output text
 # the Monte Carlo sampler's phase, cosine, sine and lag tables and two occupancy
-# tables while one replaces the other (9 words). build_predictor holds nothing
+# tables while one replaces the other (9 words with one block live; it runs more
+# blocks at once only where the budget covers them). build_predictor holds nothing
 # per epoch, but Fig2 keeps the same charge as its epoch cap: at most 1e7 epochs
 # keeps every interval index n an exact integer, and over-budget grids still
 # exit 2 at their keys

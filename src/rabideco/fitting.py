@@ -8,6 +8,8 @@ the residual decreases monotonically. The fit ends after 200 iterations or
 at its first proposed step below 1e-9 relative to the parameters (MINPACK's
 step-size test, More 1978), kept unless it raises the residual: more damping
 would only shrink it. A step with a non-finite residual is a plain rejection.
+A step it would accept that takes a free omega to <= 0 ends the fit with
+FitConvergenceError at the last iterate.
 Each iteration solves the k x k damped normal equations on Python floats and
 evaluates exp(-gamma t) and the cosine of the phase once, for its trial step,
 from -t and 2t formed once per fit; an accepted step overwrites the free rows
@@ -28,6 +30,8 @@ PARAM_ORDER = ("gamma", "omega", "amplitude", "offset", "phase")
 _STEP_TOL = 1e-9
 _MAX_ITER = 200
 _LAMBDA_MAX = 1e12
+# the model is even under (omega, phase) -> (-omega, -phase): omega > 0 is never a restriction
+_NON_PHYSICAL = "a step would take omega to a non-physical value <= 0"
 
 
 class FitConvergenceError(RuntimeError):
@@ -242,6 +246,9 @@ def fit_damped_sinusoid(
             last = math.isfinite(trial_sse) and max(
                 abs(s) / (abs(params[i]) + 1e-12) for i, s in zip(free_idx, step)) < _STEP_TOL
         if math.isfinite(trial_sse) and trial_sse <= sse:
+            if trial[1] <= 0.0:  # only a free omega moves
+                raise FitConvergenceError(_NON_PHYSICAL, dict(zip(PARAM_ORDER, params)),
+                                          math.sqrt(sse / t.size))
             params, resid, sse, terms = trial, trial_resid, trial_sse, trial_terms
             normal = None
             lam = max(lam / 10.0, 1e-12)

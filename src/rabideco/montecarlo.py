@@ -47,9 +47,33 @@ per member would be: 1.1-3.1x at N <= 2e4 with eta >= 0.99 (at most +0.1 s),
 eta = 0.9999 over 1e5 epochs, where almost every member is alone in its state
 (+1.6 s at N = 3e5).
 
-Trajectories are processed in fixed blocks of `BLOCK_SIZE`, each block
-drawing from its own stream spawned from (seed, block index), so serial
-runs and runs distributed block-by-block produce bit-identical output.
+The ensemble is split into ceil(N / BLOCK_SIZE) blocks whose sizes differ by
+at most one, the larger first. Each block draws from its own stream spawned
+from (seed, block index) and the ground counts are summed in block order, so
+a run gives the same bits however many blocks run at once. Blocks run at
+once on plain threads, worker k of w taking blocks k, k + w, ..., and the
+calling thread is worker 0; a one-block run (N <= BLOCK_SIZE) starts no
+thread. The collapse loop is almost all of a dense block, and numpy runs it
+with the GIL released: timed alone on a 50000-member block over 375 epochs
+and 121 grid times (numpy 2.4, 2-core Xeon VM), it is 92% of 546 ms at
+eta = 0.5, so two dense blocks take about 1.6x less time on two cores. At
+eta = 0.99 the 47 ms split into 27% scans for the members due, 30%
+collapses, 32% binomials and 8% occupancy updates: many small numpy calls,
+between which two threads hand the GIL back and forth (on the oracle_check
+preset, about 2700 context switches per run instead of none, up to 1.3x the
+wall time and 1.9x the CPU time of one thread). So blocks run
+one at a time while a member is expected to collapse fewer than
+PARALLEL_COLLAPSES times over the run.
+
+Memory: the phase, cosine, sine and lag tables are shared, 5 words per
+epoch. A live block holds two occupancy tables while one replaces the other,
+4 words per epoch, and about 10 words per member (keys, next collapses and
+the collapse loop's temporaries). The number of live blocks is 1 below
+PARALLEL_COLLAPSES collapses per member; else the smallest of the usable
+cores, the block count and what WORK_BUDGET covers at (5 + 4 w) words per
+epoch plus 10 per member of the w live blocks, and at least 1. At the most
+epochs a config may ask for, 1e7, one block is live.
+
 Within a block the draw order is: one exponential vector for the first
 waiting times (none at eta = 1); then per grid time, while some members
 are due, an outcome vector and an exponential vector (next waiting times)
@@ -59,14 +83,22 @@ vector over the occupied states, in ascending key order.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitialState, ProbabilitySeries, RabiSystem, time_grid
+from .core import WORK_BUDGET, InitialState, ProbabilitySeries, RabiSystem, time_grid
 from .distinguishable import DistinguishableEnv
 
 BLOCK_SIZE = 65536
+# Blocks run one at a time while a member collapses fewer times than this over
+# a run: the collapse loop is then a small part of a block, and a second thread
+# mostly adds GIL hand-offs. At N = 1e5, 121 grid times, two threads ran
+# 0.83-1.03x as fast at 3.75 collapses per member (eta 0.99, 375 epochs),
+# 1.1-1.2x at 7.5 and 1.9x at 187 (numpy 2.4, 2-core Xeon VM).
+PARALLEL_COLLAPSES = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +116,29 @@ class EnsembleConfig:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _live_blocks(n_blocks: int, n_epochs: int, block_size: int, collapses: float) -> int:
+    """How many blocks run at once: one while a member is expected to collapse
+    fewer than PARALLEL_COLLAPSES times over the run (`collapses`); else no
+    more than the usable cores, the blocks, or what WORK_BUDGET covers, and at
+    least one.
+
+    The phase, cosine, sine and lag tables are shared (5 words per epoch);
+    each live block holds two occupancy tables while one replaces the other
+    (4 words per epoch) and about 10 words per member.
+    """
+    if collapses < PARALLEL_COLLAPSES:
+        return 1
+    per_block = 4.0 * n_epochs + 10.0 * block_size
+    budget = int((WORK_BUDGET - 5.0 * n_epochs) // per_block)
+    return max(1, min(_usable_cores(), n_blocks, budget))
 
 
 def simulate_distinguishable(
@@ -129,44 +184,80 @@ def simulate_distinguishable(
     rate = -math.log(env.eta) if env.eta > 0.0 else math.inf
     initial_key = 1 if system.initial_state is InitialState.GROUND else 0
 
-    counts = np.zeros(times.size, dtype=np.int64)
-    for block in range((cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        size = min(BLOCK_SIZE, cfg.n_systems - block * BLOCK_SIZE)
-        rng = _block_rng(cfg.seed, block)
-        key = np.full(size, initial_key, dtype=np.int64)
-        if rate > 0.0:
-            nxt = _waiting_epochs(rng, rate, size)
-        else:  # eta == 1: no member ever collapses
-            nxt = np.full(size, np.iinfo(np.int64).max)
-        occupancy = np.zeros(2, dtype=np.int64)  # keys 0 and 1 before any collapse
-        occupancy[initial_key] = size
-        for i, limit in enumerate(last_epoch):
-            due = np.flatnonzero(nxt <= limit)
-            moved = due  # only these members can change key
-            update = 5 * moved.size + 2000 <= size  # else recounting the block is cheaper
-            if update:
-                if occupancy.size < 2 * limit + 2:  # the first update, or one after a recount
-                    occupancy = np.pad(occupancy, (0, 2 * n_epochs + 2 - occupancy.size))
-                np.subtract.at(occupancy, key[moved], 1)
-            while due.size:
-                n = nxt[due]
-                ground = rng.uniform(-1.0, 1.0, due.size) < lag_bias[2 * n - key[due]]
-                key[due] = 2 * n + ground
-                n += _waiting_epochs(rng, rate, due.size)
-                nxt[due] = n
-                due = due[n <= limit]
-            if update:
-                np.add.at(occupancy, key[moved], 1)
-            else:
-                occupancy = np.bincount(key, minlength=2 * limit + 2)
-            # no key exceeds 2 limit + 1 yet
-            state = np.flatnonzero(occupancy[:2 * limit + 2])
-            r = state >> 1
-            sign = 2.0 * (state & 1) - 1.0
-            p = 0.5 + 0.5 * sign * (epoch_cos[r] * grid_cos[i] + epoch_sin[r] * grid_sin[i])
-            counts[i] += rng.binomial(occupancy[state], np.clip(p, 0.0, 1.0)).sum()
-    probs = counts / float(cfg.n_systems)
+    n_blocks = -(-cfg.n_systems // BLOCK_SIZE)
+    size, larger = divmod(cfg.n_systems, n_blocks)  # blocks 0 .. larger - 1 hold one more
+    workers = _live_blocks(n_blocks, n_epochs, size + (larger > 0), (1.0 - env.eta) * n_epochs)
+    block_counts = [None] * n_blocks
+    errors = []
+
+    def run_share(first: int) -> None:
+        """Blocks first, first + workers, ...; stops at the first error of any share."""
+        try:
+            for block in range(first, n_blocks, workers):
+                if errors:
+                    return
+                block_counts[block] = _block(
+                    _block_rng(cfg.seed, block), size + (block < larger), initial_key, rate,
+                    n_epochs, last_epoch, lag_bias, epoch_cos, epoch_sin, grid_cos, grid_sin)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=run_share, args=(first,))
+            thread.start()
+            threads.append(thread)
+        run_share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    probs = np.sum(block_counts, axis=0) / float(cfg.n_systems)
     return ProbabilitySeries(times, probs, meta)
+
+
+def _block(
+    rng: np.random.Generator, size: int, initial_key: int, rate: float, n_epochs: int,
+    last_epoch: np.ndarray, lag_bias: np.ndarray, epoch_cos: np.ndarray, epoch_sin: np.ndarray,
+    grid_cos: np.ndarray, grid_sin: np.ndarray,
+) -> np.ndarray:
+    """Ground counts at each grid time for one block of `size` members drawing from `rng`."""
+    counts = np.empty(last_epoch.size, dtype=np.int64)
+    key = np.full(size, initial_key, dtype=np.int64)
+    if rate > 0.0:
+        nxt = _waiting_epochs(rng, rate, size)
+    else:  # eta == 1: no member ever collapses
+        nxt = np.full(size, np.iinfo(np.int64).max)
+    occupancy = np.zeros(2, dtype=np.int64)  # keys 0 and 1 before any collapse
+    occupancy[initial_key] = size
+    for i, limit in enumerate(last_epoch):
+        due = np.flatnonzero(nxt <= limit)
+        moved = due  # only these members can change key
+        update = 5 * moved.size + 2000 <= size  # else recounting the block is cheaper
+        if update:
+            if occupancy.size < 2 * limit + 2:  # the first update, or one after a recount
+                occupancy = np.pad(occupancy, (0, 2 * n_epochs + 2 - occupancy.size))
+            np.subtract.at(occupancy, key[moved], 1)
+        while due.size:
+            n = nxt[due]
+            ground = rng.uniform(-1.0, 1.0, due.size) < lag_bias[2 * n - key[due]]
+            key[due] = 2 * n + ground
+            n += _waiting_epochs(rng, rate, due.size)
+            nxt[due] = n
+            due = due[n <= limit]
+        if update:
+            np.add.at(occupancy, key[moved], 1)
+        else:
+            occupancy = np.bincount(key, minlength=2 * limit + 2)
+        # no key exceeds 2 limit + 1 yet
+        state = np.flatnonzero(occupancy[:2 * limit + 2])
+        r = state >> 1
+        sign = 2.0 * (state & 1) - 1.0
+        p = 0.5 + 0.5 * sign * (epoch_cos[r] * grid_cos[i] + epoch_sin[r] * grid_sin[i])
+        counts[i] = rng.binomial(occupancy[state], np.clip(p, 0.0, 1.0)).sum()
+    return counts
 
 
 def _waiting_epochs(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:

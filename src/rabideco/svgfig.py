@@ -27,6 +27,14 @@ def _widened(lo: float, hi: float) -> tuple[float, float]:
     return (lo - step, lo) if lo > 0.0 else (lo, lo + step)
 
 
+def _range(*arrays: np.ndarray) -> tuple[float, float]:
+    """`_widened` min and max of the arrays as if concatenated (NaN wins), without
+    the copy; [0, 1] when all are empty."""
+    arrays = [a for a in arrays if a.size] or [np.array([0.0, 1.0])]
+    return _widened(float(np.min([a.min() for a in arrays])),
+                    float(np.max([a.max() for a in arrays])))
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
@@ -65,7 +73,9 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
 
 
 def _rows(pre: str, xs: np.ndarray, mid: str, ys: np.ndarray, post: str) -> str:
-    """''.join(pre + '%.2f' % x + mid + '%.2f' % y + post), in one numpy pass."""
+    """''.join(pre + '%.2f' % x + mid + '%.2f' % y + post)[:-1], in one numpy pass.
+
+    The last character goes with the pad bytes rather than in a sliced copy."""
     pieces = [np.frombuffer(pre.encode("ascii"), dtype=np.uint8), _fixed2(xs),
               np.frombuffer(mid.encode("ascii"), dtype=np.uint8), _fixed2(ys),
               np.frombuffer(post.encode("ascii"), dtype=np.uint8)]
@@ -74,7 +84,13 @@ def _rows(pre: str, xs: np.ndarray, mid: str, ys: np.ndarray, post: str) -> str:
     for piece in pieces:
         start, stop = stop, stop + piece.shape[-1]
         table[:, start:stop] = piece
-    return table.tobytes().replace(b"\0", b"").decode("ascii")
+    table[-1, -1] = 0
+    # each stage drops the one before it: at most two copies of the text live at once
+    del pieces
+    text = table.tobytes()
+    del table
+    text = text.replace(b"\0", b"")
+    return text.decode("ascii")
 
 
 def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
@@ -82,10 +98,8 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
     """Scatter `dots` with an overlaid `line`, both (x, y) array pairs."""
     dx, dy = (np.asarray(a, dtype=float) for a in dots)
     lx, ly = (np.asarray(a, dtype=float) for a in line)
-    all_x = np.concatenate([dx, lx]) if dx.size or lx.size else np.array([0.0, 1.0])
-    all_y = np.concatenate([dy, ly]) if dy.size or ly.size else np.array([0.0, 1.0])
-    x_lo, x_hi = _widened(float(all_x.min()), float(all_x.max()))
-    y_lo, y_hi = _widened(float(all_y.min()), float(all_y.max()))
+    x_lo, x_hi = _range(dx, lx)
+    y_lo, y_hi = _range(dy, ly)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -124,11 +138,10 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
         parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
     if lx.size:
-        points = _rows("", sx(lx), ",", sy(ly), " ")[:-1]
-        parts.append(f'<polyline points="{points}" fill="none" stroke="#d62728" '
-                     f'stroke-width="1.5"/>')
+        parts.append(f'<polyline points="{_rows("", sx(lx), ",", sy(ly), " ")}" fill="none" '
+                     f'stroke="#d62728" stroke-width="1.5"/>')
     if dx.size:
         parts.append(_rows('<circle cx="', sx(dx), '" cy="', sy(dy),
-                           '" r="1.6" fill="#1f77b4"/>\n')[:-1])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                           '" r="1.6" fill="#1f77b4"/>\n'))
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -305,6 +305,12 @@ def reference_fit(
         else:
             trial_sse = math.inf
         if math.isfinite(trial_sse) and trial_sse <= sse:
+            if trial[1] <= 0.0:
+                raise FitConvergenceError(
+                    "a step would take omega to a non-physical value <= 0",
+                    dict(zip(PARAM_ORDER, (float(p) for p in params))),
+                    math.sqrt(sse / t.size),
+                )
             rel_step = float(
                 np.max(np.abs(step) / (np.abs(params[free_idx]) + 1e-12))
             )
@@ -492,6 +498,17 @@ class TestAgainstReferenceFit:
             assert assert_close_fit(series) is None
         with pytest.raises(FitConvergenceError, match="^damping exhausted"):
             fit_damped_sinusoid(series, 1.0)
+
+    def test_stops_before_a_non_physical_frequency(self):
+        # 10 points over four periods alias cos(2 omega t); the fit heads for omega <= 0
+        omega = 0.375
+        t = np.linspace(0.0, 8.0 * math.pi / omega, 10)
+        y = 0.5 * (1.0 - np.exp(-0.0234375 * omega * t) * np.cos(2.0 * omega * t))
+        series = ProbabilitySeries(t, y, {})
+        assert assert_close_fit(series, omega_hint=0.8 * omega) is None
+        with pytest.raises(FitConvergenceError, match="^a step would take omega to") as err:
+            fit_damped_sinusoid(series, 0.8 * omega)
+        assert err.value.params["omega"] > 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(0.0, 0.3), omega=st.floats(0.3, 3.0),

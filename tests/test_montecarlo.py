@@ -1,4 +1,8 @@
+import json
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from rabideco import montecarlo
 from rabideco.core import InitialState, ProbabilitySeries, RabiSystem, time_grid
 from rabideco.distinguishable import DistinguishableEnv, build_predictor, sample_series
+from rabideco.experiments import config_from_dict
 from rabideco.indistinguishable import IndistinguishableEnv, build_nested_table
 from rabideco.montecarlo import (
     BLOCK_SIZE,
@@ -18,6 +23,7 @@ from rabideco.montecarlo import (
 )
 
 SYSTEM = RabiSystem(omega=1.0)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def stepped_reference(system, env, cfg):
@@ -54,7 +60,8 @@ def stepped_reference(system, env, cfg):
 
 def previous_simulate_distinguishable(system, env, cfg):
     """`simulate_distinguishable` as it was before it kept the occupancy across
-    grid times, recounting every key at each one (verbatim)."""
+    grid times, recounting every key at each one (verbatim, but for the two
+    lines that split the ensemble into equal blocks, larger first)."""
     times = time_grid(cfg.grid)
     meta = {
         "predictor": "monte-carlo-distinguishable",
@@ -82,8 +89,8 @@ def previous_simulate_distinguishable(system, env, cfg):
     initial_key = 1 if system.initial_state is InitialState.GROUND else 0
 
     counts = np.zeros(times.size, dtype=np.int64)
-    for block in range((cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        size = min(BLOCK_SIZE, cfg.n_systems - block * BLOCK_SIZE)
+    for block in range(blocks := (cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        size = (cfg.n_systems + blocks - 1 - block) // blocks
         rng = _block_rng(cfg.seed, block)
         key = np.full(size, initial_key, dtype=np.int64)
         if rate > 0.0:
@@ -110,26 +117,32 @@ def previous_simulate_distinguishable(system, env, cfg):
 
 
 class _CountedAt:
-    def __init__(self, ufunc):
-        self.ufunc, self.calls = ufunc, 0
+    def __init__(self, ufunc, lock):
+        self.ufunc, self.lock, self.calls = ufunc, lock, 0
 
     def at(self, *args):
-        self.calls += 1
+        with self.lock:
+            self.calls += 1
         self.ufunc.at(*args)
 
 
 class BranchSpy:
-    """numpy as the sampler sees it, counting occupancy updates and recounts."""
+    """numpy as the sampler sees it, counting occupancy updates and recounts.
+
+    Blocks run on several threads, so the counters take a lock."""
 
     def __init__(self):
-        self.add, self.subtract = _CountedAt(np.add), _CountedAt(np.subtract)
+        self.lock = threading.Lock()
+        self.add = _CountedAt(np.add, self.lock)
+        self.subtract = _CountedAt(np.subtract, self.lock)
         self.recounts = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def bincount(self, *args, **kwargs):
-        self.recounts += 1
+        with self.lock:
+            self.recounts += 1
         return np.bincount(*args, **kwargs)
 
     @property
@@ -304,15 +317,17 @@ class TestAgainstSteppedReference:
         assert_two_sample_close(new, ref, n)
 
     def test_blocks_are_independent_streams(self):
-        # the first block is the same at both sizes; the extra 100 add 0..100
+        # m <= BLOCK_SIZE < 2m: a run of 2m is two blocks of m, the first of
+        # them the whole run of m, so the second block adds 0..m
+        m = BLOCK_SIZE // 2 + 50
         env = DistinguishableEnv(dt=0.2, eta=0.9)
         grid = mixed_grid(0.2, 20)
         counts = {
             n: simulate_distinguishable(SYSTEM, env, EnsembleConfig(n, 99, grid)).probs * n
-            for n in (BLOCK_SIZE, BLOCK_SIZE + 100)
+            for n in (m, 2 * m)
         }
-        extra = np.round(counts[BLOCK_SIZE + 100] - counts[BLOCK_SIZE])
-        assert np.all((extra >= 0) & (extra <= 100))
+        extra = np.round(counts[2 * m] - counts[m])
+        assert np.all((extra >= 0) & (extra <= m))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -372,6 +387,11 @@ class TestAgainstPreviousSampler:
         assert_as_previous(system, DistinguishableEnv(dt, eta), EnsembleConfig(n, 31, grid),
                            monkeypatch)
 
+    def test_unequal_blocks_larger_first(self, monkeypatch):
+        # three blocks of 43692, 43692 and 43691, on as many threads as cores
+        cfg = EnsembleConfig(2 * BLOCK_SIZE + 3, 4, tuple(mixed_grid(0.25, 24)))
+        assert_as_previous(SYSTEM, DistinguishableEnv(0.25, 0.5), cfg, monkeypatch)
+
     @pytest.mark.parametrize("eta", [0.5, 0.99])
     def test_epoch_multiples(self, monkeypatch, eta):
         grid = tuple(0.2 * np.arange(41))
@@ -417,6 +437,87 @@ class TestAgainstPreviousSampler:
         system = RabiSystem(omega=omega_dt / dt, initial_state=state)
         grid = tuple(dt * np.cumsum(gaps))
         assert_as_previous(system, DistinguishableEnv(dt, eta), EnsembleConfig(n, seed, grid))
+
+
+class TestParallelBlocks:
+    """Blocks run on threads; how many run at once never changes a bit."""
+
+    N = 2 * BLOCK_SIZE + 3  # three blocks: 43692, 43692 and 43691 members
+
+    def block_threads(self, monkeypatch, cores):
+        """Run N members on `cores` usable cores; returns the probabilities and
+        the thread that drew each block's stream."""
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        threads, rng = {}, montecarlo._block_rng
+
+        def recording(seed, block):
+            threads[block] = threading.get_ident()
+            return rng(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", recording)
+        env = DistinguishableEnv(dt=0.25, eta=0.5)  # 20 collapses per member: blocks overlap
+        probs = simulate_distinguishable(SYSTEM, env, EnsembleConfig(self.N, 12,
+                                                                    mixed_grid(0.25, 40))).probs
+        monkeypatch.undo()
+        return probs, threads
+
+    def test_workers_give_identical_bits(self, monkeypatch):
+        serial, threads = self.block_threads(monkeypatch, 1)
+        assert set(threads.values()) == {threading.get_ident()}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+        try:
+            for cores in (2, 3, 8):  # 3 and 8: more workers than this machine may have
+                probs, threads = self.block_threads(monkeypatch, cores)
+                np.testing.assert_array_equal(probs, serial)
+                # the caller runs block 0; no two of the min(cores, 3) workers share a thread
+                assert threads[0] == threading.get_ident()
+                assert len(set(threads.values())) == min(cores, 3)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_error_in_another_threads_block_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        rng, started, failed_on, failed = montecarlo._block_rng, [], [], threading.Event()
+
+        def failing(seed, block):
+            started.append(block)
+            if block == 1:  # the second worker's: the caller runs blocks 0 and 2
+                failed_on.append(threading.get_ident())
+                failed.set()
+                raise RuntimeError("block 1 failed")
+            failed.wait(10.0)  # block 0 ends after the failure
+            return rng(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_block_rng", failing)
+        before = set(threading.enumerate())
+        cfg = EnsembleConfig(self.N, 3, (0.0, 4.0))
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            simulate_distinguishable(SYSTEM, DistinguishableEnv(dt=0.25, eta=0.5), cfg)
+        assert failed_on and failed_on[0] != threading.get_ident()
+        assert 2 not in started  # the caller starts no block after the failure
+        assert set(threading.enumerate()) == before
+
+    def test_largest_config_holds_one_block(self, monkeypatch):
+        # oracle_check stretched to 1e7 epochs still passes the work budget;
+        # two live blocks would hold 13 words per epoch, over it
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["env"]["dt"] = data["grid"]["t_max"] / 9_999_990
+        cfg = config_from_dict(data)
+        n_epochs = math.floor(cfg.grid.t_max / cfg.env.dt + 1e-9)
+        assert n_epochs >= 9_999_990
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 64)
+        collapses = (1.0 - cfg.env.eta) * n_epochs
+        assert montecarlo._live_blocks(2, n_epochs, BLOCK_SIZE, collapses) == 1
+        assert montecarlo._live_blocks(2, n_epochs // 2, BLOCK_SIZE, collapses) == 2
+        assert montecarlo._live_blocks(1, 10 * n_epochs, BLOCK_SIZE, collapses) == 1  # never 0
+
+    def test_sparse_collapses_hold_one_block(self, monkeypatch):
+        # the oracle_check preset: 3.75 collapses per member, mostly GIL-bound work
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 64)
+        assert montecarlo._live_blocks(2, 375, 50_000, (1.0 - 0.99) * 375) == 1
+        assert montecarlo._live_blocks(2, 375, 50_000, (1.0 - 0.5) * 375) == 2
+        assert montecarlo._live_blocks(2, 375, 50_000, 0.0) == 1  # eta = 1: no collapses
 
 
 def count_covariance(counts: np.ndarray) -> tuple[float, float]:
