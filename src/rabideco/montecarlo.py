@@ -63,13 +63,13 @@ between which two threads hand the GIL back and forth (on the oracle_check
 preset, about 2700 context switches per run instead of none, up to 1.3x the
 wall time and 1.9x the CPU time of one thread). So blocks run
 one at a time while a member is expected to collapse fewer than
-PARALLEL_COLLAPSES times over the run.
+_PARALLEL_COLLAPSES times over the run.
 
 Memory: the phase, cosine, sine and lag tables are shared, 5 words per
 epoch. A live block holds two occupancy tables while one replaces the other,
 4 words per epoch, and about 10 words per member (keys, next collapses and
 the collapse loop's temporaries). The number of live blocks is 1 below
-PARALLEL_COLLAPSES collapses per member; else the smallest of the usable
+_PARALLEL_COLLAPSES collapses per member; else the smallest of the usable
 cores, the block count and what WORK_BUDGET covers at (5 + 4 w) words per
 epoch plus 10 per member of the w live blocks, and at least 1. At the most
 epochs a config may ask for, 1e7, one block is live.
@@ -98,7 +98,7 @@ BLOCK_SIZE = 65536
 # mostly adds GIL hand-offs. At N = 1e5, 121 grid times, two threads ran
 # 0.83-1.03x as fast at 3.75 collapses per member (eta 0.99, 375 epochs),
 # 1.1-1.2x at 7.5 and 1.9x at 187 (numpy 2.4, 2-core Xeon VM).
-PARALLEL_COLLAPSES = 5.0
+_PARALLEL_COLLAPSES = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +126,7 @@ def _usable_cores() -> int:
 
 def _live_blocks(n_blocks: int, n_epochs: int, block_size: int, collapses: float) -> int:
     """How many blocks run at once: one while a member is expected to collapse
-    fewer than PARALLEL_COLLAPSES times over the run (`collapses`); else no
+    fewer than _PARALLEL_COLLAPSES times over the run (`collapses`); else no
     more than the usable cores, the blocks, or what WORK_BUDGET covers, and at
     least one.
 
@@ -134,7 +134,7 @@ def _live_blocks(n_blocks: int, n_epochs: int, block_size: int, collapses: float
     each live block holds two occupancy tables while one replaces the other
     (4 words per epoch) and about 10 words per member.
     """
-    if collapses < PARALLEL_COLLAPSES:
+    if collapses < _PARALLEL_COLLAPSES:
         return 1
     per_block = 4.0 * n_epochs + 10.0 * block_size
     budget = int((WORK_BUDGET - 5.0 * n_epochs) // per_block)
