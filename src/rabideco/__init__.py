@@ -2,88 +2,31 @@
 
 Analytic predictors for ensembles whose members are occasionally collapsed
 by their environment (distinguishable and indistinguishable bookkeeping),
-a seeded Monte Carlo oracle for both, the on-resonance master-equation
-baseline, and the damped-sinusoid / power-law fits used to compare them.
+a seeded Monte Carlo oracle for the distinguishable one, the on-resonance
+master-equation baseline, and the damped-sinusoid / power-law fits used to
+compare them. Every quantity is a ground-state series over a grid of times.
 """
 
-from .core import (
-    LAMB_DICKE,
-    FrequencyLadder,
-    InitialState,
-    ProbabilitySeries,
-    RabiSystem,
-    binomial_weight,
-    born_ground_prob,
-    clamp_probability,
-    laguerre_l1,
-    rabi_frequency_ladder,
-)
-from .distinguishable import (
-    DistinguishableEnv,
-    PiecewisePredictor,
-    build_predictor,
-    predict_excited_prob,
-    predict_ground_prob,
-    sample_series,
-)
-from .indistinguishable import (
-    IndistinguishableEnv,
-    NestedTable,
-    approx_closed_form,
-    approx_gamma,
-    build_nested_table,
-    rescale_to_coordinate_time,
-    sample_rescaled_series,
-)
-from .montecarlo import (
-    EnsembleConfig,
-    simulate_distinguishable,
-)
-from .fitting import (
-    DampedSinusoidFit,
-    FitConvergenceError,
-    MasterEqParams,
-    PowerLawFit,
-    fit_damped_sinusoid,
-    fit_power_law,
-    master_eq_prob,
-    master_eq_series,
-)
+from .core import (LAMB_DICKE, FrequencyLadder, InitialState, ProbabilitySeries, RabiSystem,
+                   rabi_frequency_ladder)
+from .distinguishable import (DistinguishableEnv, PiecewisePredictor, build_predictor,
+                              sample_series)
+from .indistinguishable import (IndistinguishableEnv, NestedTable, approx_closed_form,
+                                approx_gamma, build_nested_table, sample_rescaled_series)
+from .montecarlo import EnsembleConfig, simulate_distinguishable
+from .fitting import (DampedSinusoidFit, FitConvergenceError, MasterEqParams, PowerLawFit,
+                      fit_damped_sinusoid, fit_power_law, master_eq_series)
 
+# grouped by module, in the order imported above
 __all__ = [
-    "LAMB_DICKE",
-    "FrequencyLadder",
-    "InitialState",
-    "ProbabilitySeries",
-    "RabiSystem",
-    "binomial_weight",
-    "born_ground_prob",
-    "clamp_probability",
-    "laguerre_l1",
+    "LAMB_DICKE", "FrequencyLadder", "InitialState", "ProbabilitySeries", "RabiSystem",
     "rabi_frequency_ladder",
-    "DistinguishableEnv",
-    "PiecewisePredictor",
-    "build_predictor",
-    "predict_excited_prob",
-    "predict_ground_prob",
-    "sample_series",
-    "IndistinguishableEnv",
-    "NestedTable",
-    "approx_closed_form",
-    "approx_gamma",
-    "build_nested_table",
-    "rescale_to_coordinate_time",
-    "sample_rescaled_series",
-    "EnsembleConfig",
-    "simulate_distinguishable",
-    "DampedSinusoidFit",
-    "FitConvergenceError",
-    "MasterEqParams",
-    "PowerLawFit",
-    "fit_damped_sinusoid",
-    "fit_power_law",
-    "master_eq_prob",
-    "master_eq_series",
+    "DistinguishableEnv", "PiecewisePredictor", "build_predictor", "sample_series",
+    "IndistinguishableEnv", "NestedTable", "approx_closed_form", "approx_gamma",
+    "build_nested_table", "sample_rescaled_series",
+    "EnsembleConfig", "simulate_distinguishable",
+    "DampedSinusoidFit", "FitConvergenceError", "MasterEqParams", "PowerLawFit",
+    "fit_damped_sinusoid", "fit_power_law", "master_eq_series",
 ]
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .experiments import (
     run_experiment,
     run_oracle_check,
 )
-from .fitting import fit_damped_sinusoid
+from .fitting import FitWindowError, fit_damped_sinusoid
 
 
 @functools.cache
@@ -109,6 +109,8 @@ def _cmd_fit(config_path: Path, out_dir: Path) -> int:
     except InvalidEntryError as exc:  # a time or sample of the file
         raise ConfigError(f"{cfg.series_csv} line {lines[exc.index]}: {exc}",
                           "series_csv") from None
+    except FitWindowError as exc:  # too few rows, or too short a span, to fit
+        raise ConfigError(f"{cfg.series_csv}: {exc}", "series_csv") from None
     for path in emit_outputs(FitResult(fit), cfg, out_dir, ("json",)):
         print(path)
     return 0

@@ -3,15 +3,13 @@
 Angular frequencies are in radians per unit coordinate time. This module is
 the one place that decides, for every predictor, the oracle and the fit, what
 a valid time is (`time_grid`: finite, non-negative, ascending), what a valid
-probability is (`clamp_probability_array` and its scalar view absorb rounding
-of at most PROB_TOL and raise on anything worse, NaN included) and how the
-system was prepared (`InitialState`: its Born law and the amplitude a of
-P_g = 1/2 + a cos(2 omega t)).
+probability is (`clamp_probability_array` absorbs rounding of at most PROB_TOL
+and raises on anything worse, NaN included) and how the system was prepared
+(`InitialState`: its Born law and the amplitude a of P_g = 1/2 + a cos(2 omega t)).
 """
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -70,6 +68,12 @@ class ProbabilitySeries:
         return len(self.times)
 
 
+def series_meta(predictor: str, system: RabiSystem, **params) -> dict:
+    """A series' metadata: its predictor, the system's omega and preparation, `params`."""
+    return {"predictor": predictor, "omega": system.omega,
+            "initial_state": system.initial_state.value, **params}
+
+
 class InvalidEntryError(ValueError):
     """`values[index]` is the first entry of an array that is not `rule`."""
 
@@ -99,52 +103,12 @@ def clamp_probability_array(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def clamp_probability(value: float) -> float:
-    """`clamp_probability_array` for one float."""
-    return float(clamp_probability_array(np.array([value]))[0])
-
-
-def born_ground_prob(system: RabiSystem, t: float) -> float:
-    """Probability to find the system in the ground state after evolving for t:
-    `InitialState.born_ground` at omega t. t is a duration since the (active or
-    passive) preparation, valid for `time_grid`.
-    """
-    (t,) = time_grid([t])
-    return float(system.initial_state.born_ground(system.omega * t))
-
-
-def binomial_weight(n: int, k: int, beta: float) -> float:
-    """Probability mass C(n,k) beta^k (1-beta)^(n-k).
+def binomial_weights_row(n: int, beta: float) -> np.ndarray:
+    """All masses C(n,k) beta^k (1-beta)^(n-k) for k = 0..n as one array.
 
     Exact comb/power product for n <= 60, log-gamma form above so that
     n ~ 10^4 neither overflows nor underflows. beta = 0 is rejected: the
     coordinate-time rescaling divides by beta.
-    """
-    if not (isinstance(n, (int, np.integer)) and isinstance(k, (int, np.integer))):
-        raise ValueError("n and k must be integers")
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    if beta == 1.0:
-        return 1.0 if k == n else 0.0
-    if n <= BINOM_DIRECT_MAX_N:
-        return math.comb(n, k) * beta**k * (1.0 - beta) ** (n - k)
-    log_mass = (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(beta)
-        + (n - k) * math.log1p(-beta)
-    )
-    return math.exp(log_mass)
-
-
-def binomial_weights_row(n: int, beta: float) -> np.ndarray:
-    """All masses b(n, k, beta) for k = 0..n as one array.
-
-    The two forms of `binomial_weight`, evaluated over every k at once in
-    the same order of operations, so the row matches the scalar to rounding.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -188,15 +152,6 @@ def _laguerre_l1_terms(x: float):
         yield cur
         m += 1
         prev, cur = cur, ((2.0 * m - x) * cur - m * prev) / m
-
-
-def laguerre_l1(n: int, x: float) -> float:
-    """Generalized Laguerre polynomial L^(1)_n(x) by three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"polynomial order must be non-negative, got {n}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    return next(itertools.islice(_laguerre_l1_terms(x), n, None))
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .core import (
     ProbabilitySeries,
     RabiSystem,
     clamp_probability_array,
+    series_meta,
     time_grid,
 )
 
@@ -153,26 +154,10 @@ def _ground(pred: PiecewisePredictor, times: np.ndarray) -> np.ndarray:
             + ((ex - bx) * np.cos(phase) - (ey - by) * np.sin(phase)))
 
 
-def predict_ground_prob(pred: PiecewisePredictor, t_coord: float) -> float:
-    """Predicted probability to find a member in the ground state at t_coord."""
-    return float(sample_series(pred, [t_coord]).probs[0])
-
-
-def predict_excited_prob(pred: PiecewisePredictor, t_coord: float) -> float:
-    """Complement of `predict_ground_prob`."""
-    return 1.0 - predict_ground_prob(pred, t_coord)
-
-
 def sample_series(pred: PiecewisePredictor, grid) -> ProbabilitySeries:
     """Evaluate the ground-state predictor on a `time_grid` inside the built range."""
     times = time_grid(grid)
-    meta = {
-        "predictor": "distinguishable",
-        "omega": pred.system.omega,
-        "initial_state": pred.system.initial_state.value,
-        "dt": pred.env.dt,
-        "eta": pred.env.eta,
-    }
+    meta = series_meta("distinguishable", pred.system, dt=pred.env.dt, eta=pred.env.eta)
     n = int(math.floor(times[-1] / pred.env.dt)) if times.size else 0
     if n > pred.n_max:
         raise ValueError(

@@ -24,8 +24,9 @@ from .core import (WORK_BUDGET, InitialState, LAMB_DICKE, ProbabilitySeries, Rab
                    rabi_frequency_ladder)
 from .distinguishable import (DistinguishableEnv, build_predictor, epoch_map_spectrum,
                               sample_series)
-from .fitting import (PARAM_ORDER, DampedSinusoidFit, FitConvergenceError, MasterEqParams,
-                      PowerLawFit, damped_sinusoid_model, fit_damped_sinusoid, fit_power_law,
+from .fitting import (MIN_FIT_POINTS, PARAM_ORDER, DampedSinusoidFit, FitConvergenceError,
+                      FitWindowError, MasterEqParams, PowerLawFit, check_fit_window,
+                      damped_sinusoid_model, fit_damped_sinusoid, fit_power_law,
                       master_eq_series)
 from .indistinguishable import IndistinguishableEnv, build_nested_table, sample_rescaled_series
 from .montecarlo import EnsembleConfig, simulate_distinguishable
@@ -204,7 +205,7 @@ _SPECS = {
         "ladder": _Section({"n_max": _at_least(0, int, 8),
                             "lamb_dicke": _positive(LAMB_DICKE)}, {}),
         "fit_window": _Section({"omega_t_span": _positive(40.0),
-                                "n_points": _at_least(10, int, 300)}, {}),
+                                "n_points": _at_least(MIN_FIT_POINTS, int, 300)}, {}),
         "predictor": _one_of("indistinguishable", "master-eq", default="indistinguishable"),
         "master_eq": _Section({"gamma_se": _at_least(0, float, None)}, {}),
         "fit": _FIT,
@@ -287,6 +288,15 @@ def _build(path: str, raw: str | None, factory, /, *args, **kwargs):
         raise _config_error(str(exc), path, raw) from exc
 
 
+def _fit_window_rule(n_points: int, span: float, omega: float, keys: dict,
+                     raw: str | None) -> None:
+    """The fit's `check_fit_window`, failing as a ConfigError at `keys[part]`."""
+    try:
+        check_fit_window(n_points, span, omega)
+    except FitWindowError as exc:
+        raise _config_error(str(exc), keys[exc.part], raw) from None
+
+
 def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
     """Fig5's cross-key rules: one time scale, excited preparation and gamma_se
     for the master-eq swap (in the closed form's regime at every level), every
@@ -301,6 +311,10 @@ def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
         _walk(_MASTER_EQ_SYSTEM, vars(cfg.system), raw, "system")
     cfg.ladder = _build("ladder.n_max", raw, rabi_frequency_ladder,
                         cfg.system.omega, lad.n_max, lad.lamb_dicke)
+    for _, omega_n in cfg.ladder.entries:  # each level fits omega_n t over [0, span]
+        _fit_window_rule(cfg.fit_window.n_points, cfg.fit_window.omega_t_span / omega_n, omega_n,
+                         {"points": "fit_window.n_points", "span": "fit_window.omega_t_span"},
+                         raw)
     omega0_dt = vars(env).pop("omega0_dt")
     if omega0_dt is not None:
         env.dt = omega0_dt / cfg.ladder.omega_n(0)
@@ -323,6 +337,9 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
     cfg = ExperimentConfig(**common, **_walk(
         spec, {k: x for k, x in data.items() if k not in _COMMON}, raw_text))
     _within_budget(sizes(cfg), raw_text)
+    if {"grid", "fit"} <= spec.keys() and cfg.grid.n_points:  # an empty grid fits nothing
+        _fit_window_rule(cfg.grid.n_points, cfg.grid.t_max, cfg.system.omega,
+                         {"points": "grid.n_points", "span": "grid.t_max"}, raw_text)
     if kind is ExperimentKind.FIG5_GAMMA_RATIO:
         _gamma_ratio_rules(cfg, raw_text)
     if kind is ExperimentKind.MASTER_EQ_BASELINE:
@@ -366,6 +383,15 @@ def _csv(header: str, rows) -> str:
     rows = list(rows)
     line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
     return header + "\n" + line * len(rows) % tuple(chain.from_iterable(rows))
+
+
+def _finite(value):
+    """`value` with every non-finite float, which JSON cannot hold, as None (null)."""
+    if isinstance(value, dict):
+        return {key: _finite(x) for key, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(x) for x in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _fit_fields(fit: DampedSinusoidFit) -> dict:
@@ -416,7 +442,7 @@ class FigureResult(SeriesResult):
         fit, omega = self.fit, cfg.system.omega
         summary = super().summary(cfg)
         summary["fit"] = None if fit is None else {
-            **_fit_fields(fit), "gamma_over_omega": None if fit.degenerate else fit.gamma / omega}
+            **_fit_fields(fit), "gamma_over_omega": fit.gamma / omega}
         if cfg.target and fit is not None:
             _verdict(summary, cfg.target, "gamma_over_omega", fit.gamma / omega)
         return summary
@@ -614,7 +640,8 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     writers = {"csv": result.csv,
-               "json": lambda: json.dumps(result.summary(cfg), indent=2, sort_keys=True) + "\n",
+               "json": lambda: json.dumps(_finite(result.summary(cfg)), indent=2, sort_keys=True,
+                                          allow_nan=False) + "\n",
                "svg": lambda: result.svg(cfg)}
     paths: list[Path] = []
     for fmt, write in writers.items():

@@ -27,6 +27,8 @@ from .core import InvalidEntryError, ProbabilitySeries, clamp_probability_array,
 
 PARAM_ORDER = ("gamma", "omega", "amplitude", "offset", "phase")
 
+# a fitted series needs this many points, spanning two periods of the hint
+MIN_FIT_POINTS = 10
 _STEP_TOL = 1e-9
 _MAX_ITER = 200
 _LAMBDA_MAX = 1e12
@@ -44,6 +46,25 @@ class FitConvergenceError(RuntimeError):
         super().__init__(f"{message} (last iterate {params}, residual rms {residual_rms:.3e})")
         self.params = params
         self.residual_rms = residual_rms
+
+
+class FitWindowError(ValueError):
+    """A series too short to fit; `part` names what is short: "points" or "span"."""
+
+    def __init__(self, message: str, part: str):
+        super().__init__(message)
+        self.part = part
+
+
+def check_fit_window(n_points: int, span: float, omega_hint: float) -> None:
+    """Raise FitWindowError unless MIN_FIT_POINTS or more points span two
+    periods of the hinted frequency, as `fit_damped_sinusoid` demands."""
+    if n_points < MIN_FIT_POINTS:
+        raise FitWindowError(f"need at least {MIN_FIT_POINTS} points, got {n_points}", "points")
+    if span * omega_hint < 2.0 * math.pi:
+        raise FitWindowError(
+            f"series spans {span * omega_hint / math.pi:.2f} half-periods of the "
+            f"hinted frequency; need at least two full periods", "span")
 
 
 @dataclass(frozen=True)
@@ -68,17 +89,14 @@ class MasterEqParams:
             )
 
 
-def master_eq_prob(params: MasterEqParams, t: float) -> float:
-    """Ground-state probability of the on-resonance master equation at t, prepared excited.
+def master_eq_series(params: MasterEqParams, grid) -> ProbabilitySeries:
+    """Ground-state probability of the on-resonance master equation on a
+    `time_grid`, prepared excited:
 
     (4 O^2 / (G^2 + 8 O^2)) * (1 - exp(-3Gt/4) (cos mu t + (3G/4mu) sin mu t))
-    with mu = sqrt(4 O^2 - (G/4)^2), as `master_eq_series` evaluates it.
-    Reduces to sin^2(O t) at G = 0.
+
+    with mu = sqrt(4 O^2 - (G/4)^2). Reduces to sin^2(O t) at G = 0.
     """
-    return float(master_eq_series(params, [t]).probs[0])
-
-
-def master_eq_series(params: MasterEqParams, grid) -> ProbabilitySeries:
     times = time_grid(grid)
     omega, g = params.omega, params.gamma_se
     mu = math.sqrt(4.0 * omega**2 - (g / 4.0) ** 2)
@@ -151,15 +169,6 @@ def damped_sinusoid_model(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     return _terms(params, -t, 2.0 * t)[0]
 
 
-def damped_sinusoid_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian, columns in PARAM_ORDER."""
-    neg_t, two_t = -t, 2.0 * t
-    _, decay, arg, cos_a = _terms(params, neg_t, two_t)
-    rows = np.empty((5, t.size))
-    _jacobian_into(rows, range(5), neg_t, two_t, params[2], decay, cos_a, np.sin(arg))
-    return rows.T
-
-
 @np.errstate(over="ignore")  # overflow makes a step or its SSE non-finite: rejected
 def fit_damped_sinusoid(
     series: ProbabilitySeries,
@@ -171,9 +180,9 @@ def fit_damped_sinusoid(
     By default gamma and omega are free (gamma starts at 0, omega at
     omega_hint) while offset = 1/2, phase = 0 and the amplitude stay fixed:
     +1/2 when the first sample is above 1/2 (ground preparation), else -1/2.
-    The series must have at least 10 points spanning two oscillation
-    periods of the hinted frequency. A constant series yields a flat fit
-    flagged degenerate with gamma = nan.
+    The series must pass `check_fit_window`: at least MIN_FIT_POINTS points
+    spanning two oscillation periods of the hinted frequency. A constant
+    series yields a flat fit flagged degenerate with gamma = nan.
     """
     if omega_hint <= 0.0 or not math.isfinite(omega_hint):
         raise ValueError(f"omega_hint must be positive and finite, got {omega_hint}")
@@ -189,14 +198,7 @@ def fit_damped_sinusoid(
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise InvalidEntryError("probs", "finite", y, int(bad[0]))
-    if t.size < 10:
-        raise ValueError(f"need at least 10 points, got {t.size}")
-    span = float(t[-1] - t[0])
-    if span * omega_hint < 2.0 * math.pi:
-        raise ValueError(
-            f"series spans {span * omega_hint / math.pi:.2f} half-periods of the "
-            f"hinted frequency; need at least two full periods"
-        )
+    check_fit_window(t.size, float(t[-1] - t[0]) if t.size else 0.0, omega_hint)
 
     if float(np.ptp(y)) < 1e-12:
         return DampedSinusoidFit(

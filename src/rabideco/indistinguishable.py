@@ -39,8 +39,8 @@ from .core import (
     ProbabilitySeries,
     RabiSystem,
     binomial_weights_row,
-    clamp_probability,
     clamp_probability_array,
+    series_meta,
     time_grid,
 )
 
@@ -73,18 +73,15 @@ class NestedTable:
     """The top truncation level at the discrete times k dt.
 
     ground[k] is the ground probability at k dt allowing at most
-    env.max_events collapses, k = 0..n_max; `excited` is its complement.
-    A lower level is its own table. Immutable; concurrent queries are safe.
+    env.max_events collapses, k = 0..n_max; the excited probability is
+    1 - ground. A lower level is its own table. Immutable; concurrent
+    queries are safe.
     """
 
     system: RabiSystem
     env: IndistinguishableEnv
     n_max: int
     ground: np.ndarray
-
-    @property
-    def excited(self) -> np.ndarray:
-        return 1.0 - self.ground
 
 
 # Terms x columns evaluated at once by the exponential sum.
@@ -162,33 +159,21 @@ def _matrix_form(g: np.ndarray, levels: int, phase: float, beta: float) -> np.nd
     return g
 
 
-def rescale_to_coordinate_time(
-    table: NestedTable, env: IndistinguishableEnv, t_coord: float
-) -> float:
-    """Top-level ground probability at clock time t_coord.
+def sample_rescaled_series(
+    table: NestedTable, env: IndistinguishableEnv, grid
+) -> ProbabilitySeries:
+    """Top-level ground probability at the clock times of a `time_grid`.
 
     Linear interpolation between the columns floor(n*) and ceil(n*) of the
     continuous index n* = t / (beta dt); exact table value when n* is
     integral. Nothing smoother is justified: the index is an ensemble mean.
+    `env` must be the table's own.
     """
-    return float(sample_rescaled_series(table, env, [t_coord]).probs[0])
-
-
-def sample_rescaled_series(
-    table: NestedTable, env: IndistinguishableEnv, grid
-) -> ProbabilitySeries:
-    """`rescale_to_coordinate_time` over a `time_grid`, with the table's own env."""
     if env != table.env:
         raise ValueError(f"env {env} differs from the table's {table.env}")
     times = time_grid(grid)
-    meta = {
-        "predictor": "indistinguishable",
-        "omega": table.system.omega,
-        "initial_state": table.system.initial_state.value,
-        "dt": env.dt,
-        "beta": env.beta,
-        "max_events": env.max_events,
-    }
+    meta = series_meta("indistinguishable", table.system, dt=env.dt, beta=env.beta,
+                       max_events=env.max_events)
     n_star = times / (env.beta * env.dt)
     # tolerate the last point landing epsilon past the edge: np.interp holds ground[-1]
     if times.size and n_star[-1] > table.n_max * (1.0 + 1e-12) + 1e-12:
@@ -201,9 +186,9 @@ def sample_rescaled_series(
 
 
 def approx_closed_form(
-    system: RabiSystem, env: IndistinguishableEnv, t_coord: float
-) -> float:
-    """Dominant-term closed form of the nested predictor.
+    system: RabiSystem, env: IndistinguishableEnv, grid
+) -> ProbabilitySeries:
+    """Dominant-term closed form of the nested predictor on a `time_grid`.
 
     Keeping only the k = n binomial weight and summing the remaining
     geometric series gives
@@ -214,10 +199,11 @@ def approx_closed_form(
     with a = `InitialState.amplitude`. Good for beta near 1 and 2 omega dt < pi
     (the principal branch of the complex power); elsewhere it is only indicative.
     """
-    (t,) = time_grid([t_coord])
+    times = time_grid(grid)
+    meta = series_meta("approx-closed-form", system, dt=env.dt, beta=env.beta)
     z = 1.0 - env.beta * (1.0 - np.exp(-2.0j * env.dt * system.omega))
-    w = z ** (t / (env.beta * env.dt))
-    return clamp_probability(float(0.5 + system.initial_state.amplitude * w.real))
+    probs = 0.5 + system.initial_state.amplitude * (z ** (times / (env.beta * env.dt))).real
+    return ProbabilitySeries(times, clamp_probability_array(probs), meta)
 
 
 def approx_gamma(system: RabiSystem, env: IndistinguishableEnv) -> float:

@@ -89,7 +89,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WORK_BUDGET, InitialState, ProbabilitySeries, RabiSystem, time_grid
+from .core import (WORK_BUDGET, InitialState, ProbabilitySeries, RabiSystem, series_meta,
+                   time_grid)
 from .distinguishable import DistinguishableEnv
 
 BLOCK_SIZE = 65536
@@ -160,15 +161,8 @@ def simulate_distinguishable(
     which is exactly 0 or 1 at t = 0.
     """
     times = time_grid(cfg.grid)
-    meta = {
-        "predictor": "monte-carlo-distinguishable",
-        "omega": system.omega,
-        "initial_state": system.initial_state.value,
-        "dt": env.dt,
-        "eta": env.eta,
-        "n_systems": cfg.n_systems,
-        "seed": cfg.seed,
-    }
+    meta = series_meta("monte-carlo-distinguishable", system, dt=env.dt, eta=env.eta,
+                       n_systems=cfg.n_systems, seed=cfg.seed)
     if times.size == 0:
         return ProbabilitySeries(times, np.empty(0), meta)
     n_epochs = int(math.floor(float(times[-1]) / env.dt + 1e-9))

@@ -17,24 +17,21 @@ import numpy as np
 import pytest
 
 from rabideco.core import (
+    InitialState,
     ProbabilitySeries,
     RabiSystem,
-    binomial_weight,
-    born_ground_prob,
+    binomial_weights_row,
 )
 from rabideco.distinguishable import (
     DistinguishableEnv,
     build_predictor,
-    predict_excited_prob,
-    predict_ground_prob,
     sample_series,
 )
 from rabideco.fitting import (
     MasterEqParams,
-    damped_sinusoid_jacobian,
     damped_sinusoid_model,
     fit_damped_sinusoid,
-    master_eq_prob,
+    master_eq_series,
 )
 from rabideco.indistinguishable import (
     IndistinguishableEnv,
@@ -45,6 +42,8 @@ from rabideco.indistinguishable import (
 )
 from rabideco.montecarlo import EnsembleConfig, simulate_distinguishable
 from rabideco.experiments import config_from_dict, run_gamma_ratio_experiment
+
+from .reference import binomial_weight, born_ground_prob, damped_sinusoid_jacobian
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -195,21 +194,24 @@ def test_criterion_7_property_suite():
     failures = []
     system = RabiSystem(omega=1.0)
 
-    # complementarity, both predictors
+    # preparation mirror, both predictors: P_g[excited] + P_g[ground] = 1
+    system_g = RabiSystem(omega=1.0, initial_state=InitialState.GROUND)
     env_d = DistinguishableEnv(dt=0.17, eta=0.95)
     pred = build_predictor(system, env_d, 250)
-    for t in np.linspace(0.0, 40.0, 121):
-        if abs(predict_ground_prob(pred, float(t)) + predict_excited_prob(pred, float(t)) - 1.0) > 1e-12:
-            failures.append("distinguishable complementarity")
-            break
+    ts = np.linspace(0.0, 40.0, 121)
+    mirror = (sample_series(pred, ts).probs
+              + sample_series(build_predictor(system_g, env_d, 250), ts).probs)
+    if float(np.max(np.abs(mirror - 1.0))) > 1e-12:
+        failures.append("distinguishable preparation mirror")
     env_i = IndistinguishableEnv(dt=0.6, beta=0.9, max_events=5)
     table = build_nested_table(system, env_i, 40)
-    if float(np.max(np.abs(table.ground + table.excited - 1.0))) > 1e-12:
-        failures.append("nested complementarity")
+    if float(np.max(np.abs(table.ground + build_nested_table(system_g, env_i, 40).ground
+                           - 1.0))) > 1e-12:
+        failures.append("nested preparation mirror")
 
     # binomial normalization
     for n, beta in ((500, 0.5), (10_000, 0.995), (10_000, 0.01)):
-        if abs(math.fsum(binomial_weight(n, k, beta) for k in range(n + 1)) - 1.0) >= 1e-10:
+        if abs(math.fsum(binomial_weights_row(n, beta)) - 1.0) >= 1e-10:
             failures.append(f"binomial normalization n={n}")
 
     # boundary continuity: the first float of interval n against the last of n - 1
@@ -220,14 +222,16 @@ def test_criterion_7_property_suite():
         while math.floor(right / env_d.dt) < n:
             right = math.nextafter(right, math.inf)
         left = math.nextafter(right, 0.0)
-        if abs(predict_ground_prob(pred, right) - predict_ground_prob(pred, left)) > 1e-12:
+        p_left, p_right = sample_series(pred, [left, right]).probs
+        if abs(p_right - p_left) > 1e-12:
             failures.append("boundary continuity")
             break
 
     # isolation reductions, exact
     pred_iso = build_predictor(system, DistinguishableEnv(dt=0.3, eta=1.0), 100)
-    if any(predict_ground_prob(pred_iso, float(t)) != born_ground_prob(system, float(t))
-           for t in np.linspace(0.0, 29.0, 57)):
+    ts = np.linspace(0.0, 29.0, 57)
+    if any(p != born_ground_prob(system, float(t))
+           for t, p in zip(ts, sample_series(pred_iso, ts).probs)):
         failures.append("eta=1 reduction")
     env_b1 = IndistinguishableEnv(dt=0.3, beta=1.0, max_events=4)
     table_b1 = build_nested_table(system, env_b1, 30)
@@ -236,8 +240,9 @@ def test_criterion_7_property_suite():
 
     # master equation dissipation-free reduction
     params0 = MasterEqParams(omega=1.0, gamma_se=0.0)
-    if any(abs(master_eq_prob(params0, float(t)) - born_ground_prob(system, float(t))) > 1e-12
-           for t in np.linspace(0.0, 20.0, 101)):
+    ts = np.linspace(0.0, 20.0, 101)
+    if any(abs(p - born_ground_prob(system, float(t))) > 1e-12
+           for t, p in zip(ts, master_eq_series(params0, ts).probs)):
         failures.append("master-eq gamma=0 reduction")
 
     # fitter round trips
@@ -267,11 +272,10 @@ def test_criterion_7_property_suite():
     # scale invariance under (omega, dt, t) -> (c omega, dt/c, t/c)
     c = 2.5
     pred_s = build_predictor(RabiSystem(c), DistinguishableEnv(dt=0.17 / c, eta=0.95), 250)
-    for t_probe in np.linspace(0.0, 40.0, 41):
-        if abs(predict_ground_prob(pred_s, float(t_probe) / c)
-               - predict_ground_prob(pred, float(t_probe))) > 1e-12:
-            failures.append("distinguishable scale invariance")
-            break
+    t_probe = np.linspace(0.0, 40.0, 41)
+    if float(np.max(np.abs(sample_series(pred_s, t_probe / c).probs
+                           - sample_series(pred, t_probe).probs))) > 1e-12:
+        failures.append("distinguishable scale invariance")
     table_s = build_nested_table(RabiSystem(c),
                                  IndistinguishableEnv(dt=0.6 / c, beta=0.9, max_events=5), 40)
     if float(np.max(np.abs(table_s.ground - table.ground))) > 1e-12:
@@ -291,8 +295,7 @@ def test_criterion_8_approximation_consistency():
     for omega_dt in (0.05, 0.03):
         env = IndistinguishableEnv(dt=omega_dt, beta=0.999, max_events=5)
         grid = np.linspace(0.0, 40.0, 600)
-        probs = np.array([approx_closed_form(system, env, float(t)) for t in grid])
-        fit = fit_damped_sinusoid(ProbabilitySeries(grid, probs, {}), omega_hint=1.0)
+        fit = fit_damped_sinusoid(approx_closed_form(system, env, grid), omega_hint=1.0)
         ref = approx_gamma(system, env)
         worst = max(worst, abs(fit.gamma - ref) / ref)
     elapsed = time.monotonic() - start

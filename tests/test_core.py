@@ -8,30 +8,26 @@ from rabideco.core import (
     InvalidEntryError,
     ProbabilitySeries,
     RabiSystem,
-    binomial_weight,
     binomial_weights_row,
-    born_ground_prob,
-    clamp_probability,
     clamp_probability_array,
-    laguerre_l1,
     rabi_frequency_ladder,
     time_grid,
 )
 from rabideco.distinguishable import (
     DistinguishableEnv,
     build_predictor,
-    predict_ground_prob,
     sample_series,
 )
-from rabideco.fitting import MasterEqParams, fit_damped_sinusoid, master_eq_prob, master_eq_series
+from rabideco.fitting import MasterEqParams, fit_damped_sinusoid, master_eq_series
 from rabideco.indistinguishable import (
     IndistinguishableEnv,
     approx_closed_form,
     build_nested_table,
-    rescale_to_coordinate_time,
     sample_rescaled_series,
 )
 from rabideco.montecarlo import EnsembleConfig, simulate_distinguishable
+
+from .reference import binomial_weight, laguerre_l1
 
 X_LD = 0.202**2  # 0.040804
 
@@ -57,50 +53,59 @@ class TestRabiSystem:
         assert RabiSystem(1.0).initial_state is InitialState.EXCITED
 
 
+def born_law(system, grid):
+    """The Born law on a grid, by the isolated predictor (eta = 1), which is
+    `InitialState.born_ground` at omega t bit for bit."""
+    pred = build_predictor(system, DistinguishableEnv(dt=1.0, eta=1.0),
+                           math.ceil(max(grid, default=0.0)))
+    return sample_series(pred, grid).probs
+
+
 class TestBornProb:
     def test_freshly_prepared_excited(self):
-        assert born_ground_prob(RabiSystem(1.0), 0.0) == 0.0
+        assert born_law(RabiSystem(1.0), [0.0])[0] == 0.0
 
     def test_half_period_transfer(self):
-        assert born_ground_prob(RabiSystem(1.0), math.pi / 2) == pytest.approx(1.0)
+        assert born_law(RabiSystem(1.0), [math.pi / 2])[0] == pytest.approx(1.0)
 
     def test_omega2_eighth_period(self):
-        assert born_ground_prob(RabiSystem(2.0), math.pi / 8) == pytest.approx(0.5)
+        assert born_law(RabiSystem(2.0), [math.pi / 8])[0] == pytest.approx(0.5)
 
     def test_ground_preparation_is_cos2(self):
         sys_g = RabiSystem(1.3, InitialState.GROUND)
-        for t in (0.0, 0.4, 2.2):
-            assert born_ground_prob(sys_g, t) == pytest.approx(math.cos(1.3 * t) ** 2)
+        for t, p in zip((0.0, 0.4, 2.2), born_law(sys_g, [0.0, 0.4, 2.2])):
+            assert p == pytest.approx(math.cos(1.3 * t) ** 2)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            born_ground_prob(RabiSystem(1.0), -0.1)
+            born_law(RabiSystem(1.0), [-0.1])
 
     @pytest.mark.parametrize("state", list(InitialState))
     def test_born_law_oscillates_with_the_amplitude(self, state):
-        # P_g = 1/2 + a cos(2 phase); the array law is the scalar one elementwise
+        # P_g = 1/2 + a cos(2 phase); the array law is the scalar one elementwise,
+        # and the isolated predictor gives it bit for bit
         phase = np.linspace(0.0, 20.0, 101)
         law = state.born_ground(phase)
         assert state.amplitude == (-0.5 if state is InitialState.EXCITED else 0.5)
         np.testing.assert_allclose(law, 0.5 + state.amplitude * np.cos(2.0 * phase),
                                    rtol=0.0, atol=1e-15)
-        system = RabiSystem(1.0, state)
-        assert law.tolist() == [born_ground_prob(system, t) for t in phase.tolist()]
+        assert law.tolist() == [float(state.born_ground(t)) for t in phase.tolist()]
+        assert law.tolist() == born_law(RabiSystem(1.0, state), phase).tolist()
 
 
 class TestBinomialWeight:
     def test_certain_survival(self):
-        assert binomial_weight(5, 5, 1.0) == 1.0
-        assert binomial_weight(5, 3, 1.0) == 0.0
+        assert binomial_weights_row(5, 1.0)[5] == 1.0
+        assert binomial_weights_row(5, 1.0)[3] == 0.0
 
     def test_direct_factorial_value(self):
         # C(4,2) * 0.5^4 = 6/16
-        assert binomial_weight(4, 2, 0.5) == pytest.approx(0.375, rel=1e-15)
+        assert binomial_weights_row(4, 0.5)[2] == pytest.approx(0.375, rel=1e-15)
 
     @pytest.mark.parametrize("n", [10, 60, 61, 500, 10_000])
     @pytest.mark.parametrize("beta", [0.01, 0.5, 0.995, 1.0])
     def test_normalization(self, n, beta):
-        total = math.fsum(binomial_weight(n, k, beta) for k in range(n + 1))
+        total = math.fsum(binomial_weights_row(n, beta))
         assert abs(total - 1.0) < 1e-10
 
     def test_paths_agree_at_switchover(self):
@@ -114,30 +119,28 @@ class TestBinomialWeight:
                     math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
                     + k * math.log(beta) + (n - k) * math.log1p(-beta)
                 )
-                got = binomial_weight(n, k, beta)
+                got = binomial_weights_row(n, beta)[k]
                 assert got == pytest.approx(direct, rel=1e-12)
                 assert got == pytest.approx(logv, rel=1e-12)
 
     @pytest.mark.parametrize("n,k,beta", [(9, 2, 0.25), (75, 30, 0.5), (120, 120, 0.625)])
     def test_reflection_symmetry_exact_for_dyadic_beta(self, n, k, beta):
         # 1 - beta is exact for dyadic beta, so the masses match bitwise
-        assert binomial_weight(n, k, beta) == binomial_weight(n, n - k, 1.0 - beta)
+        assert binomial_weights_row(n, beta)[k] == binomial_weights_row(n, 1.0 - beta)[n - k]
 
     @pytest.mark.parametrize("n,k,beta", [(9, 2, 0.3), (75, 30, 0.995), (40, 17, 0.77)])
     def test_reflection_symmetry_generic(self, n, k, beta):
-        assert binomial_weight(n, k, beta) == pytest.approx(
-            binomial_weight(n, n - k, 1.0 - beta), rel=1e-12
+        assert binomial_weights_row(n, beta)[k] == pytest.approx(
+            binomial_weights_row(n, 1.0 - beta)[n - k], rel=1e-12
         )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binomial_weight(4, 5, 0.5)
+            binomial_weights_row(-1, 0.5)
         with pytest.raises(ValueError):
-            binomial_weight(4, -1, 0.5)
+            binomial_weights_row(4, 0.0)
         with pytest.raises(ValueError):
-            binomial_weight(4, 2, 0.0)
-        with pytest.raises(ValueError):
-            binomial_weight(4, 2, 1.2)
+            binomial_weights_row(4, 1.2)
 
 
 class TestBinomialWeightsRow:
@@ -226,19 +229,19 @@ class TestFrequencyLadder:
 
 class TestClamp:
     def test_passthrough_and_snap(self):
-        assert clamp_probability(0.5) == 0.5
-        assert clamp_probability(-1e-13) == 0.0
-        assert clamp_probability(1.0 + 1e-13) == 1.0
+        assert clamp_probability_array(np.array([0.5]))[0] == 0.5
+        assert clamp_probability_array(np.array([-1e-13]))[0] == 0.0
+        assert clamp_probability_array(np.array([1.0 + 1e-13]))[0] == 1.0
 
     def test_larger_violations_raise(self):
         with pytest.raises(ValueError):
-            clamp_probability(-1e-9)
+            clamp_probability_array(np.array([-1e-9]))
         with pytest.raises(ValueError):
-            clamp_probability(1.0 + 1e-9)
+            clamp_probability_array(np.array([1.0 + 1e-9]))
 
     def test_nan_raises(self):
         with pytest.raises(ValueError, match="not probabilities"):
-            clamp_probability(math.nan)
+            clamp_probability_array(np.array([math.nan]))
         with pytest.raises(ValueError, match="not probabilities"):
             clamp_probability_array(np.array([0.2, math.nan, 0.7]))
 
@@ -248,8 +251,8 @@ class TestClamp:
         np.testing.assert_array_equal(values, [0.0, 0.5, 1.0])
 
 
-# Every public function that takes a time or a grid, fed a bad grid or a bad
-# single time. Each must reject it with the one error of `time_grid`.
+# Every public function that takes a grid, fed a bad grid or a bad single time.
+# Each must reject it with the one error of `time_grid`.
 _SYSTEM = RabiSystem(omega=1.0)
 _DIST = DistinguishableEnv(dt=0.5, eta=0.9)
 _NESTED = IndistinguishableEnv(dt=0.5, beta=0.9, max_events=2)
@@ -260,18 +263,11 @@ GRID_FUNCTIONS = {
     "sample_rescaled_series": lambda g: sample_rescaled_series(
         build_nested_table(_SYSTEM, _NESTED, 40), _NESTED, g),
     "master_eq_series": lambda g: master_eq_series(_MASTER, g),
+    "approx_closed_form": lambda g: approx_closed_form(_SYSTEM, _NESTED, g),
     "simulate_distinguishable": lambda g: simulate_distinguishable(
         _SYSTEM, _DIST, EnsembleConfig(n_systems=10, seed=1, grid=tuple(g))),
     "fit_damped_sinusoid": lambda g: fit_damped_sinusoid(
         ProbabilitySeries(np.array(g), np.full(len(g), 0.5)), omega_hint=1.0),
-}
-SCALAR_FUNCTIONS = {
-    "born_ground_prob": lambda t: born_ground_prob(_SYSTEM, t),
-    "master_eq_prob": lambda t: master_eq_prob(_MASTER, t),
-    "approx_closed_form": lambda t: approx_closed_form(_SYSTEM, _NESTED, t),
-    "predict_ground_prob": lambda t: predict_ground_prob(build_predictor(_SYSTEM, _DIST, 40), t),
-    "rescale_to_coordinate_time": lambda t: rescale_to_coordinate_time(
-        build_nested_table(_SYSTEM, _NESTED, 40), _NESTED, t),
 }
 # (grid, index of its first bad time)
 BAD_GRIDS = {"nan": ([0.0, math.nan], 1), "inf": ([0.0, math.inf], 1),
@@ -294,10 +290,10 @@ class TestTimeContract:
         assert err.value.index == index
 
     @pytest.mark.parametrize("bad", BAD_TIMES)
-    @pytest.mark.parametrize("name", SCALAR_FUNCTIONS)
+    @pytest.mark.parametrize("name", GRID_FUNCTIONS)
     def test_bad_time_raises_the_shared_error(self, name, bad):
         with pytest.raises(InvalidEntryError, match=shared_error(0)) as err:
-            SCALAR_FUNCTIONS[name](BAD_TIMES[bad])
+            GRID_FUNCTIONS[name]([BAD_TIMES[bad]])
         assert err.value.index == 0
 
     def test_valid_grids_pass_unchanged(self):

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabideco.core import InitialState, RabiSystem, born_ground_prob, clamp_probability_array
+from rabideco.core import InitialState, RabiSystem, clamp_probability_array
 from rabideco.distinguishable import (
     DistinguishableEnv,
     build_predictor,
     epoch_map_spectrum,
-    predict_excited_prob,
-    predict_ground_prob,
     sample_series,
 )
 from rabideco.fitting import fit_damped_sinusoid
+
+from .reference import born_ground_prob
 
 SYSTEM = RabiSystem(omega=1.0)
 
@@ -98,13 +98,15 @@ class TestEnv:
 class TestIsolatedReduction:
     def test_boundary_values_are_born(self):
         pred = make(eta=1.0, dt=0.3, t_max=30.0)
-        for n in range(1, pred.n_max + 1):
-            assert predict_ground_prob(pred, n * 0.3) == math.sin(n * 0.3) ** 2
+        ns = range(1, pred.n_max + 1)
+        for n, p in zip(ns, sample_series(pred, [n * 0.3 for n in ns]).probs):
+            assert p == math.sin(n * 0.3) ** 2
 
     def test_predict_equals_born_exactly(self):
         pred = make(eta=1.0, dt=0.3, t_max=30.0)
-        for t in np.linspace(0.0, 25.0, 173):
-            assert predict_ground_prob(pred, float(t)) == born_ground_prob(SYSTEM, float(t))
+        grid = np.linspace(0.0, 25.0, 173)
+        for t, p in zip(grid, sample_series(pred, grid).probs):
+            assert p == born_ground_prob(SYSTEM, float(t))
 
     @pytest.mark.parametrize("state", list(InitialState))
     @pytest.mark.parametrize("dt,n_max", [(0.3, 101), (0.08, 100_000), (2.9, 100_000)])
@@ -123,12 +125,12 @@ class TestRecursion:
     def test_first_boundary_is_undisturbed_born(self):
         # nothing can have interfered before the first epoch
         pred = make(eta=0.93, dt=0.4)
-        assert predict_ground_prob(pred, 0.4) == pytest.approx(math.sin(0.4) ** 2, abs=1e-15)
+        assert sample_series(pred, [0.4]).probs[0] == pytest.approx(math.sin(0.4) ** 2, abs=1e-15)
 
     def test_first_interval_is_plain_born(self):
         pred = make(eta=0.93, dt=0.4)
-        for t in (0.0, 0.1, 0.39):
-            assert predict_ground_prob(pred, t) == born_ground_prob(SYSTEM, t)
+        for t, p in zip((0.0, 0.1, 0.39), sample_series(pred, [0.0, 0.1, 0.39]).probs):
+            assert p == born_ground_prob(SYSTEM, t)
 
     def test_explicit_three_term_expression(self):
         # one epoch past: eta * p0(t) + (1-eta) * (cos^2(w(t-dt)) p0(dt)
@@ -140,28 +142,21 @@ class TestRecursion:
         expected = eta * math.sin(t) ** 2 + (1.0 - eta) * (
             math.cos(t - dt) ** 2 * p0_dt + math.sin(t - dt) ** 2 * (1.0 - p0_dt)
         )
-        assert predict_ground_prob(pred, t) == pytest.approx(expected, abs=1e-15)
+        assert sample_series(pred, [t]).probs[0] == pytest.approx(expected, abs=1e-15)
 
     def test_boundary_continuity(self):
         pred = make(eta=0.97, dt=0.11, t_max=40.0)
         for n in range(1, pred.n_max + 1):
-            left, right = interval_edges(0.11, n)
-            assert abs(predict_ground_prob(pred, right) - predict_ground_prob(pred, left)) < 1e-12
-
-    def test_complementarity(self):
-        pred = make(eta=0.95, dt=0.17)
-        for t in np.linspace(0.0, 40.0, 311):
-            total = predict_ground_prob(pred, float(t)) + predict_excited_prob(pred, float(t))
-            assert abs(total - 1.0) < 1e-12
+            p_left, p_right = sample_series(pred, interval_edges(0.11, n)).probs
+            assert abs(p_right - p_left) < 1e-12
 
     def test_ground_preparation_swaps_base_case(self):
         pred_e = make(eta=0.95, dt=0.2)
         pred_g = make(eta=0.95, dt=0.2, state=InitialState.GROUND)
-        for t in np.linspace(0.0, 30.0, 97):
-            # two-level completeness ties the two preparations together
-            assert predict_ground_prob(pred_g, float(t)) == pytest.approx(
-                predict_excited_prob(pred_e, float(t)), abs=1e-12
-            )
+        grid = np.linspace(0.0, 30.0, 97)
+        # two-level completeness ties the two preparations together
+        for p_g, p_e in zip(sample_series(pred_g, grid).probs, sample_series(pred_e, grid).probs):
+            assert p_g == pytest.approx(1.0 - p_e, abs=1e-12)
 
     def test_outputs_in_unit_interval(self):
         pred = make(eta=0.5, dt=0.13)
@@ -172,10 +167,10 @@ class TestRecursion:
         c = 3.0
         pred = make(eta=0.97, dt=0.1, omega=1.0)
         pred_scaled = make(eta=0.97, dt=0.1 / c, omega=c)
-        for t in np.linspace(0.0, 30.0, 50):
-            assert predict_ground_prob(pred_scaled, float(t) / c) == pytest.approx(
-                predict_ground_prob(pred, float(t)), abs=1e-12
-            )
+        grid = np.linspace(0.0, 30.0, 50)
+        scaled, plain = sample_series(pred_scaled, grid / c).probs, sample_series(pred, grid).probs
+        for p_scaled, p in zip(scaled, plain):
+            assert p_scaled == pytest.approx(p, abs=1e-12)
 
 
 class TestAgainstSweep:
@@ -200,12 +195,12 @@ class TestRangeHandling:
     def test_beyond_built_range(self):
         pred = make(eta=0.99, dt=0.5, t_max=5.0)
         with pytest.raises(ValueError, match="n_max"):
-            predict_ground_prob(pred, (pred.n_max + 1) * 0.5 + 0.1)
+            sample_series(pred, [(pred.n_max + 1) * 0.5 + 0.1])
 
     def test_negative_time(self):
         pred = make()
         with pytest.raises(ValueError):
-            predict_ground_prob(pred, -0.5)
+            sample_series(pred, [-0.5])
 
     def test_unsorted_grid(self):
         pred = make()
@@ -229,11 +224,12 @@ class TestSeries:
         assert series.meta["dt"] == 0.25
 
     def test_series_matches_pointwise_predict(self):
+        # a point's value does not depend on the rest of its grid
         pred = make(eta=0.96, dt=0.21)
         grid = np.linspace(0.0, 35.0, 140)
         series = sample_series(pred, grid)
         for t, p in zip(grid, series.probs):
-            assert p == pytest.approx(predict_ground_prob(pred, float(t)), abs=1e-12)
+            assert p == pytest.approx(sample_series(pred, [t]).probs[0], abs=1e-12)
 
 
 class TestLongRunBehaviour:
@@ -319,7 +315,7 @@ class TestEpochMapSpectrum:
         assert spectrum.regime == "real"
         pred = build_predictor(RabiSystem(1.0, state), env, 402)
         n = next(n for n in range(10, 400) if (spectrum.roots[1] / spectrum.roots[0]) ** n < 1e-17)
-        x0, x1 = (predict_ground_prob(pred, m * dt) - 0.5 for m in (n, n + 1))
+        x0, x1 = sample_series(pred, [n * dt, (n + 1) * dt]).probs - 0.5
         assert -math.log(x1 / x0) / dt == pytest.approx(spectrum.gamma, rel=1e-9)
 
     def test_fig2_eta_half(self):

@@ -28,6 +28,7 @@ from rabideco.experiments import (
     run_gamma_ratio_experiment,
     run_oracle_check,
 )
+from rabideco.fitting import FitConvergenceError
 from rabideco.svgfig import _H, _MB, _ML, _MR, _MT, _W, _fixed2, _fmt, _ticks, series_overlay_svg
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -56,6 +57,14 @@ def small_fig5_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def strict_json(text: str):
+    """`json.loads` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def previous_csv(header: str, rows) -> str:
@@ -342,11 +351,13 @@ class TestPipelines:
         assert [r.ratio for r in rows] == [1.0]
         assert power_law.degenerate
 
-    def test_gamma_ratio_failure_names_level(self):
-        # a window too narrow to fit trips the level-0 fit precondition
-        cfg = config_from_dict(small_fig5_config(
-            fit_window={"omega_t_span": 3.0, "n_points": 150}))
-        with pytest.raises(RuntimeError, match="level n=0"):
+    def test_gamma_ratio_failure_names_level(self, monkeypatch):
+        def no_fit(series, omega_hint, free_params):
+            raise FitConvergenceError("no progress", {}, 0.0)
+
+        monkeypatch.setattr("rabideco.experiments.fit_damped_sinusoid", no_fit)
+        cfg = config_from_dict(small_fig5_config())
+        with pytest.raises(RuntimeError, match="level n=0 failed: no progress"):
             run_gamma_ratio_experiment(cfg)
 
     def test_gamma_ratio_master_eq_mode(self):
@@ -564,11 +575,59 @@ class TestCli:
         assert err.startswith("config error: ladder.n_max")
         assert "omega_89" in err
 
-    def test_runtime_value_error_maps_to_numerical_exit(self, tmp_path):
-        # validates as a config but the 5-point grid trips the fit preconditions
+    @pytest.mark.parametrize("preset,section,values,key_path", [
+        ("fig2a", "grid", {"n_points": 5}, "grid.n_points"),
+        ("fig2a", "grid", {"n_points": 1}, "grid.n_points"),
+        ("fig2a", "grid", {"t_max": 1.0}, "grid.t_max"),
+        ("fig3", "grid", {"n_points": 5}, "grid.n_points"),
+        ("master_eq", "grid", {"t_max": 6.0}, "grid.t_max"),
+        ("fig5", "fit_window", {"omega_t_span": 3.0}, "fit_window.omega_t_span"),
+        ("fig5_master_eq", "fit_window", {"n_points": 9}, "fit_window.n_points"),
+    ], ids=["fig2_points", "fig2_one_point", "fig2_span", "fig3_points", "master_eq_span",
+            "fig5_span", "fig5_points"])
+    def test_grid_too_short_to_fit_is_a_config_error(self, tmp_path, capsys, preset, section,
+                                                     values, key_path):
+        # the fit's own rule (at least 10 points over two periods), named by its key
+        data = json.loads((CONFIG_DIR / f"{preset}.json").read_text())
+        data[section].update(values)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(fig3_config(grid={"t_max": 50.0, "n_points": 5})))
-        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+        cfg_path.write_text(json.dumps(data, indent=2))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key_path} (line ")
+
+    def test_short_series_csv_is_a_config_error(self, tmp_path, capsys):
+        t = np.linspace(0.0, 30.0, 5)
+        (tmp_path / "series.csv").write_text(
+            "t_coord,p\n" + "".join(f"{x!r},{math.sin(x) ** 2!r}\n" for x in t.tolist()))
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({"series_csv": "series.csv", "omega_hint": 1.0}))
+        assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: series_csv: ")
+        assert "need at least 10 points, got 5" in err
+
+    def test_degenerate_fit_writes_strict_json(self, tmp_path):
+        # a constant series fits no decay: gamma and omega_fit are NaN, written as null
+        t = np.linspace(0.0, 30.0, 40)
+        (tmp_path / "series.csv").write_text(
+            "t_coord,p\n" + "".join(f"{x!r},0.5\n" for x in t.tolist()))
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({"series_csv": "series.csv", "omega_hint": 1.0}))
+        assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path)]) == 0
+        summary = strict_json((tmp_path / "fit.json").read_text())
+        assert summary["degenerate"] is True
+        assert summary["gamma"] is None and summary["omega_fit"] is None
+
+    def test_single_level_power_law_writes_strict_json(self, tmp_path):
+        data = json.loads((CONFIG_DIR / "fig5.json").read_text())
+        data["ladder"]["n_max"] = 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        summary = strict_json((tmp_path / "fig5.json").read_text())
+        assert summary["power_law"]["degenerate"] is True
+        assert summary["power_law"]["exponent"] is None
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # times up to 1e300 overflow the fit's normal equations
@@ -943,8 +1002,9 @@ class TestWorkBudget:
         assert "work budget" in err_lines[0]
 
     def test_single_point_grid_builds_no_epochs(self):
-        # one grid point sits at t = 0, so t_max sets no size
-        data = json.loads((CONFIG_DIR / "fig2a.json").read_text())
+        # one grid point sits at t = 0, so t_max sets no size (the oracle fits
+        # nothing, so one point is a valid grid)
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         data["grid"] = {"t_max": 1e300, "n_points": 1}
         assert len(predictor_series(config_from_dict(data))) == 1
 

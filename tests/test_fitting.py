@@ -9,20 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabideco import fitting
-from rabideco.core import InvalidEntryError, ProbabilitySeries, RabiSystem, born_ground_prob
+from rabideco.core import InvalidEntryError, ProbabilitySeries, RabiSystem
 from rabideco.experiments import config_from_dict, predictor_series
 from rabideco.fitting import (
     PARAM_ORDER,
     DampedSinusoidFit,
     FitConvergenceError,
     MasterEqParams,
-    damped_sinusoid_jacobian,
     damped_sinusoid_model,
     fit_damped_sinusoid,
     fit_power_law,
-    master_eq_prob,
     master_eq_series,
 )
+
+from .reference import born_ground_prob, damped_sinusoid_jacobian
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -36,13 +36,14 @@ class TestMasterEq:
     def test_dissipation_free_limit_is_born(self):
         params = MasterEqParams(omega=1.3, gamma_se=0.0)
         system = RabiSystem(1.3)
-        for t in np.linspace(0.0, 20.0, 201):
-            assert abs(master_eq_prob(params, float(t)) - born_ground_prob(system, float(t))) < 1e-12
+        grid = np.linspace(0.0, 20.0, 201)
+        for t, p in zip(grid, master_eq_series(params, grid).probs):
+            assert abs(p - born_ground_prob(system, float(t))) < 1e-12
 
     def test_long_time_prefactor(self):
         # gamma_se = omega: limit 4 omega^2 / (gamma^2 + 8 omega^2) = 4/9
         params = MasterEqParams(omega=1.0, gamma_se=1.0)
-        assert master_eq_prob(params, 80.0) == pytest.approx(4.0 / 9.0, abs=1e-12)
+        assert master_eq_series(params, [80.0]).probs[0] == pytest.approx(4.0 / 9.0, abs=1e-12)
 
     def test_strong_driving_limit(self):
         # 2 omega = 100 * (gamma/4): compare against (1/2)(1 - e^{-3gt/4} cos 2wt)
@@ -51,7 +52,7 @@ class TestMasterEq:
         params = MasterEqParams(omega=omega, gamma_se=g)
         ts = np.linspace(0.0, 4.0 / g, 500)
         strong = 0.5 * (1.0 - np.exp(-0.75 * g * ts) * np.cos(2.0 * omega * ts))
-        full = np.array([master_eq_prob(params, float(t)) for t in ts])
+        full = master_eq_series(params, ts).probs
         assert float(np.max(np.abs(full - strong))) < 0.02
 
     def test_overdamped_rejected(self):
@@ -60,14 +61,14 @@ class TestMasterEq:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            master_eq_prob(MasterEqParams(1.0, 0.1), -1.0)
+            master_eq_series(MasterEqParams(1.0, 0.1), [-1.0])
 
     def test_series_matches_scalar(self):
         params = MasterEqParams(omega=0.8, gamma_se=0.3)
         grid = np.linspace(0.0, 15.0, 77)
         series = master_eq_series(params, grid)
         for t, p in zip(grid, series.probs):
-            assert p == pytest.approx(master_eq_prob(params, float(t)), abs=1e-14)
+            assert p == pytest.approx(master_eq_series(params, [t]).probs[0], abs=1e-14)
 
 
 class TestDampedSinusoidFit:

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from rabideco import indistinguishable
 from rabideco.core import (
     InitialState,
-    ProbabilitySeries,
     RabiSystem,
-    binomial_weight,
     binomial_weights_row,
     clamp_probability_array,
 )
@@ -24,9 +22,10 @@ from rabideco.indistinguishable import (
     approx_closed_form,
     approx_gamma,
     build_nested_table,
-    rescale_to_coordinate_time,
     sample_rescaled_series,
 )
+
+from .reference import binomial_weight
 
 
 def single_event_formula(omega, dt, beta, n):
@@ -137,11 +136,12 @@ class TestTable:
                 table.ground[n] - nested_sum_enumeration(omega, dt, beta, i, n)
             ) < 1e-12
 
-    def test_complementarity_every_level(self):
+    def test_preparation_mirror_every_level(self):
+        # P_g prepared excited + P_g prepared ground = 1 at every level
         env = IndistinguishableEnv(dt=0.6, beta=0.9, max_events=5)
-        for j in range(6):
-            table = build_nested_table(RabiSystem(1.0), dataclasses.replace(env, max_events=j), 40)
-            np.testing.assert_allclose(table.ground + table.excited, 1.0, atol=1e-12)
+        ground = every_level(RabiSystem(1.0), env, 40)
+        mirror = every_level(RabiSystem(1.0, InitialState.GROUND), env, 40)
+        np.testing.assert_allclose(ground + mirror, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [0.99, 0.995])
     @pytest.mark.parametrize("dt", [0.015, 0.1, 0.5])
@@ -402,33 +402,32 @@ class TestRescale:
 
     def test_zero_time(self):
         table, env = self.make()
-        assert rescale_to_coordinate_time(table, env, 0.0) == 0.0
+        assert sample_rescaled_series(table, env, [0.0]).probs[0] == 0.0
 
     def test_exact_at_integral_index(self):
         table, env = self.make()
-        for k in (1, 5, 33):
-            t = k * env.beta * env.dt
-            assert rescale_to_coordinate_time(table, env, t) == table.ground[k]
+        ks = (1, 5, 33)
+        series = sample_rescaled_series(table, env, [k * env.beta * env.dt for k in ks])
+        for k, p in zip(ks, series.probs):
+            assert p == table.ground[k]
 
     def test_linear_between_columns(self):
         table, env = self.make()
         t = 7.5 * env.beta * env.dt
         mid = 0.5 * (table.ground[7] + table.ground[8])
-        assert rescale_to_coordinate_time(table, env, t) == pytest.approx(mid, abs=1e-12)
+        assert sample_rescaled_series(table, env, [t]).probs[0] == pytest.approx(mid, abs=1e-12)
 
     def test_isolated_curve_is_born(self):
         table, env = self.make(beta=1.0, i=3, dt=0.4)
-        for k in range(20):
-            t = k * env.dt
+        grid = [k * env.dt for k in range(20)]
+        for t, p in zip(grid, sample_rescaled_series(table, env, grid).probs):
             # t/(beta dt) can land an ulp off the integer column
-            assert rescale_to_coordinate_time(table, env, t) == pytest.approx(
-                math.sin(t) ** 2, abs=1e-13
-            )
+            assert p == pytest.approx(math.sin(t) ** 2, abs=1e-13)
 
     def test_out_of_range(self):
         table, env = self.make(n_max=10)
         with pytest.raises(ValueError, match="n_max"):
-            rescale_to_coordinate_time(table, env, 11.0 * env.beta * env.dt)
+            sample_rescaled_series(table, env, [11.0 * env.beta * env.dt])
 
     def test_env_must_be_the_tables(self):
         table, env = self.make(beta=0.995)
@@ -440,7 +439,7 @@ class TestRescale:
         grid = np.linspace(0.0, 50.0, 173)
         series = sample_rescaled_series(table, env, grid)
         for t, p in zip(grid, series.probs):
-            assert p == pytest.approx(rescale_to_coordinate_time(table, env, float(t)), abs=1e-14)
+            assert p == pytest.approx(sample_rescaled_series(table, env, [t]).probs[0], abs=1e-14)
 
     def test_series_metadata(self):
         table, env = self.make()
@@ -460,29 +459,37 @@ class TestClosedFormApprox:
     def test_isolated_reduces_to_born(self):
         env = IndistinguishableEnv(dt=0.05, beta=1.0, max_events=5)
         system = RabiSystem(1.0)
-        for t in np.linspace(0.0, 20.0, 57):
-            assert approx_closed_form(system, env, float(t)) == pytest.approx(
-                math.sin(t) ** 2, abs=1e-12
-            )
+        grid = np.linspace(0.0, 20.0, 57)
+        for t, p in zip(grid, approx_closed_form(system, env, grid).probs):
+            assert p == pytest.approx(math.sin(t) ** 2, abs=1e-12)
 
     def test_zero_time(self):
         env = IndistinguishableEnv(dt=0.05, beta=0.999, max_events=5)
-        assert approx_closed_form(RabiSystem(1.0), env, 0.0) == 0.0
+        assert approx_closed_form(RabiSystem(1.0), env, [0.0]).probs[0] == 0.0
+
+    def test_series_metadata(self):
+        env = IndistinguishableEnv(dt=0.05, beta=0.99, max_events=5)
+        series = approx_closed_form(RabiSystem(1.0), env, [0.0, 1.0])
+        np.testing.assert_array_equal(series.times, [0.0, 1.0])
+        assert series.meta["predictor"] == "approx-closed-form"
+        assert series.meta["beta"] == env.beta
 
     def test_ground_preparation_complement(self):
         env = IndistinguishableEnv(dt=0.05, beta=0.99, max_events=5)
         sys_e = RabiSystem(1.0)
         sys_g = RabiSystem(1.0, InitialState.GROUND)
-        for t in (0.0, 1.7, 9.3):
-            assert approx_closed_form(sys_e, env, t) + approx_closed_form(sys_g, env, t) == pytest.approx(1.0, abs=1e-14)
+        grid = [0.0, 1.7, 9.3]
+        total = (approx_closed_form(sys_e, env, grid).probs
+                 + approx_closed_form(sys_g, env, grid).probs)
+        for p in total:
+            assert p == pytest.approx(1.0, abs=1e-14)
 
     def test_envelope_decay_matches_quadratic_rate(self):
         # fitted decay of the closed form itself vs 2 (1-beta) omega^2 dt
         env = IndistinguishableEnv(dt=0.05, beta=0.999, max_events=5)
         system = RabiSystem(1.0)
         grid = np.linspace(0.0, 40.0, 600)
-        probs = np.array([approx_closed_form(system, env, float(t)) for t in grid])
-        fit = fit_damped_sinusoid(ProbabilitySeries(grid, probs, {}), omega_hint=1.0)
+        fit = fit_damped_sinusoid(approx_closed_form(system, env, grid), omega_hint=1.0)
         assert fit.gamma == pytest.approx(approx_gamma(system, env), rel=0.10)
 
 

@@ -604,7 +604,7 @@ class TestIndistinguishableChain:
 
     def test_worked_single_event_case(self):
         # i=1, n=4, beta=0.5 against the explicit five-term expansion
-        from rabideco.core import binomial_weight
+        from .reference import binomial_weight
 
         omega, dt, beta = 1.0, 0.3, 0.5
         expected = sum(
