@@ -17,7 +17,6 @@ from .montecarlo import EnsembleConfig, simulate_distinguishable
 from .fitting import (DampedSinusoidFit, FitConvergenceError, MasterEqParams, PowerLawFit,
                       fit_damped_sinusoid, fit_power_law, master_eq_series)
 
-# grouped by module, in the order imported above
 __all__ = [
     "LAMB_DICKE", "FrequencyLadder", "InitialState", "ProbabilitySeries", "RabiSystem",
     "rabi_frequency_ladder",

@@ -389,7 +389,7 @@ def _finite(value):
     """`value` with every non-finite float, which JSON cannot hold, as None (null)."""
     if isinstance(value, dict):
         return {key: _finite(x) for key, x in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_finite(x) for x in value]
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
