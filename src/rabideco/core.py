@@ -18,8 +18,8 @@ import numpy as np
 # Rounding slack for values that are probabilities in exact arithmetic.
 PROB_TOL = 1e-12
 
-# 8-byte words one stage holds, or draws it makes (about 800 MB): configs are
-# checked against it, and the Monte Carlo oracle sizes its parallelism by it.
+# 8-byte words one stage holds (about 800 MB), or draws or terms it computes:
+# configs are checked against it, and the Monte Carlo oracle sizes its parallelism by it.
 WORK_BUDGET = 1e8
 
 # Lamb-Dicke parameter of the trapped-ion frequency ladder.

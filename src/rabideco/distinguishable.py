@@ -63,6 +63,8 @@ from .core import (
     time_grid,
 )
 
+MAX_EPOCHS = 1e7  # the most a config may ask for: the error above grows like n eps
+
 
 @dataclass(frozen=True)
 class DistinguishableEnv:

@@ -22,14 +22,15 @@ import numpy as np
 
 from .core import (WORK_BUDGET, InitialState, LAMB_DICKE, ProbabilitySeries, RabiSystem,
                    rabi_frequency_ladder)
-from .distinguishable import (DistinguishableEnv, build_predictor, epoch_map_spectrum,
-                              sample_series)
+from .distinguishable import (MAX_EPOCHS, DistinguishableEnv, build_predictor,
+                              epoch_map_spectrum, sample_series)
 from .fitting import (MIN_FIT_POINTS, PARAM_ORDER, DampedSinusoidFit, FitConvergenceError,
                       FitWindowError, MasterEqParams, PowerLawFit, check_fit_window,
                       damped_sinusoid_model, fit_damped_sinusoid, fit_power_law,
                       master_eq_series)
-from .indistinguishable import IndistinguishableEnv, build_nested_table, sample_rescaled_series
-from .montecarlo import EnsembleConfig, simulate_distinguishable
+from .indistinguishable import (IndistinguishableEnv, build_nested_table,
+                                sample_rescaled_series, table_plan)
+from .montecarlo import EnsembleConfig, run_work, simulate_distinguishable
 from .svgfig import series_overlay_svg
 
 
@@ -117,17 +118,8 @@ _COMMON = {
 }
 
 # ---- work budget: what a config asks for, sized from the config alone ----
-# checked against core.WORK_BUDGET; words per element, tracemalloc peaks rounded up
-_PER_POINT = 44  # a grid point: series, fit and the output text
-# the Monte Carlo sampler's phase, cosine, sine and lag tables and two occupancy
-# tables while one replaces the other (9 words with one block live; it runs more
-# blocks at once only where the budget covers them). build_predictor holds nothing
-# per epoch, but Fig2 keeps the same charge as its epoch cap: at most 1e7 epochs
-# keeps every interval index n an exact integer, and over-budget grids still
-# exit 2 at their keys
-_PER_EPOCH = 10
-_PER_CELL = 3  # a nested table cell, charged per level though only the top row is held
-_PER_ENTRY = 2  # a matrix-form entry, when the nested table takes that path
+# checked against core.WORK_BUDGET; each module counts its own work
+_PER_POINT = 44  # words per grid point: series, fit and the output text (tracemalloc)
 
 
 def _size(value) -> float:
@@ -144,30 +136,24 @@ def _t_end(grid) -> float:
     return grid.t_max if grid.n_points > 1 else 0.0  # one point sits at t = 0
 
 
-def _predictor_sizes(cfg) -> list:
+def _epochs(cfg) -> tuple:
     t_end, dt = _t_end(cfg.grid), cfg.env.dt
-    return _grid_sizes(cfg) + [
-        (_PER_EPOCH * (t_end / dt + 2.0), {"grid.t_max": t_end, "env.dt": 1.0 / dt})]
+    return t_end / dt, {"grid.t_max": t_end, "env.dt": 1.0 / dt}
 
 
 def _oracle_sizes(cfg) -> list:
     n, points = _size(cfg.mc.n_systems), _size(cfg.grid.n_points)
-    return _predictor_sizes(cfg) + [(n * points, {"mc.n_systems": n, "grid.n_points": points})]
+    epochs, factors = _epochs(cfg)
+    held, draws = run_work(n, cfg.env.eta, epochs, points)
+    return _grid_sizes(cfg) + [
+        (held, factors), (draws, {**factors, "mc.n_systems": n, "grid.n_points": points})]
 
 
 def _nested_sizes(t_end: float, env, t_key: str, dt_key: str = "env.dt") -> list:
-    """The table (max_events + 1)(n_max + 1), plus (n_max + 1)^2 on the matrix path.
-
-    The table holds one row of n_max + 1 now; the per-level charge is kept so
-    that the same configs exit 2 as when it held every level.
-    """
-    columns = t_end / env.beta / env.dt + 2.0  # n_max + 1 = ceil(t / (beta dt)) + 2
-    levels = _size(env.max_events) + 1.0
-    words = _PER_CELL * levels * columns
-    if levels > math.log2(columns):  # 2^(max_events + 1) > n_max + 1
-        words += _PER_ENTRY * columns * columns
-    return [(words, {t_key: t_end, dt_key: 1.0 / env.dt, "env.beta": 1.0 / env.beta,
-                     "env.max_events": levels})]
+    levels = _size(env.max_events)
+    n_max = t_end / env.beta / env.dt + 1.0  # ceil(t / (beta dt)) + 1, as predictor_series
+    return [(table_plan(levels, env.beta, n_max)[1], {
+        t_key: t_end, dt_key: 1.0 / env.dt, "env.beta": 1.0 / env.beta, "env.max_events": levels})]
 
 
 def _fig3_sizes(cfg) -> list:
@@ -180,20 +166,21 @@ def _gamma_ratio_sizes(cfg) -> list:  # the tables wait for the ladder
                                             "fit_window.n_points": points})]
 
 
-def _within_budget(sizes: list, raw: str | None) -> None:
-    """ConfigError at the key with the largest factor of the first size over budget."""
-    for words, factors in sizes:
-        if words > WORK_BUDGET:
-            key = max(factors, key=factors.get)
-            raise _config_error(f"the run needs about {words:.3g} words or draws, over "
-                                f"the work budget of {WORK_BUDGET:.0e}", key, raw)
+def _within_budget(sizes: list, raw: str | None, limit: float | None = None,
+                   what: str = "words, draws or terms, over the work budget") -> None:
+    """ConfigError at the largest factor's key of the first size over `limit` (or WORK_BUDGET)."""
+    limit = WORK_BUDGET if limit is None else limit
+    for size, factors in sizes:
+        if size > limit:
+            raise _config_error(f"the run needs about {size:.3g} {what} of {limit:.0e}",
+                                max(factors, key=factors.get), raw)
 
 
 # kind -> (type built from the env section, the kind's own sections and keys,
 # the sizes it asks for)
 _SPECS = {
     ExperimentKind.FIG2_DISTINGUISHABLE: (DistinguishableEnv, {"env": _DIST_ENV, **_FIGURE},
-                                          _predictor_sizes),
+                                          _grid_sizes),
     ExperimentKind.FIG3_INDISTINGUISHABLE: (IndistinguishableEnv, {
         "env": _Section({"dt": _positive(), "beta": _BETA, "max_events": _MAX_EVENTS}),
         **_FIGURE}, _fig3_sizes),
@@ -337,6 +324,8 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
     cfg = ExperimentConfig(**common, **_walk(
         spec, {k: x for k, x in data.items() if k not in _COMMON}, raw_text))
     _within_budget(sizes(cfg), raw_text)
+    if env_type is DistinguishableEnv:  # Fig2, and the oracle's reference curve
+        _within_budget([_epochs(cfg)], raw_text, MAX_EPOCHS, "epochs, over the epoch limit")
     if {"grid", "fit"} <= spec.keys() and cfg.grid.n_points:  # an empty grid fits nothing
         _fit_window_rule(cfg.grid.n_points, cfg.grid.t_max, cfg.system.omega,
                          {"points": "grid.n_points", "span": "grid.t_max"}, raw_text)

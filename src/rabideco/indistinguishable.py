@@ -88,14 +88,27 @@ class NestedTable:
 _BLOCK = 1 << 16
 
 
+def table_plan(levels, beta: float, n_max) -> tuple[str, float]:
+    """How `build_nested_table` builds columns 0..n_max, and the words it holds or terms
+    it sums, in floats: "born" (no collapse), its row of 3 words per column at its peak
+    (tracemalloc); "sum" while 2^(levels + 1) <= n_max + 1, 2^levels terms per column or
+    its 6-word row if more; else "matrix", (n_max + 1)^2 entries plus one per level per column."""
+    n_cols = n_max + 1.0
+    if beta == 1.0 or not levels:
+        return "born", 3.0 * n_cols
+    if levels < 1023 and 2.0 ** (levels + 1) <= n_cols:
+        return "sum", max(2.0 ** levels, 6.0) * n_cols
+    return "matrix", n_cols * (n_cols + levels)
+
+
 def build_nested_table(
     system: RabiSystem, env: IndistinguishableEnv, n_max: int
 ) -> NestedTable:
     """The truncation level max_events at the times k dt, k = 0..n_max.
 
-    Takes whichever exact form does less work: the exponential sum, 2^i
-    nodes by n_max + 1 columns, while 2^(i+1) <= n_max + 1; else the matrix
-    form, whose M has (n_max + 1)^2 entries.
+    Takes whichever exact form does less work (`table_plan`): the exponential
+    sum, 2^i nodes by n_max + 1 columns, or the matrix form, whose M has
+    (n_max + 1)^2 entries. At beta = 1 no collapse ever happens: every level is Born.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
@@ -103,11 +116,11 @@ def build_nested_table(
     phase = system.omega * env.dt
     ks = np.arange(n_max + 1)
     ground = system.initial_state.born_ground(phase * ks)
-    if env.beta < 1.0 and levels:  # at beta = 1 no collapse ever happens: every level is Born
-        if 2 ** (levels + 1) <= n_max + 1:
-            ground = _exponential_sum(ks, levels, phase, env.beta, system.initial_state.amplitude)
-        else:
-            ground = _matrix_form(ground, levels, phase, env.beta)
+    path = table_plan(levels, env.beta, n_max)[0]
+    if path == "sum":
+        ground = _exponential_sum(ks, levels, phase, env.beta, system.initial_state.amplitude)
+    elif path == "matrix":
+        ground = _matrix_form(ground, levels, phase, env.beta)
     return NestedTable(system, env, n_max, clamp_probability_array(ground))
 
 

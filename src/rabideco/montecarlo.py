@@ -32,13 +32,13 @@ A grid time after l epochs can reach only the first 2 l + 2 keys, so the
 states are looked for there, and a recount counts only those; the next
 update extends the table to all 2 epochs + 2 keys.
 
-Cost model, per block of N members: the collapses cost O(N (1 - eta) epochs)
-draws. A grid time costs one scan of the block for the members due (a
-comparison per member), O(moved) to update the occupancy (O(N) for a
-recount, when many moved), a scan of the keys reachable so far
-for the occupied states, and one binomial per occupied state, of which
-there are at most min(N, 2 epochs + 2). A binomial
-takes 60-170 ns (numpy 2.4, 2-core Xeon VM), as long as a uniform, bias and
+Cost model, per block of N members (`run_work`): N first waiting times, and
+the collapses cost O(N (1 - eta) epochs) draws. A grid time costs one scan of
+the block for the members due (a comparison per member), O(moved) to update
+the occupancy (O(N) for a recount, when many moved), a scan of the keys
+reachable so far for the occupied states, and one binomial per occupied
+state, of which there are at most min(N, 2 epochs + 2). A binomial takes
+60-170 ns (numpy 2.4, 2-core Xeon VM), as long as a uniform, bias and
 comparison for each of 10-25 members, so counting pays above about that many
 members per occupied state; every preset and benchmark item has at least 45
 per possible state. With few members per state it is slower than one uniform
@@ -64,15 +64,6 @@ preset, about 2700 context switches per run instead of none, up to 1.3x the
 wall time and 1.9x the CPU time of one thread). So blocks run
 one at a time while a member is expected to collapse fewer than
 _PARALLEL_COLLAPSES times over the run.
-
-Memory: the phase, cosine, sine and lag tables are shared, 5 words per
-epoch. A live block holds two occupancy tables while one replaces the other,
-4 words per epoch, and about 10 words per member (keys, next collapses and
-the collapse loop's temporaries). The number of live blocks is 1 below
-_PARALLEL_COLLAPSES collapses per member; else the smallest of the usable
-cores, the block count and what WORK_BUDGET covers at (5 + 4 w) words per
-epoch plus 10 per member of the w live blocks, and at least 1. At the most
-epochs a config may ask for, 1e7, one block is live.
 
 Within a block the draw order is: one exponential vector for the first
 waiting times (none at eta = 1); then per grid time, while some members
@@ -125,21 +116,31 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _live_blocks(n_blocks: int, n_epochs: int, block_size: int, collapses: float) -> int:
-    """How many blocks run at once: one while a member is expected to collapse
-    fewer than _PARALLEL_COLLAPSES times over the run (`collapses`); else no
-    more than the usable cores, the blocks, or what WORK_BUDGET covers, and at
-    least one.
+def _held_words(n_epochs, block_size, live: int) -> float:
+    """The oracle's memory model: 5 words per epoch for the shared phase, cosine, sine
+    and lag tables; per live block, 4 per epoch for two occupancy tables (one replaces
+    the other) and about 10 per member (keys, next collapses, collapse temporaries)."""
+    return 5.0 * n_epochs + live * (4.0 * n_epochs + 10.0 * block_size)
 
-    The phase, cosine, sine and lag tables are shared (5 words per epoch);
-    each live block holds two occupancy tables while one replaces the other
-    (4 words per epoch) and about 10 words per member.
-    """
+
+def _live_blocks(n_blocks: int, n_epochs: int, block_size: int, collapses: float) -> int:
+    """How many blocks run at once: one below _PARALLEL_COLLAPSES expected `collapses`
+    per member, else as many as the usable cores, the blocks and WORK_BUDGET allow."""
     if collapses < _PARALLEL_COLLAPSES:
         return 1
-    per_block = 4.0 * n_epochs + 10.0 * block_size
-    budget = int((WORK_BUDGET - 5.0 * n_epochs) // per_block)
+    shared = _held_words(n_epochs, block_size, 0)
+    budget = int((WORK_BUDGET - shared) // (_held_words(n_epochs, block_size, 1) - shared))
     return max(1, min(_usable_cores(), n_blocks, budget))
+
+
+def run_work(n_systems, eta: float, n_epochs, n_points) -> tuple[float, float]:
+    """Words held, one block live, and draws made by `simulate_distinguishable` (the
+    cost model above, one draw per expected collapse; none for an empty grid)."""
+    if not n_points:
+        return 0.0, 0.0
+    draws = (n_systems * (1.0 + (1.0 - eta) * n_epochs)
+             + min(n_systems, 2.0 * n_epochs + 2.0) * n_points)
+    return _held_words(n_epochs, min(n_systems, BLOCK_SIZE), 1), draws
 
 
 def simulate_distinguishable(

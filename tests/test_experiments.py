@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import stat
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabideco.cli import main as cli_main
+from rabideco.distinguishable import MAX_EPOCHS
 from rabideco.experiments import (
     ConfigError,
     WORK_BUDGET,
@@ -962,13 +964,13 @@ class TestGroundPreparation:
 
 
 def perfbench_configs():
-    """Every item config of the benchmark's four workloads at seeds 1 and 2."""
+    """Every item config of the benchmark's four workloads at seeds 1 to 5."""
     root = CONFIG_DIR.parent
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [item["config"] for name in workloads.WORKLOADS for seed in (1, 2)
+    return [item["config"] for name in workloads.WORKLOADS for seed in range(1, 6)
             for item in workloads.generate(name, seed, root)]
 
 
@@ -978,12 +980,13 @@ class TestWorkBudget:
     @pytest.mark.parametrize("preset,section,key,value", [
         ("fig2a.json", "grid", "t_max", 1e300),
         ("fig2a.json", "env", "dt", 1e-300),
-        ("fig2a.json", "grid", "t_max", 8e6),  # 1e8 epochs: allocates GBs without the budget
+        ("fig2a.json", "grid", "t_max", 8e6),
         ("fig3.json", "env", "dt", 1e-300),
         ("fig3.json", "env", "beta", 1e-300),
         ("fig3.json", "env", "max_events", 10**9),
         ("oracle_check.json", "grid", "t_max", 1e300),
         ("oracle_check.json", "mc", "n_systems", 10**9),
+        ("oracle_check.json", "grid", "t_max", 4e5),  # 5e9 collapses
         ("master_eq.json", "grid", "n_points", 10**12),
         ("fig5.json", "ladder", "n_max", 10**12),
         ("fig5.json", "fit_window", "omega_t_span", 1e300),
@@ -992,14 +995,32 @@ class TestWorkBudget:
     def test_over_budget_exits_2_at_its_key(self, tmp_path, capsys, preset, section, key, value):
         data = json.loads((CONFIG_DIR / preset).read_text())
         data[section][key] = value
+        err_line = self.exits_2(tmp_path, capsys, data, f"{section}.{key}")
+        # Fig2's distinguishable predictor is bounded by its epoch count instead
+        limit = f"epoch limit of {MAX_EPOCHS:.0e}" if preset == "fig2a.json" else "work budget"
+        assert limit in err_line
+
+    @staticmethod
+    def exits_2(tmp_path, capsys, data, key_path):
+        """The one stderr line of a config that exits 2 at `key_path` within 1 s."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data, indent=2))
+        start = time.perf_counter()
         code = cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
         err_lines = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err_lines) == 1
-        assert err_lines[0].startswith(f"config error: {section}.{key} (line ")
-        assert "work budget" in err_lines[0]
+        assert err_lines[0].startswith(f"config error: {key_path} (line ")
+        assert elapsed < 1.0
+        return err_lines[0]
+
+    def test_deep_nested_sum_exits_2(self, tmp_path, capsys):
+        # 2^16 exponential-sum terms by 131731 columns: 8.6e9 terms, minutes of work
+        data = json.loads((CONFIG_DIR / "fig3.json").read_text())
+        data["env"]["max_events"] = 16
+        data["grid"]["t_max"] = 91750
+        assert "work budget" in self.exits_2(tmp_path, capsys, data, "grid.t_max")
 
     def test_single_point_grid_builds_no_epochs(self):
         # one grid point sits at t = 0, so t_max sets no size (the oracle fits

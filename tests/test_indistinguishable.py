@@ -23,6 +23,7 @@ from rabideco.indistinguishable import (
     approx_gamma,
     build_nested_table,
     sample_rescaled_series,
+    table_plan,
 )
 
 from .reference import binomial_weight
@@ -369,6 +370,41 @@ class TestAgainstDynamicProgram:
         want = mp_top_level(1.0, omega_dt, beta, 5, ns, state)
         got = table.ground[ns]
         assert float(np.max(np.abs(got - np.array(want)))) <= 1e-13
+
+
+class TestTablePlan:
+    @settings(max_examples=100, deadline=None)
+    @given(i=st.integers(0, 20), n_max=st.integers(0, 5000),
+           beta=st.sampled_from([0.3, 0.995, 1.0]))
+    @example(i=11, n_max=4095, beta=0.995)  # 2^(i+1) = n_max + 1: the sum
+    @example(i=11, n_max=4094, beta=0.995)  # one column fewer: the matrix form
+    def test_cost_and_build_take_one_path(self, i, n_max, beta):
+        taken = []
+
+        def spy(name):
+            def stub(*args):
+                taken.append(name)
+                return np.full(n_max + 1, 0.5)
+            return stub
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(indistinguishable, "_exponential_sum", spy("sum"))
+            patch.setattr(indistinguishable, "_matrix_form", spy("matrix"))
+            build_nested_table(RabiSystem(1.0), IndistinguishableEnv(0.4, beta, i), n_max)
+        want = ("born" if beta == 1.0 or i == 0
+                else "sum" if 2 ** (i + 1) <= n_max + 1 else "matrix")
+        path, work = table_plan(i, beta, n_max)
+        assert path == want
+        assert taken == ([] if want == "born" else [want])
+        cols = n_max + 1  # the held row: 3 words per column, 6 with the sum
+        assert work == {"born": 3 * cols, "sum": max(2**i, 6) * cols,
+                        "matrix": cols * (cols + i)}[want]
+
+    @pytest.mark.parametrize("levels, n_max", [(10**9, 100.0), (1e300, 1e300), (1022, math.inf)])
+    def test_huge_order_stays_in_floats(self, levels, n_max):
+        path, work = table_plan(levels, 0.5, n_max)
+        assert work > 1e8
+        assert path == ("sum" if n_max == math.inf else "matrix")
 
 
 class TestAgainstPreviousTable:

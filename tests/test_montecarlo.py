@@ -499,10 +499,12 @@ class TestParallelBlocks:
         assert set(threading.enumerate()) == before
 
     def test_largest_config_holds_one_block(self, monkeypatch):
-        # oracle_check stretched to 1e7 epochs still passes the work budget;
-        # two live blocks would hold 13 words per epoch, over it
+        # oracle_check stretched to 1e7 epochs, with few enough members that its
+        # 5e7 collapses pass the work budget; two live blocks would hold 13
+        # words per epoch, over it
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         data["env"]["dt"] = data["grid"]["t_max"] / 9_999_990
+        data["mc"]["n_systems"] = 500
         cfg = config_from_dict(data)
         n_epochs = math.floor(cfg.grid.t_max / cfg.env.dt + 1e-9)
         assert n_epochs >= 9_999_990
