@@ -56,8 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "fit":
             continue  # fit draws no random numbers and writes only its JSON summary
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--format", action="append", choices=("csv", "json", "svg"),
-                         help="output format, repeatable (default: csv and json)")
+        cmd.add_argument(
+            "--format",
+            action="append",
+            choices=("csv", "json", "svg"),
+            default=None,
+            help="output format, repeatable (default: csv and json)",
+        )
     return parser
 
 

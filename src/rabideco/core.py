@@ -18,7 +18,7 @@ import numpy as np
 # Rounding slack for values that are probabilities in exact arithmetic.
 PROB_TOL = 1e-12
 
-# 8-byte words one stage holds (about 800 MB), or draws or terms it computes:
+# 8-byte words one stage holds (about 800 MB), or draws, terms or comparisons it makes:
 # configs are checked against it, and the Monte Carlo oracle sizes its parallelism by it.
 WORK_BUDGET = 1e8
 

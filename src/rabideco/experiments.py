@@ -144,16 +144,18 @@ def _epochs(cfg) -> tuple:
 def _oracle_sizes(cfg) -> list:
     n, points = _size(cfg.mc.n_systems), _size(cfg.grid.n_points)
     epochs, factors = _epochs(cfg)
-    held, draws = run_work(n, cfg.env.eta, epochs, points)
-    return _grid_sizes(cfg) + [
-        (held, factors), (draws, {**factors, "mc.n_systems": n, "grid.n_points": points})]
+    held, draws, compared = run_work(n, cfg.env.eta, epochs, points)
+    members = {"mc.n_systems": n, "grid.n_points": points}
+    return _grid_sizes(cfg) + [(held, factors), (draws, {**factors, **members}),
+                               (compared, members)]
 
 
 def _nested_sizes(t_end: float, env, t_key: str, dt_key: str = "env.dt") -> list:
     levels = _size(env.max_events)
     n_max = t_end / env.beta / env.dt + 1.0  # ceil(t / (beta dt)) + 1, as predictor_series
-    return [(table_plan(levels, env.beta, n_max)[1], {
-        t_key: t_end, dt_key: 1.0 / env.dt, "env.beta": 1.0 / env.beta, "env.max_events": levels})]
+    factors = {t_key: t_end, dt_key: 1.0 / env.dt, "env.beta": 1.0 / env.beta,
+               "env.max_events": levels}
+    return [(table_plan(levels, env.beta, n_max)[1], factors)]
 
 
 def _fig3_sizes(cfg) -> list:
@@ -167,7 +169,7 @@ def _gamma_ratio_sizes(cfg) -> list:  # the tables wait for the ladder
 
 
 def _within_budget(sizes: list, raw: str | None, limit: float | None = None,
-                   what: str = "words, draws or terms, over the work budget") -> None:
+                   what: str = "words, draws, terms or comparisons, over the work budget") -> None:
     """ConfigError at the largest factor's key of the first size over `limit` (or WORK_BUDGET)."""
     limit = WORK_BUDGET if limit is None else limit
     for size, factors in sizes:

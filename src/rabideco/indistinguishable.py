@@ -89,16 +89,17 @@ _BLOCK = 1 << 16
 
 
 def table_plan(levels, beta: float, n_max) -> tuple[str, float]:
-    """How `build_nested_table` builds columns 0..n_max, and the words it holds or terms
-    it sums, in floats: "born" (no collapse), its row of 3 words per column at its peak
-    (tracemalloc); "sum" while 2^(levels + 1) <= n_max + 1, 2^levels terms per column or
-    its 6-word row if more; else "matrix", (n_max + 1)^2 entries plus one per level per column."""
+    """How `build_nested_table` builds columns 0..n_max, and its work in floats: "born"
+    (no collapse) holds a row of 3 words per column (tracemalloc peak); "sum", while
+    2^(levels + 1) <= n_max + 1, sums 2^levels terms per column or holds a 6-word row;
+    "matrix" holds 2 words per entry of its (n_max + 1)^2 matrix M, plus 3 per column
+    for each of its levels + 1 rows (the Born row, then one product with M each)."""
     n_cols = n_max + 1.0
     if beta == 1.0 or not levels:
         return "born", 3.0 * n_cols
     if levels < 1023 and 2.0 ** (levels + 1) <= n_cols:
         return "sum", max(2.0 ** levels, 6.0) * n_cols
-    return "matrix", n_cols * (n_cols + levels)
+    return "matrix", (2.0 * n_cols + 3.0 * (levels + 1.0)) * n_cols
 
 
 def build_nested_table(

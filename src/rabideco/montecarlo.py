@@ -133,14 +133,16 @@ def _live_blocks(n_blocks: int, n_epochs: int, block_size: int, collapses: float
     return max(1, min(_usable_cores(), n_blocks, budget))
 
 
-def run_work(n_systems, eta: float, n_epochs, n_points) -> tuple[float, float]:
-    """Words held, one block live, and draws made by `simulate_distinguishable` (the
-    cost model above, one draw per expected collapse; none for an empty grid)."""
+def run_work(n_systems, eta: float, n_epochs, n_points) -> tuple[float, float, float]:
+    """Words held, one block live, draws made and members compared by
+    `simulate_distinguishable`, after the cost model above: one draw per expected
+    collapse, and every member compared once per grid time in the scan for the
+    members due. An empty grid costs nothing."""
     if not n_points:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     draws = (n_systems * (1.0 + (1.0 - eta) * n_epochs)
              + min(n_systems, 2.0 * n_epochs + 2.0) * n_points)
-    return _held_words(n_epochs, min(n_systems, BLOCK_SIZE), 1), draws
+    return _held_words(n_epochs, min(n_systems, BLOCK_SIZE), 1), draws, n_systems * n_points
 
 
 def simulate_distinguishable(

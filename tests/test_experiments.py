@@ -1022,6 +1022,18 @@ class TestWorkBudget:
         data["grid"]["t_max"] = 91750
         assert "work budget" in self.exits_2(tmp_path, capsys, data, "grid.t_max")
 
+    @pytest.mark.parametrize("changes", [
+        {"env": {"eta": 1.0}, "mc": {"n_systems": 2 * 10**7}, "grid": {"n_points": 10**5}},
+        {"env": {"dt": 30.0}, "mc": {"n_systems": 9 * 10**7}, "grid": {"n_points": 2 * 10**6}},
+    ])
+    def test_long_oracle_scan_exits_2(self, tmp_path, capsys, changes):
+        # few draws, but every grid time compares each member with its next
+        # collapse: 2e12 and 1.8e14 comparisons, half an hour and days of work
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        for section, keys in changes.items():
+            data[section].update(keys)
+        assert "work budget" in self.exits_2(tmp_path, capsys, data, "mc.n_systems")
+
     def test_single_point_grid_builds_no_epochs(self):
         # one grid point sits at t = 0, so t_max sets no size (the oracle fits
         # nothing, so one point is a valid grid)

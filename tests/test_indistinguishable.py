@@ -398,7 +398,7 @@ class TestTablePlan:
         assert taken == ([] if want == "born" else [want])
         cols = n_max + 1  # the held row: 3 words per column, 6 with the sum
         assert work == {"born": 3 * cols, "sum": max(2**i, 6) * cols,
-                        "matrix": cols * (cols + i)}[want]
+                        "matrix": 2 * cols**2 + 3 * (i + 1) * cols}[want]
 
     @pytest.mark.parametrize("levels, n_max", [(10**9, 100.0), (1e300, 1e300), (1022, math.inf)])
     def test_huge_order_stays_in_floats(self, levels, n_max):
