@@ -144,10 +144,9 @@ def _epochs(cfg) -> tuple:
 def _oracle_sizes(cfg) -> list:
     n, points = _size(cfg.mc.n_systems), _size(cfg.grid.n_points)
     epochs, factors = _epochs(cfg)
-    held, draws, compared = run_work(n, cfg.env.eta, epochs, points)
-    members = {"mc.n_systems": n, "grid.n_points": points}
-    return _grid_sizes(cfg) + [(held, factors), (draws, {**factors, **members}),
-                               (compared, members)]
+    held, draws, scanned = run_work(n, cfg.env.eta, epochs, points)
+    both = {**factors, "mc.n_systems": n, "grid.n_points": points}
+    return _grid_sizes(cfg) + [(held, factors), (draws, both), (scanned, both)]
 
 
 def _nested_sizes(t_end: float, env, t_key: str, dt_key: str = "env.dt") -> list:

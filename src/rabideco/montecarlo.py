@@ -21,31 +21,27 @@ ground, 0 in excited. Each member's trajectory is tracked, so every
 correlation between grid times is kept, but members in equal states are
 i.i.d. at a measurement: each grid time draws one binomial per occupied
 state instead of one uniform per member. A block keeps its occupancy, the
-number of members per key, from one grid time to the next. Only the members
-due before a grid time can change key, so their old keys are taken off
-before the collapses and their new keys added after. That costs about
-3 us plus 8.5 ns per member moved, and a bincount of all keys 1.5 us plus
-1.6 ns per member (numpy 2.4, 2-core Xeon VM), so the update runs while
-5 moved + 2000 <= N (up to 19% of a full block moved) and a bincount
-replaces it otherwise.
-A grid time after l epochs can reach only the first 2 l + 2 keys, so the
-states are looked for there, and a recount counts only those; the next
-update extends the table to all 2 epochs + 2 keys.
+number of members per key, in one table of all 2 epochs + 2 keys from one
+grid time to the next. Only the members due before a grid time can change
+key, and a grid time after l epochs can reach only the first 2 l + 2 keys:
+a bincount of the due members' old keys over those is taken off the table
+before the collapses, one of their new keys is added after, and the
+occupied states are looked for there.
 
 Cost model, per block of N members (`run_work`): N first waiting times, and
 the collapses cost O(N (1 - eta) epochs) draws. A grid time costs one scan of
-the block for the members due (a comparison per member), O(moved) to update
-the occupancy (O(N) for a recount, when many moved), a scan of the keys
-reachable so far for the occupied states, and one binomial per occupied
-state, of which there are at most min(N, 2 epochs + 2). A binomial takes
+the block for the members due (a comparison per member), O(moved) to gather
+their keys, scans of the keys reachable so far to update the occupancy and
+find the occupied states, and one binomial per occupied state, of which
+there are at most min(N, 2 epochs + 2). A binomial takes
 60-170 ns (numpy 2.4, 2-core Xeon VM), as long as a uniform, bias and
 comparison for each of 10-25 members, so counting pays above about that many
 members per occupied state; every preset and benchmark item has at least 45
-per possible state. With few members per state it is slower than one uniform
-per member would be: 1.1-3.1x at N <= 2e4 with eta >= 0.99 (at most +0.1 s),
-1.0-1.2x at N = 1e5-3e5 over 3750 epochs with eta >= 0.997, and 3.6-5.6x at
-eta = 0.9999 over 1e5 epochs, where almost every member is alone in its state
-(+1.6 s at N = 3e5).
+per possible state. Against one uniform per member, over 121 grid times
+(same VM), it took 0.9x the time at N = 2e4, eta = 0.99 over 3750 epochs and
+0.7x at N = 3e5, eta = 0.997 over 3750 epochs, but 1.5-3.0x at N = 1e5-3e5,
+eta = 0.9999 over 1e5 epochs, where almost every member is alone in its
+state (up to +1.1 s at N = 3e5).
 
 The ensemble is split into ceil(N / BLOCK_SIZE) blocks whose sizes differ by
 at most one, the larger first. Each block draws from its own stream spawned
@@ -55,10 +51,10 @@ once on plain threads, worker k of w taking blocks k, k + w, ..., and the
 calling thread is worker 0; a one-block run (N <= BLOCK_SIZE) starts no
 thread. The collapse loop is almost all of a dense block, and numpy runs it
 with the GIL released: timed alone on a 50000-member block over 375 epochs
-and 121 grid times (numpy 2.4, 2-core Xeon VM), it is 92% of 546 ms at
+and 121 grid times (numpy 2.4, 2-core Xeon VM), it is 85% of 433 ms at
 eta = 0.5, so two dense blocks take about 1.6x less time on two cores. At
-eta = 0.99 the 47 ms split into 27% scans for the members due, 30%
-collapses, 32% binomials and 8% occupancy updates: many small numpy calls,
+eta = 0.99 the 36 ms split into 26% scans for the members due, 29%
+collapses, 34% binomials and 7% occupancy updates: many small numpy calls,
 between which two threads hand the GIL back and forth (on the oracle_check
 preset, about 2700 context switches per run instead of none, up to 1.3x the
 wall time and 1.9x the CPU time of one thread). So blocks run
@@ -117,9 +113,10 @@ def _usable_cores() -> int:
 
 
 def _held_words(n_epochs, block_size, live: int) -> float:
-    """The oracle's memory model: 5 words per epoch for the shared phase, cosine, sine
-    and lag tables; per live block, 4 per epoch for two occupancy tables (one replaces
-    the other) and about 10 per member (keys, next collapses, collapse temporaries)."""
+    """The oracle's memory model: 5 words per epoch for the shared cosine, sine and lag
+    tables and the temporary that builds them; per live block, 4 per epoch for the
+    occupancy table and one bincount taken off or added to it, and about 10 per member
+    (keys, next collapses, collapse temporaries)."""
     return 5.0 * n_epochs + live * (4.0 * n_epochs + 10.0 * block_size)
 
 
@@ -134,15 +131,16 @@ def _live_blocks(n_blocks: int, n_epochs: int, block_size: int, collapses: float
 
 
 def run_work(n_systems, eta: float, n_epochs, n_points) -> tuple[float, float, float]:
-    """Words held, one block live, draws made and members compared by
+    """Words held, one block live, draws made and members and keys scanned by
     `simulate_distinguishable`, after the cost model above: one draw per expected
-    collapse, and every member compared once per grid time in the scan for the
-    members due. An empty grid costs nothing."""
+    collapse, and at every grid time one scan of the members for those due and one of
+    the keys reachable by the last epoch. An empty grid costs nothing."""
     if not n_points:
         return 0.0, 0.0, 0.0
-    draws = (n_systems * (1.0 + (1.0 - eta) * n_epochs)
-             + min(n_systems, 2.0 * n_epochs + 2.0) * n_points)
-    return _held_words(n_epochs, min(n_systems, BLOCK_SIZE), 1), draws, n_systems * n_points
+    keys = 2.0 * n_epochs + 2.0
+    draws = n_systems * (1.0 + (1.0 - eta) * n_epochs) + min(n_systems, keys) * n_points
+    scanned = (n_systems + keys) * n_points
+    return _held_words(n_epochs, min(n_systems, BLOCK_SIZE), 1), draws, scanned
 
 
 def simulate_distinguishable(
@@ -172,7 +170,8 @@ def simulate_distinguishable(
     # epochs handled before each grid time; an epoch at n dt == t comes first
     last_epoch = np.searchsorted(env.dt * np.arange(1, n_epochs + 1), times, side="right")
     epoch_phase = 2.0 * system.omega * env.dt * np.arange(n_epochs + 1)
-    epoch_cos, epoch_sin = np.cos(epoch_phase), np.sin(epoch_phase)
+    epoch_cos = np.cos(epoch_phase)
+    epoch_sin = np.sin(epoch_phase, out=epoch_phase)  # no phase table held over the run
     # lag_bias[2m] = -cos(2w dt m) (excited), lag_bias[2m - 1] = +cos(2w dt m) (ground)
     lag_bias = np.empty(2 * n_epochs + 1)
     lag_bias[0::2] = -epoch_cos
@@ -227,16 +226,13 @@ def _block(
         nxt = _waiting_epochs(rng, rate, size)
     else:  # eta == 1: no member ever collapses
         nxt = np.full(size, np.iinfo(np.int64).max)
-    occupancy = np.zeros(2, dtype=np.int64)  # keys 0 and 1 before any collapse
+    occupancy = np.zeros(2 * n_epochs + 2, dtype=np.int64)
     occupancy[initial_key] = size
     for i, limit in enumerate(last_epoch):
+        reach = 2 * limit + 2  # no key exceeds 2 limit + 1 yet
         due = np.flatnonzero(nxt <= limit)
         moved = due  # only these members can change key
-        update = 5 * moved.size + 2000 <= size  # else recounting the block is cheaper
-        if update:
-            if occupancy.size < 2 * limit + 2:  # the first update, or one after a recount
-                occupancy = np.pad(occupancy, (0, 2 * n_epochs + 2 - occupancy.size))
-            np.subtract.at(occupancy, key[moved], 1)
+        occupancy[:reach] -= np.bincount(key[moved], minlength=reach)
         while due.size:
             n = nxt[due]
             ground = rng.uniform(-1.0, 1.0, due.size) < lag_bias[2 * n - key[due]]
@@ -244,12 +240,8 @@ def _block(
             n += _waiting_epochs(rng, rate, due.size)
             nxt[due] = n
             due = due[n <= limit]
-        if update:
-            np.add.at(occupancy, key[moved], 1)
-        else:
-            occupancy = np.bincount(key, minlength=2 * limit + 2)
-        # no key exceeds 2 limit + 1 yet
-        state = np.flatnonzero(occupancy[:2 * limit + 2])
+        occupancy[:reach] += np.bincount(key[moved], minlength=reach)
+        state = np.flatnonzero(occupancy[:reach])
         r = state >> 1
         sign = 2.0 * (state & 1) - 1.0
         p = 0.5 + 0.5 * sign * (epoch_cos[r] * grid_cos[i] + epoch_sin[r] * grid_sin[i])

@@ -1022,17 +1022,22 @@ class TestWorkBudget:
         data["grid"]["t_max"] = 91750
         assert "work budget" in self.exits_2(tmp_path, capsys, data, "grid.t_max")
 
-    @pytest.mark.parametrize("changes", [
-        {"env": {"eta": 1.0}, "mc": {"n_systems": 2 * 10**7}, "grid": {"n_points": 10**5}},
-        {"env": {"dt": 30.0}, "mc": {"n_systems": 9 * 10**7}, "grid": {"n_points": 2 * 10**6}},
+    @pytest.mark.parametrize("changes,key_path", [
+        ({"env": {"eta": 1.0}, "mc": {"n_systems": 2 * 10**7}, "grid": {"n_points": 10**5}},
+         "mc.n_systems"),
+        ({"env": {"dt": 30.0}, "mc": {"n_systems": 9 * 10**7}, "grid": {"n_points": 2 * 10**6}},
+         "mc.n_systems"),
+        ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 20_000}}, "env.dt"),
+        ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 2000}}, "env.dt"),
     ])
-    def test_long_oracle_scan_exits_2(self, tmp_path, capsys, changes):
+    def test_long_oracle_scan_exits_2(self, tmp_path, capsys, changes, key_path):
         # few draws, but every grid time compares each member with its next
-        # collapse: 2e12 and 1.8e14 comparisons, half an hour and days of work
+        # collapse, or scans each key that 1e6 epochs can reach: 2e12 and 1.8e14
+        # comparisons, 4e10 and 4e9 keys; half an hour, days, a minute and 8 s of work
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         for section, keys in changes.items():
             data[section].update(keys)
-        assert "work budget" in self.exits_2(tmp_path, capsys, data, "mc.n_systems")
+        assert "work budget" in self.exits_2(tmp_path, capsys, data, key_path)
 
     def test_single_point_grid_builds_no_epochs(self):
         # one grid point sits at t = 0, so t_max sets no size (the oracle fits

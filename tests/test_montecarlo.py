@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,8 @@ class _CountedAt:
         self.ufunc.at(*args)
 
 
-class BranchSpy:
-    """numpy as the sampler sees it, counting occupancy updates and recounts.
+class OccupancySpy:
+    """numpy as the sampler sees it, counting bincounts and add.at / subtract.at calls.
 
     Blocks run on several threads, so the counters take a lock."""
 
@@ -135,20 +136,15 @@ class BranchSpy:
         self.lock = threading.Lock()
         self.add = _CountedAt(np.add, self.lock)
         self.subtract = _CountedAt(np.subtract, self.lock)
-        self.recounts = 0
+        self.bincounts = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def bincount(self, *args, **kwargs):
         with self.lock:
-            self.recounts += 1
+            self.bincounts += 1
         return np.bincount(*args, **kwargs)
-
-    @property
-    def updates(self):
-        assert self.add.calls == self.subtract.calls
-        return self.add.calls
 
 
 def assert_two_sample_close(p_new, p_ref, n):
@@ -356,8 +352,9 @@ class TestAgainstSteppedReference:
 def assert_as_previous(system, env, cfg, monkeypatch=None):
     """Same probabilities, bit for bit, as the sampler that recounted every
     key; with `monkeypatch`, also check that each grid time of each block
-    took exactly one of the update and recount branches. Returns the spy."""
-    spy = BranchSpy()
+    updated its occupancy with two bincounts, one off and one on, and no
+    add.at or subtract.at."""
+    spy = OccupancySpy()
     if monkeypatch is not None:
         monkeypatch.setattr(montecarlo, "np", spy)
     new = simulate_distinguishable(system, env, cfg)
@@ -369,8 +366,8 @@ def assert_as_previous(system, env, cfg, monkeypatch=None):
     assert new.meta == old.meta
     if monkeypatch is not None:
         blocks = (cfg.n_systems + BLOCK_SIZE - 1) // BLOCK_SIZE
-        assert spy.updates + spy.recounts == blocks * len(cfg.grid)
-    return spy
+        assert spy.bincounts == 2 * blocks * len(cfg.grid)
+        assert spy.add.calls == spy.subtract.calls == 0
 
 
 class TestAgainstPreviousSampler:
@@ -415,20 +412,13 @@ class TestAgainstPreviousSampler:
         assert_as_previous(SYSTEM, DistinguishableEnv(0.08, eta), EnsembleConfig(n, 10, grid),
                            monkeypatch)
 
-    def test_both_branches_run(self, monkeypatch):
-        # t = 0: no member moved; after one epoch about 10% moved (update);
-        # after twenty about 86% (recount)
-        cfg = EnsembleConfig(20_000, 11, (0.0, 0.2, 4.0))
-        spy = assert_as_previous(SYSTEM, DistinguishableEnv(0.2, 0.9), cfg, monkeypatch)
-        assert (spy.updates, spy.recounts) == (2, 1)
-
     @settings(max_examples=60, deadline=None)
     @given(
         eta=st.one_of(st.floats(0.0, 1.0), st.floats(0.99, 1.0)),  # few members move
         omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
         dt=st.floats(0.01, 2.0),
         state=st.sampled_from(list(InitialState)),
-        n=st.one_of(st.integers(1, 3000), st.integers(3000, 12_000)),  # updates from 2000
+        n=st.one_of(st.integers(1, 3000), st.integers(3000, 12_000)),  # few and many per key
         # gaps in epochs: whole ones keep grid times on epochs, 0 repeats one
         gaps=st.lists(st.one_of(st.integers(0, 8), st.floats(0.0, 8.0)), max_size=30),
         seed=st.integers(0, 2**32 - 1),
@@ -500,11 +490,13 @@ class TestParallelBlocks:
 
     def test_largest_config_holds_one_block(self, monkeypatch):
         # oracle_check stretched to 1e7 epochs, with few enough members that its
-        # 5e7 collapses pass the work budget; two live blocks would hold 13
-        # words per epoch, over it
+        # 5e7 collapses pass the work budget, and few enough grid times that its
+        # scans of 2e7 keys each do; two live blocks would hold 13 words per
+        # epoch, over it
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         data["env"]["dt"] = data["grid"]["t_max"] / 9_999_990
         data["mc"]["n_systems"] = 500
+        data["grid"]["n_points"] = 4
         cfg = config_from_dict(data)
         n_epochs = math.floor(cfg.grid.t_max / cfg.env.dt + 1e-9)
         assert n_epochs >= 9_999_990
@@ -520,6 +512,35 @@ class TestParallelBlocks:
         assert montecarlo._live_blocks(2, 375, 50_000, (1.0 - 0.99) * 375) == 1
         assert montecarlo._live_blocks(2, 375, 50_000, (1.0 - 0.5) * 375) == 2
         assert montecarlo._live_blocks(2, 375, 50_000, 0.0) == 1  # eta = 1: no collapses
+
+
+class TestMemoryModel:
+    """The words a run holds at its peak stay within `_held_words`, which the work
+    budget and the number of live blocks are sized from."""
+
+    @pytest.mark.parametrize("n,eta,n_epochs,live", [
+        (20, 0.99, 10_000, 1),  # a run's fixed words count against few members
+        (200, 0.99, 100_000, 1),  # the per-epoch tables dominate
+        (5000, 0.9999, 100_000, 1),  # almost every member alone in its key
+        (100_000, 0.5, 375, 2),  # two blocks of 50000 at once
+        (BLOCK_SIZE, 0.9999, 500_000, 1),  # one full block over many epochs
+    ])
+    def test_peak_within_held_words(self, monkeypatch, n, eta, n_epochs, live):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        dt = 0.08
+        grid = tuple(np.linspace(0.0, n_epochs * dt, 121))
+        blocks = -(-n // BLOCK_SIZE)
+        block = -(-n // blocks)
+        assert montecarlo._live_blocks(blocks, n_epochs, block, (1.0 - eta) * n_epochs) == live
+        montecarlo._block_rng(0, 0)  # a first Generator imports modules: not the run's words
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate_distinguishable(SYSTEM, DistinguishableEnv(dt, eta), EnsembleConfig(n, 5, grid))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / 8.0 <= montecarlo._held_words(n_epochs, block, live)
 
 
 def count_covariance(counts: np.ndarray) -> tuple[float, float]:
