@@ -19,7 +19,7 @@ import numpy as np
 PROB_TOL = 1e-12
 
 # 8-byte words one stage holds (about 800 MB), or draws, terms or comparisons it makes:
-# configs are checked against it, and the Monte Carlo oracle sizes its parallelism by it.
+# configs are checked against it before anything is built.
 WORK_BUDGET = 1e8
 
 # Lamb-Dicke parameter of the trapped-ion frequency ladder.

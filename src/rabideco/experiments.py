@@ -30,7 +30,8 @@ from .fitting import (MIN_FIT_POINTS, PARAM_ORDER, DampedSinusoidFit, FitConverg
                       master_eq_series)
 from .indistinguishable import (IndistinguishableEnv, build_nested_table,
                                 sample_rescaled_series, table_plan)
-from .montecarlo import EnsembleConfig, run_work, simulate_distinguishable
+from .montecarlo import (MAX_SYSTEMS, EnsembleConfig, epoch_count, run_work,
+                         simulate_distinguishable, uses_chain)
 from .svgfig import series_overlay_svg
 
 
@@ -144,8 +145,11 @@ def _epochs(cfg) -> tuple:
 def _oracle_sizes(cfg) -> list:
     n, points = _size(cfg.mc.n_systems), _size(cfg.grid.n_points)
     epochs, factors = _epochs(cfg)
+    epochs = float(epoch_count(_size(epochs), 1.0))  # the run's count: it picks the path
     held, draws, scanned = run_work(n, cfg.env.eta, epochs, points)
-    both = {**factors, "mc.n_systems": n, "grid.n_points": points}
+    both = {**factors, "grid.n_points": points}
+    if not uses_chain(n, cfg.env.eta, epochs):  # the chain's work grows like ln N
+        both["mc.n_systems"] = n
     return _grid_sizes(cfg) + [(held, factors), (draws, both), (scanned, both)]
 
 
@@ -200,7 +204,8 @@ _SPECS = {
         "target": _target("exponent", "tol"),
     }, _gamma_ratio_sizes),
     ExperimentKind.ORACLE_CROSS_CHECK: (DistinguishableEnv, {
-        "env": _DIST_ENV, "grid": _GRID, "mc": _Section({"n_systems": _at_least(1, int)}),
+        "env": _DIST_ENV, "grid": _GRID, "mc": _Section({"n_systems": _Key(
+            int, check=lambda v: 1 <= v <= MAX_SYSTEMS, rule="a value in [1, 2^53]")}),
         "target": _target("max_abs_z")}, _oracle_sizes),
 }
 

@@ -86,6 +86,9 @@ class NestedTable:
 
 # Terms x columns evaluated at once by the exponential sum.
 _BLOCK = 1 << 16
+# A matrix form entry in exponential-sum terms, at the slow end of 0.19-0.82 ns per entry
+# of `shift + mat @ g` (1001-5001 columns, 1-2 BLAS threads) against 24-29 ns per term.
+_MATRIX_ENTRY = 1.0 / 40.0
 
 
 def table_plan(levels, beta: float, n_max) -> tuple[str, float]:
@@ -93,13 +96,15 @@ def table_plan(levels, beta: float, n_max) -> tuple[str, float]:
     (no collapse) holds a row of 3 words per column (tracemalloc peak); "sum", while
     2^(levels + 1) <= n_max + 1, sums 2^levels terms per column or holds a 6-word row;
     "matrix" holds 2 words per entry of its (n_max + 1)^2 matrix M, plus 3 per column
-    for each of its levels + 1 rows (the Born row, then one product with M each)."""
+    for each of its levels + 1 rows (the Born row, then one product with M each), or
+    makes levels products over all of M's entries at `_MATRIX_ENTRY` each."""
     n_cols = n_max + 1.0
     if beta == 1.0 or not levels:
         return "born", 3.0 * n_cols
     if levels < 1023 and 2.0 ** (levels + 1) <= n_cols:
         return "sum", max(2.0 ** levels, 6.0) * n_cols
-    return "matrix", (2.0 * n_cols + 3.0 * (levels + 1.0)) * n_cols
+    return "matrix", max(2.0 * n_cols + 3.0 * (levels + 1.0),
+                         _MATRIX_ENTRY * levels * n_cols) * n_cols
 
 
 def build_nested_table(

@@ -31,6 +31,7 @@ from rabideco.experiments import (
     run_oracle_check,
 )
 from rabideco.fitting import FitConvergenceError
+from rabideco.indistinguishable import table_plan
 from rabideco.svgfig import _H, _MB, _ML, _MR, _MT, _W, _fixed2, _fmt, _ticks, series_overlay_svg
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -985,7 +986,7 @@ class TestWorkBudget:
         ("fig3.json", "env", "beta", 1e-300),
         ("fig3.json", "env", "max_events", 10**9),
         ("oracle_check.json", "grid", "t_max", 1e300),
-        ("oracle_check.json", "mc", "n_systems", 10**9),
+        ("oracle_check.json", "mc", "n_systems", 2**53 + 1),  # past the member limit
         ("oracle_check.json", "grid", "t_max", 4e5),  # 5e9 collapses
         ("master_eq.json", "grid", "n_points", 10**12),
         ("fig5.json", "ladder", "n_max", 10**12),
@@ -996,8 +997,10 @@ class TestWorkBudget:
         data = json.loads((CONFIG_DIR / preset).read_text())
         data[section][key] = value
         err_line = self.exits_2(tmp_path, capsys, data, f"{section}.{key}")
-        # Fig2's distinguishable predictor is bounded by its epoch count instead
-        limit = f"epoch limit of {MAX_EPOCHS:.0e}" if preset == "fig2a.json" else "work budget"
+        # Fig2's distinguishable predictor is bounded by its epoch count, the
+        # oracle's ensemble by the counts / N that stay exact, instead
+        limit = (f"epoch limit of {MAX_EPOCHS:.0e}" if preset == "fig2a.json"
+                 else "[1, 2^53]" if key == "n_systems" else "work budget")
         assert limit in err_line
 
     @staticmethod
@@ -1022,18 +1025,53 @@ class TestWorkBudget:
         data["grid"]["t_max"] = 91750
         assert "work budget" in self.exits_2(tmp_path, capsys, data, "grid.t_max")
 
+    @pytest.mark.parametrize("levels,t_max,key_path", [
+        (2000, 3480, "grid.t_max"),  # 2000 products at 4998 columns: 20-40 s
+        (30000, 696.5, "env.max_events"),  # 30000 products at 1002 columns: about 10 s
+    ])
+    def test_deep_matrix_form_exits_2(self, tmp_path, capsys, levels, t_max, key_path):
+        data = json.loads((CONFIG_DIR / "fig3.json").read_text())
+        data["env"]["max_events"] = levels
+        data["grid"]["t_max"] = t_max
+        assert "work budget" in self.exits_2(tmp_path, capsys, data, key_path)
+
+    def test_shallow_matrix_form_admitted(self):
+        # 12 products at 3000 columns, built in about 0.3 s
+        data = json.loads((CONFIG_DIR / "fig3.json").read_text())
+        data["env"]["max_events"] = 12
+        data["grid"]["t_max"] = 2999 * 0.995 * 0.7
+        cfg = config_from_dict(data)
+        assert table_plan(12, cfg.env.beta, 2999)[0] == "matrix"
+
+    def test_billion_member_dense_oracle_exits_0(self, tmp_path):
+        # at eta 0.5 the chain steps 35 keys per epoch, whatever the ensemble size
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["env"]["eta"] = 0.5
+        data["mc"]["n_systems"] = 10**9
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code = cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("changes,key_path", [
         ({"env": {"eta": 1.0}, "mc": {"n_systems": 2 * 10**7}, "grid": {"n_points": 10**5}},
          "mc.n_systems"),
         ({"env": {"dt": 30.0}, "mc": {"n_systems": 9 * 10**7}, "grid": {"n_points": 2 * 10**6}},
-         "mc.n_systems"),
+         "grid.n_points"),
         ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 20_000}}, "env.dt"),
         ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 2000}}, "env.dt"),
+        # t_max / dt is 374.9999999996, but the run counts 375 epochs: at 1352 collapses
+        # per epoch (752 keys + 600) it stays per member, 1.1e15 of them
+        ({"env": {"dt": 0.08000000000008533, "eta": 1.0 - 1352.0 / 2**50},
+          "mc": {"n_systems": 2**50}}, "mc.n_systems"),
     ])
     def test_long_oracle_scan_exits_2(self, tmp_path, capsys, changes, key_path):
         # few draws, but every grid time compares each member with its next
-        # collapse, or scans each key that 1e6 epochs can reach: 2e12 and 1.8e14
-        # comparisons, 4e10 and 4e9 keys; half an hour, days, a minute and 8 s of work
+        # collapse, measures the chain's occupancy, or scans each key that 1e6
+        # epochs can reach: 2e12 comparisons, 2e6 measurements, 4e10 and 4e9 keys;
+        # half an hour, a minute, a minute and 8 s of work
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         for section, keys in changes.items():
             data[section].update(keys)

@@ -1,9 +1,8 @@
 import json
 import math
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabideco import montecarlo
-from rabideco.core import InitialState, ProbabilitySeries, RabiSystem, time_grid
+from rabideco.core import WORK_BUDGET, InitialState, ProbabilitySeries, RabiSystem, time_grid
 from rabideco.distinguishable import DistinguishableEnv, build_predictor, sample_series
 from rabideco.experiments import config_from_dict
 from rabideco.indistinguishable import IndistinguishableEnv, build_nested_table
@@ -25,6 +24,24 @@ from rabideco.montecarlo import (
 
 SYSTEM = RabiSystem(omega=1.0)
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+PATHS = ["members", "chain"]
+
+
+def forced(path):
+    """The oracle on `path`, per member or per epoch, whatever `uses_chain` picks."""
+    return mock.patch.object(montecarlo, "uses_chain", lambda *args: path == "chain")
+
+
+@pytest.fixture(params=PATHS)
+def oracle_path(request):
+    with forced(request.param):
+        yield request.param
+
+
+@pytest.fixture
+def members():
+    with forced("members"):
+        yield
 
 
 def stepped_reference(system, env, cfg):
@@ -118,32 +135,27 @@ def previous_simulate_distinguishable(system, env, cfg):
 
 
 class _CountedAt:
-    def __init__(self, ufunc, lock):
-        self.ufunc, self.lock, self.calls = ufunc, lock, 0
+    def __init__(self, ufunc):
+        self.ufunc, self.calls = ufunc, 0
 
     def at(self, *args):
-        with self.lock:
-            self.calls += 1
+        self.calls += 1
         self.ufunc.at(*args)
 
 
 class OccupancySpy:
-    """numpy as the sampler sees it, counting bincounts and add.at / subtract.at calls.
-
-    Blocks run on several threads, so the counters take a lock."""
+    """numpy as the sampler sees it, counting bincounts and add.at / subtract.at calls."""
 
     def __init__(self):
-        self.lock = threading.Lock()
-        self.add = _CountedAt(np.add, self.lock)
-        self.subtract = _CountedAt(np.subtract, self.lock)
+        self.add = _CountedAt(np.add)
+        self.subtract = _CountedAt(np.subtract)
         self.bincounts = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def bincount(self, *args, **kwargs):
-        with self.lock:
-            self.bincounts += 1
+        self.bincounts += 1
         return np.bincount(*args, **kwargs)
 
 
@@ -181,7 +193,13 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(n_systems=0, seed=1, grid=(0.0,))
 
+    def test_past_member_limit_rejected(self):
+        EnsembleConfig(n_systems=2**53, seed=1, grid=(0.0,))  # every count / N exact
+        with pytest.raises(ValueError):
+            EnsembleConfig(n_systems=2**53 + 1, seed=1, grid=(0.0,))
 
+
+@pytest.mark.usefixtures("oracle_path")
 class TestDistinguishableEnsemble:
     def test_seed_determinism(self):
         env = DistinguishableEnv(dt=0.2, eta=0.95)
@@ -291,6 +309,7 @@ class TestDistinguishableEnsemble:
 
 
 class TestAgainstSteppedReference:
+    @pytest.mark.usefixtures("oracle_path")
     @pytest.mark.parametrize("state", [InitialState.EXCITED, InitialState.GROUND])
     @pytest.mark.parametrize("omega_dt", [0.08, 0.25, 1.3])
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 1.0])
@@ -303,6 +322,7 @@ class TestAgainstSteppedReference:
         ref = stepped_reference(system, env, EnsembleConfig(n, 2028, grid))
         assert_two_sample_close(new, ref, n)
 
+    @pytest.mark.usefixtures("oracle_path")
     def test_matches_reference_across_blocks(self):
         n = BLOCK_SIZE + 5000
         system = RabiSystem(omega=0.32)
@@ -312,6 +332,7 @@ class TestAgainstSteppedReference:
         ref = stepped_reference(system, env, EnsembleConfig(n, 405, grid))
         assert_two_sample_close(new, ref, n)
 
+    @pytest.mark.usefixtures("members")
     def test_blocks_are_independent_streams(self):
         # m <= BLOCK_SIZE < 2m: a run of 2m is two blocks of m, the first of
         # them the whole run of m, so the second block adds 0..m
@@ -325,6 +346,7 @@ class TestAgainstSteppedReference:
         extra = np.round(counts[2 * m] - counts[m])
         assert np.all((extra >= 0) & (extra <= m))
 
+    @pytest.mark.parametrize("path", PATHS)
     @settings(max_examples=40, deadline=None)
     @given(
         eta=st.floats(0.0, 1.0),
@@ -336,17 +358,53 @@ class TestAgainstSteppedReference:
         offsets=st.lists(st.floats(0.0, 80.0), max_size=10),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_properties(self, eta, omega_dt, dt, state, n, epochs, offsets, seed):
+    def test_properties(self, path, eta, omega_dt, dt, state, n, epochs, offsets, seed):
         system = RabiSystem(omega=omega_dt / dt, initial_state=state)
         env = DistinguishableEnv(dt=dt, eta=eta)
         grid = tuple(sorted([0.0] + [k * dt for k in epochs] + [x * dt for x in offsets]))
         cfg = EnsembleConfig(n, seed, grid)
-        probs = simulate_distinguishable(system, env, cfg).probs
+        with forced(path):
+            probs = simulate_distinguishable(system, env, cfg).probs
+            again = simulate_distinguishable(system, env, cfg).probs
         assert np.all((probs >= 0.0) & (probs <= 1.0))
         np.testing.assert_allclose(probs * n, np.round(probs * n), rtol=0.0, atol=1e-6)
         at_zero = probs[np.asarray(grid) == 0.0]
         assert np.all(at_zero == (1.0 if state is InitialState.GROUND else 0.0))
-        np.testing.assert_array_equal(probs, simulate_distinguishable(system, env, cfg).probs)
+        np.testing.assert_array_equal(probs, again)
+
+
+class TestChainAgainstMembers:
+    """The per-epoch chain draws the per-member sampler's law from another stream."""
+
+    @pytest.mark.parametrize("eta,omega_dt,state,n", [
+        (0.0, 0.25, InitialState.EXCITED, 20_000),
+        (0.5, 0.3, InitialState.GROUND, 100_000),
+        (0.9, 1.3, InitialState.EXCITED, 100_000),
+        (0.99, 0.08, InitialState.GROUND, 50_000),
+    ])
+    def test_two_sample_close(self, eta, omega_dt, state, n):
+        dt = 0.25
+        system = RabiSystem(omega=omega_dt / dt, initial_state=state)
+        env, grid = DistinguishableEnv(dt, eta), mixed_grid(dt, 120)
+        with forced("chain"):
+            chain = simulate_distinguishable(system, env, EnsembleConfig(n, 61, grid)).probs
+        with forced("members"):
+            members = simulate_distinguishable(system, env, EnsembleConfig(n, 62, grid)).probs
+        assert_two_sample_close(chain, members, n)
+
+    def test_chain_reads_the_first_stream(self):
+        # the whole ensemble is one stream, (seed, 0), as the first block is
+        env, grid = DistinguishableEnv(0.25, 0.5), mixed_grid(0.25, 40)
+        calls = []
+
+        def recording(seed, block):
+            calls.append((seed, block))
+            return rng(seed, block)
+
+        rng = montecarlo._block_rng
+        with forced("chain"), mock.patch.object(montecarlo, "_block_rng", recording):
+            simulate_distinguishable(SYSTEM, env, EnsembleConfig(3 * BLOCK_SIZE, 7, grid))
+        assert calls == [(7, 0)]
 
 
 def assert_as_previous(system, env, cfg, monkeypatch=None):
@@ -370,6 +428,7 @@ def assert_as_previous(system, env, cfg, monkeypatch=None):
         assert spy.add.calls == spy.subtract.calls == 0
 
 
+@pytest.mark.usefixtures("members")
 class TestAgainstPreviousSampler:
     """Keeping the occupancy up to date draws exactly what recounting drew."""
 
@@ -385,7 +444,7 @@ class TestAgainstPreviousSampler:
                            monkeypatch)
 
     def test_unequal_blocks_larger_first(self, monkeypatch):
-        # three blocks of 43692, 43692 and 43691, on as many threads as cores
+        # three blocks of 43692, 43692 and 43691, one after another
         cfg = EnsembleConfig(2 * BLOCK_SIZE + 3, 4, tuple(mixed_grid(0.25, 24)))
         assert_as_previous(SYSTEM, DistinguishableEnv(0.25, 0.5), cfg, monkeypatch)
 
@@ -429,70 +488,25 @@ class TestAgainstPreviousSampler:
         assert_as_previous(system, DistinguishableEnv(dt, eta), EnsembleConfig(n, seed, grid))
 
 
-class TestParallelBlocks:
-    """Blocks run on threads; how many run at once never changes a bit."""
+class TestPathRule:
+    """`uses_chain` sends a run to the chain when its collapses per epoch outnumber
+    the keys a step scans plus a step's fixed cost."""
 
-    N = 2 * BLOCK_SIZE + 3  # three blocks: 43692, 43692 and 43691 members
+    @pytest.mark.parametrize("n,eta,n_epochs,chain", [
+        (100_000, 0.5, 375, True),  # mc_dense
+        (100_000, 0.99, 375, False),  # oracle_check and mc_sparse: 1000 collapses
+        (10**9, 0.5, 375, True),
+        (10**9, 0.0, 375, True),  # a step scans the 2 keys of the last epoch
+        (500, 0.0, 375, False),
+        (10**9, 1.0, 375, False),  # no member ever collapses
+    ])
+    def test_rule(self, n, eta, n_epochs, chain):
+        assert montecarlo.uses_chain(n, eta, n_epochs) is chain
 
-    def block_threads(self, monkeypatch, cores):
-        """Run N members on `cores` usable cores; returns the probabilities and
-        the thread that drew each block's stream."""
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
-        threads, rng = {}, montecarlo._block_rng
-
-        def recording(seed, block):
-            threads[block] = threading.get_ident()
-            return rng(seed, block)
-
-        monkeypatch.setattr(montecarlo, "_block_rng", recording)
-        env = DistinguishableEnv(dt=0.25, eta=0.5)  # 20 collapses per member: blocks overlap
-        probs = simulate_distinguishable(SYSTEM, env, EnsembleConfig(self.N, 12,
-                                                                    mixed_grid(0.25, 40))).probs
-        monkeypatch.undo()
-        return probs, threads
-
-    def test_workers_give_identical_bits(self, monkeypatch):
-        serial, threads = self.block_threads(monkeypatch, 1)
-        assert set(threads.values()) == {threading.get_ident()}
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
-        try:
-            for cores in (2, 3, 8):  # 3 and 8: more workers than this machine may have
-                probs, threads = self.block_threads(monkeypatch, cores)
-                np.testing.assert_array_equal(probs, serial)
-                # the caller runs block 0; no two of the min(cores, 3) workers share a thread
-                assert threads[0] == threading.get_ident()
-                assert len(set(threads.values())) == min(cores, 3)
-        finally:
-            sys.setswitchinterval(switch)
-
-    def test_error_in_another_threads_block_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
-        rng, started, failed_on, failed = montecarlo._block_rng, [], [], threading.Event()
-
-        def failing(seed, block):
-            started.append(block)
-            if block == 1:  # the second worker's: the caller runs blocks 0 and 2
-                failed_on.append(threading.get_ident())
-                failed.set()
-                raise RuntimeError("block 1 failed")
-            failed.wait(10.0)  # block 0 ends after the failure
-            return rng(seed, block)
-
-        monkeypatch.setattr(montecarlo, "_block_rng", failing)
-        before = set(threading.enumerate())
-        cfg = EnsembleConfig(self.N, 3, (0.0, 4.0))
-        with pytest.raises(RuntimeError, match="block 1 failed"):
-            simulate_distinguishable(SYSTEM, DistinguishableEnv(dt=0.25, eta=0.5), cfg)
-        assert failed_on and failed_on[0] != threading.get_ident()
-        assert 2 not in started  # the caller starts no block after the failure
-        assert set(threading.enumerate()) == before
-
-    def test_largest_config_holds_one_block(self, monkeypatch):
+    def test_largest_config_on_members(self):
         # oracle_check stretched to 1e7 epochs, with few enough members that its
         # 5e7 collapses pass the work budget, and few enough grid times that its
-        # scans of 2e7 keys each do; two live blocks would hold 13 words per
-        # epoch, over it
+        # scans of 2e7 keys each do: 5 collapses per epoch, so one block of members
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         data["env"]["dt"] = data["grid"]["t_max"] / 9_999_990
         data["mc"]["n_systems"] = 500
@@ -500,47 +514,52 @@ class TestParallelBlocks:
         cfg = config_from_dict(data)
         n_epochs = math.floor(cfg.grid.t_max / cfg.env.dt + 1e-9)
         assert n_epochs >= 9_999_990
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 64)
-        collapses = (1.0 - cfg.env.eta) * n_epochs
-        assert montecarlo._live_blocks(2, n_epochs, BLOCK_SIZE, collapses) == 1
-        assert montecarlo._live_blocks(2, n_epochs // 2, BLOCK_SIZE, collapses) == 2
-        assert montecarlo._live_blocks(1, 10 * n_epochs, BLOCK_SIZE, collapses) == 1  # never 0
+        assert not montecarlo.uses_chain(500, cfg.env.eta, n_epochs)
+        assert montecarlo.run_work(500, cfg.env.eta, n_epochs, 4)[0] <= WORK_BUDGET
 
-    def test_sparse_collapses_hold_one_block(self, monkeypatch):
-        # the oracle_check preset: 3.75 collapses per member, mostly GIL-bound work
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 64)
-        assert montecarlo._live_blocks(2, 375, 50_000, (1.0 - 0.99) * 375) == 1
-        assert montecarlo._live_blocks(2, 375, 50_000, (1.0 - 0.5) * 375) == 2
-        assert montecarlo._live_blocks(2, 375, 50_000, 0.0) == 1  # eta = 1: no collapses
+    def test_chain_work_does_not_grow_with_members(self):
+        # the keys a step scans, and so all three counts, grow like ln N
+        work = [montecarlo.run_work(n, 0.5, 375, 121) for n in (10**6, 10**9, 2**53)]
+        assert [held for held, _, _ in work] == [
+            montecarlo._held_words(375, 0, montecarlo._window(n, 0.5, 375))
+            for n in (10**6, 10**9, 2**53)]
+        assert max(max(counts) for counts in work) < WORK_BUDGET / 100.0
 
 
 class TestMemoryModel:
     """The words a run holds at its peak stay within `_held_words`, which the work
-    budget and the number of live blocks are sized from."""
+    budget is sized from."""
 
-    @pytest.mark.parametrize("n,eta,n_epochs,live", [
-        (20, 0.99, 10_000, 1),  # a run's fixed words count against few members
-        (200, 0.99, 100_000, 1),  # the per-epoch tables dominate
-        (5000, 0.9999, 100_000, 1),  # almost every member alone in its key
-        (100_000, 0.5, 375, 2),  # two blocks of 50000 at once
-        (BLOCK_SIZE, 0.9999, 500_000, 1),  # one full block over many epochs
+    @pytest.mark.parametrize("n,eta,n_epochs,path", [
+        (20, 0.99, 10_000, "members"),  # a run's fixed words count against few members
+        (200, 0.99, 100_000, "members"),  # the per-epoch tables dominate
+        (5000, 0.9999, 100_000, "members"),  # almost every member alone in its key
+        # two blocks of 50000, one after another; the rule sends this run to the chain
+        (100_000, 0.5, 375, "members"),
+        (BLOCK_SIZE, 0.9999, 500_000, "members"),  # one full block over many epochs
+        (10**9, 0.9, 3750, "chain"),  # the occupancy alone, 395 keys a step
+        (10**15, 0.999, 1000, "chain"),  # every key of the 2002 in a step's window held
     ])
-    def test_peak_within_held_words(self, monkeypatch, n, eta, n_epochs, live):
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    def test_peak_within_held_words(self, n, eta, n_epochs, path):
         dt = 0.08
         grid = tuple(np.linspace(0.0, n_epochs * dt, 121))
-        blocks = -(-n // BLOCK_SIZE)
-        block = -(-n // blocks)
-        assert montecarlo._live_blocks(blocks, n_epochs, block, (1.0 - eta) * n_epochs) == live
+        if (n, eta) != (100_000, 0.5):
+            assert montecarlo.uses_chain(n, eta, n_epochs) is (path == "chain")
+        if path == "chain":
+            held = montecarlo._held_words(n_epochs, 0, montecarlo._window(n, eta, n_epochs))
+        else:
+            held = montecarlo._held_words(n_epochs, -(-n // -(-n // BLOCK_SIZE)))
         montecarlo._block_rng(0, 0)  # a first Generator imports modules: not the run's words
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            simulate_distinguishable(SYSTEM, DistinguishableEnv(dt, eta), EnsembleConfig(n, 5, grid))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak / 8.0 <= montecarlo._held_words(n_epochs, block, live)
+        with forced(path):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                simulate_distinguishable(SYSTEM, DistinguishableEnv(dt, eta),
+                                         EnsembleConfig(n, 5, grid))
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak / 8.0 <= held
 
 
 def count_covariance(counts: np.ndarray) -> tuple[float, float]:
@@ -553,6 +572,7 @@ def count_covariance(counts: np.ndarray) -> tuple[float, float]:
             float(products.std(ddof=1)) / math.sqrt(seeds))
 
 
+@pytest.mark.usefixtures("oracle_path")
 class TestJointLaw:
     def test_neighbouring_counts_covary_as_reference(self):
         # A member's hidden state links its measurements at neighbouring grid
