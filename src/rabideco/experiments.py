@@ -30,8 +30,7 @@ from .fitting import (MIN_FIT_POINTS, PARAM_ORDER, DampedSinusoidFit, FitConverg
                       master_eq_series)
 from .indistinguishable import (IndistinguishableEnv, build_nested_table,
                                 sample_rescaled_series, table_plan)
-from .montecarlo import (MAX_SYSTEMS, EnsembleConfig, epoch_count, run_work,
-                         simulate_distinguishable, uses_chain)
+from .montecarlo import MAX_SYSTEMS, EnsembleConfig, run_work, simulate_distinguishable
 from .svgfig import series_overlay_svg
 
 
@@ -145,10 +144,9 @@ def _epochs(cfg) -> tuple:
 def _oracle_sizes(cfg) -> list:
     n, points = _size(cfg.mc.n_systems), _size(cfg.grid.n_points)
     epochs, factors = _epochs(cfg)
-    epochs = float(epoch_count(_size(epochs), 1.0))  # the run's count: it picks the path
-    held, draws, scanned = run_work(n, cfg.env.eta, epochs, points)
+    chain, _, held, draws, scanned = run_work(n, cfg.env.eta, _size(epochs), points)
     both = {**factors, "grid.n_points": points}
-    if not uses_chain(n, cfg.env.eta, epochs):  # the chain's work grows like ln N
+    if not chain:  # the chain's work grows like ln N
         both["mc.n_systems"] = n
     return _grid_sizes(cfg) + [(held, factors), (draws, both), (scanned, both)]
 

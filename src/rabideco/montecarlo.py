@@ -33,11 +33,13 @@ from the (seed, 0) stream: per epoch one collapse-binomial and one
 outcome-binomial vector over the scanned keys in ascending order, per grid
 time the measurement. Its cost grows like ln N: 25 ms at N = 1e9 on row one.
 
-The chain runs when N (1 - eta) > W + _STEP_COLLAPSES, a step's fixed cost in
-collapses (a 2-key step 31-40 us, a collapse 53-63 ns). A step scans about half
-of W on average, so the rule is not the cost crossover but leans to the members:
-it keeps the oracle_check preset (row four) and its output bytes, and long sparse
-runs, off the chain. 121 grid times, median of 3 runs, 1 for 7.1 s (numpy 2.4):
+`run_work` is the one plan, priced by the config check and followed by the run. The
+chain runs when N (1 - eta) > W + _STEP_COLLAPSES, a step's fixed cost in collapses
+(a 2-key step 31-40 us, a collapse 53-63 ns), which also prices each grid time's fixed
+calls on either path (per member 40 us: a due scan, two bincounts, a measurement). A
+step scans about half of W on average, so the rule is not the cost crossover but leans
+to the members: it keeps the oracle_check preset (row four) and its output bytes, and
+long sparse runs, off the chain. 121 grid times, median of 3 runs, 1 for 7.1 s (numpy 2.4):
 
     N, eta, epochs     per member    chain   rule
     1e5, 0.5, 375         1164 ms    24 ms   chain
@@ -95,13 +97,8 @@ def _window(n_systems, eta: float, n_epochs) -> float:
     return min(2.0 * n_epochs + 2.0, 2.0 + 2.0 * math.log(n_systems) / rate if rate else math.inf)
 
 
-def epoch_count(t_end: float, dt: float) -> int:
-    """Epochs up to t_end; one that rounding puts just past t_end still counts."""
-    return math.floor(t_end / dt + 1e-9)
-
-
 def uses_chain(n_systems, eta: float, n_epochs: int) -> bool:
-    """Whether `simulate_distinguishable` steps the occupancy per epoch (`_chain`)."""
+    """The rule by which `run_work` sends a run per epoch (`_chain`)."""
     return n_systems * (1.0 - eta) > _window(n_systems, eta, n_epochs) + _STEP_COLLAPSES
 
 
@@ -113,22 +110,26 @@ def _held_words(n_epochs, block_size, window=0.0) -> float:
     return _FIXED_WORDS + 9.0 * n_epochs + 10.0 * block_size + 9.0 * window
 
 
-def run_work(n_systems, eta: float, n_epochs, n_points) -> tuple[float, float, float]:
-    """Words held, draws made and members and keys scanned by `simulate_distinguishable`
-    on the path `uses_chain` picks. The chain draws twice per key scanned at each epoch
-    and once at each grid time, plus _STEP_COLLAPSES per step or measurement; members once
-    per expected collapse, scanning themselves and the reachable keys at each grid time.
-    An empty grid costs nothing."""
+def run_work(n_systems, eta: float, epochs: float, n_points) -> tuple:
+    """The plan `simulate_distinguishable` runs for `epochs` = t_end / dt: (chain, n_epochs,
+    words held, draws made, members and keys scanned); `uses_chain` picks the path. Each
+    grid time and chain step costs _STEP_COLLAPSES draws for its fixed calls. The chain
+    draws twice per key scanned at each epoch and once at each grid time; members once
+    per expected collapse, and each grid time scans them and the reachable keys. An
+    empty grid costs nothing."""
+    n_epochs = math.floor(epochs + 1e-9)  # one that rounding puts just past t_end counts
     if not n_points:
-        return 0.0, 0.0, 0.0
-    if uses_chain(n_systems, eta, n_epochs):
+        return False, n_epochs, 0.0, 0.0, 0.0
+    chain = uses_chain(n_systems, eta, n_epochs)
+    steps = _STEP_COLLAPSES * (n_points + chain * n_epochs)
+    if chain:
         keys = _window(n_systems, eta, n_epochs)
-        draws = (2.0 * keys + _STEP_COLLAPSES) * n_epochs + (keys + _STEP_COLLAPSES) * n_points
-        return _held_words(n_epochs, 0, keys), draws, keys * (n_epochs + n_points)
+        return (True, n_epochs, _held_words(n_epochs, 0, keys),
+                keys * (2.0 * n_epochs + n_points) + steps, keys * (n_epochs + n_points))
     keys = 2.0 * n_epochs + 2.0
     draws = n_systems * (1.0 + (1.0 - eta) * n_epochs) + min(n_systems, keys) * n_points
-    scanned = (n_systems + keys) * n_points
-    return _held_words(n_epochs, min(n_systems, BLOCK_SIZE)), draws, scanned
+    return (False, n_epochs, _held_words(n_epochs, min(n_systems, BLOCK_SIZE)),
+            draws + steps, (n_systems + keys) * n_points)
 
 
 def simulate_distinguishable(
@@ -150,7 +151,7 @@ def simulate_distinguishable(
                        n_systems=cfg.n_systems, seed=cfg.seed)
     if times.size == 0:
         return ProbabilitySeries(times, np.empty(0), meta)
-    n_epochs = epoch_count(float(times[-1]), env.dt)
+    chain, n_epochs = run_work(cfg.n_systems, env.eta, float(times[-1]) / env.dt, times.size)[:2]
     # epochs handled before each grid time; an epoch at n dt == t comes first
     last_epoch = np.searchsorted(env.dt * np.arange(1, n_epochs + 1), times, side="right")
     epoch_phase = 2.0 * system.omega * env.dt * np.arange(n_epochs + 1)
@@ -164,7 +165,7 @@ def simulate_distinguishable(
             np.sin(2.0 * system.omega * times))
     initial_key = 1 if system.initial_state is InitialState.GROUND else 0
 
-    if uses_chain(cfg.n_systems, env.eta, n_epochs):
+    if chain:
         counts = _chain(_block_rng(cfg.seed, 0), cfg.n_systems, initial_key, env.eta,
                         last_epoch, lag_bias, born)
     else:

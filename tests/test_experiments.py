@@ -1060,6 +1060,11 @@ class TestWorkBudget:
          "mc.n_systems"),
         ({"env": {"dt": 30.0}, "mc": {"n_systems": 9 * 10**7}, "grid": {"n_points": 2 * 10**6}},
          "grid.n_points"),
+        # one member, one epoch: every grid time's fixed numpy calls, 8.7 s and over 30 s
+        ({"env": {"dt": 30.0}, "mc": {"n_systems": 1}, "grid": {"n_points": 2 * 10**5}},
+         "grid.n_points"),
+        ({"env": {"dt": 30.0}, "mc": {"n_systems": 1}, "grid": {"n_points": 2 * 10**6}},
+         "grid.n_points"),
         ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 20_000}}, "env.dt"),
         ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 2000}}, "env.dt"),
         # t_max / dt is 374.9999999996, but the run counts 375 epochs: at 1352 collapses

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabideco import montecarlo
+from rabideco import experiments, montecarlo
 from rabideco.core import WORK_BUDGET, InitialState, ProbabilitySeries, RabiSystem, time_grid
 from rabideco.distinguishable import DistinguishableEnv, build_predictor, sample_series
 from rabideco.experiments import config_from_dict
 from rabideco.indistinguishable import IndistinguishableEnv, build_nested_table
 from rabideco.montecarlo import (
     BLOCK_SIZE,
+    MAX_SYSTEMS,
     EnsembleConfig,
     _block_rng,
     _waiting_epochs,
@@ -488,6 +489,29 @@ class TestAgainstPreviousSampler:
         assert_as_previous(system, DistinguishableEnv(dt, eta), EnsembleConfig(n, seed, grid))
 
 
+class PlanSpy(Exception):
+    """Raised by a stand-in for `_chain` or `_block` once it has recorded the run."""
+
+
+@st.composite
+def oracle_configs(draw):
+    """(n_systems, eta, dt, t_max, n_points) of small oracle runs, half of them with
+    N (1 - eta) within a few keys of the path rule's edge, W + _STEP_COLLAPSES."""
+    eta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                         st.integers(1, 2**20).map(lambda k: 1.0 - k / 2**50)))
+    # t_max / dt is 374.9999999996 at the first dt, which counts 375 epochs
+    dt = draw(st.one_of(st.just(0.08000000000008533), st.floats(0.01, 30.0)))
+    t_max = draw(st.one_of(st.just(30.0), st.floats(0.0, 30.0)))
+    n_points = draw(st.integers(0, 4))
+    n = draw(st.integers(1, MAX_SYSTEMS))
+    if eta < 1.0 and draw(st.booleans()):
+        epochs, keys = (t_max / dt if n_points > 1 else 0.0), draw(st.integers(-4, 4))
+        for _ in range(2):  # W grows like ln N
+            edge = montecarlo._window(n, eta, epochs) + montecarlo._STEP_COLLAPSES + keys
+            n = int(min(max(edge / (1.0 - eta), 1.0), float(MAX_SYSTEMS)))
+    return n, eta, dt, t_max, n_points
+
+
 class TestPathRule:
     """`uses_chain` sends a run to the chain when its collapses per epoch outnumber
     the keys a step scans plus a step's fixed cost."""
@@ -512,18 +536,65 @@ class TestPathRule:
         data["mc"]["n_systems"] = 500
         data["grid"]["n_points"] = 4
         cfg = config_from_dict(data)
-        n_epochs = math.floor(cfg.grid.t_max / cfg.env.dt + 1e-9)
+        chain, n_epochs, held, _, _ = montecarlo.run_work(
+            500, cfg.env.eta, cfg.grid.t_max / cfg.env.dt, 4)
         assert n_epochs >= 9_999_990
-        assert not montecarlo.uses_chain(500, cfg.env.eta, n_epochs)
-        assert montecarlo.run_work(500, cfg.env.eta, n_epochs, 4)[0] <= WORK_BUDGET
+        assert not chain
+        assert held <= WORK_BUDGET
 
     def test_chain_work_does_not_grow_with_members(self):
         # the keys a step scans, and so all three counts, grow like ln N
-        work = [montecarlo.run_work(n, 0.5, 375, 121) for n in (10**6, 10**9, 2**53)]
-        assert [held for held, _, _ in work] == [
-            montecarlo._held_words(375, 0, montecarlo._window(n, 0.5, 375))
+        plans = [montecarlo.run_work(n, 0.5, 375, 121) for n in (10**6, 10**9, 2**53)]
+        assert [plan[:3] for plan in plans] == [
+            (True, 375, montecarlo._held_words(375, 0, montecarlo._window(n, 0.5, 375)))
             for n in (10**6, 10**9, 2**53)]
-        assert max(max(counts) for counts in work) < WORK_BUDGET / 100.0
+        assert max(max(plan[2:]) for plan in plans) < WORK_BUDGET / 100.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=oracle_configs(), flip=st.booleans(), skew=st.integers(0, 2))
+    def test_run_follows_the_plan(self, config, flip, skew):
+        # the config check prices a plan; the run asks `run_work` for the same plan
+        # from its own numbers, and takes whatever path and epoch count it is handed
+        n, eta, dt, t_max, n_points = config
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["env"].update(dt=dt, eta=eta)
+        data["grid"].update(t_max=t_max, n_points=n_points)
+        data["mc"]["n_systems"] = n
+        plan_of = montecarlo.run_work
+        priced, asked, built = [], [], []
+
+        def pricing(*args):
+            priced.append(plan_of(*args))
+            return priced[-1]
+
+        def handed(*args):  # the run's plan with its path flipped and epochs skewed
+            asked.append(plan_of(*args))
+            chain, n_epochs, *work = asked[-1]
+            return (chain != flip, n_epochs + skew, *work)
+
+        def spy(path):
+            def run(*args):
+                built.append((path, args[-2].size))  # lag_bias: 2 n_epochs + 1 lags
+                raise PlanSpy
+            return run
+
+        with mock.patch.object(experiments, "run_work", pricing), \
+                mock.patch.object(experiments, "WORK_BUDGET", math.inf):
+            cfg = config_from_dict(data)
+        with mock.patch.object(montecarlo, "run_work", handed), \
+                mock.patch.object(montecarlo, "_chain", spy("chain")), \
+                mock.patch.object(montecarlo, "_block", spy("members")):
+            try:
+                experiments.run_oracle_check(cfg)
+            except PlanSpy:
+                pass
+        (plan,) = priced
+        if not n_points:  # nothing to measure: the run returns before it plans
+            assert (asked, built) == ([], [])
+            return
+        assert asked == [plan]
+        chain, n_epochs = plan[0] != flip, plan[1] + skew
+        assert built == [("chain" if chain else "members", 2 * n_epochs + 1)]
 
 
 class TestMemoryModel:
