@@ -18,8 +18,8 @@ import numpy as np
 # Rounding slack for values that are probabilities in exact arithmetic.
 PROB_TOL = 1e-12
 
-# 8-byte words one stage holds (about 800 MB), or draws, terms or comparisons it makes:
-# configs are checked against it before anything is built.
+# Checked before anything is built: 8-byte words one stage holds (about 800 MB), and the run's
+# work in member collapses of the Monte Carlo oracle (30-60 ns each, so about 6 s in all).
 WORK_BUDGET = 1e8
 
 # Lamb-Dicke parameter of the trapped-ion frequency ladder.

@@ -29,7 +29,7 @@ from .fitting import (MIN_FIT_POINTS, PARAM_ORDER, DampedSinusoidFit, FitConverg
                       damped_sinusoid_model, fit_damped_sinusoid, fit_power_law,
                       master_eq_series)
 from .indistinguishable import (IndistinguishableEnv, build_nested_table,
-                                sample_rescaled_series, table_plan)
+                                sample_rescaled_series, table_n_max, table_plan)
 from .montecarlo import MAX_SYSTEMS, EnsembleConfig, run_work, simulate_distinguishable
 from .svgfig import series_overlay_svg
 
@@ -118,8 +118,8 @@ _COMMON = {
 }
 
 # ---- work budget: what a config asks for, sized from the config alone ----
-# checked against core.WORK_BUDGET; each module counts its own work
-_PER_POINT = 44  # words per grid point: series, fit and the output text (tracemalloc)
+# checked against core.WORK_BUDGET; each module prices its own work in member collapses
+_POINT_COLLAPSES = 220.0  # a grid point's series, output and 200-iteration fit: 12-13 us
 
 
 def _size(value) -> float:
@@ -129,7 +129,7 @@ def _size(value) -> float:
 
 def _grid_sizes(cfg) -> list:
     points = _size(cfg.grid.n_points)
-    return [(_PER_POINT * points, {"grid.n_points": points})]
+    return [(0.0, _POINT_COLLAPSES * points, {"grid.n_points": points})]
 
 
 def _t_end(grid) -> float:
@@ -144,39 +144,38 @@ def _epochs(cfg) -> tuple:
 def _oracle_sizes(cfg) -> list:
     n, points = _size(cfg.mc.n_systems), _size(cfg.grid.n_points)
     epochs, factors = _epochs(cfg)
-    chain, _, held, draws, scanned = run_work(n, cfg.env.eta, _size(epochs), points)
-    both = {**factors, "grid.n_points": points}
-    if not chain:  # the chain's work grows like ln N
-        both["mc.n_systems"] = n
-    return _grid_sizes(cfg) + [(held, factors), (draws, both), (scanned, both)]
+    chain, _, work = run_work(n, cfg.env.eta, _size(epochs), points)
+    # the chain's work grows like ln N, so N never names it
+    factors.update({"grid.n_points": points, "mc.n_systems": 0.0 if chain else n})
+    return [(0.0, work + _POINT_COLLAPSES * points, factors)]
 
 
-def _nested_sizes(t_end: float, env, t_key: str, dt_key: str = "env.dt") -> list:
+def _table_size(t_end: float, env, t_key: str, dt_key: str = "env.dt") -> tuple:
     levels = _size(env.max_events)
-    n_max = t_end / env.beta / env.dt + 1.0  # ceil(t / (beta dt)) + 1, as predictor_series
-    factors = {t_key: t_end, dt_key: 1.0 / env.dt, "env.beta": 1.0 / env.beta,
-               "env.max_events": levels}
-    return [(table_plan(levels, env.beta, n_max)[1], factors)]
-
-
-def _fig3_sizes(cfg) -> list:
-    return _grid_sizes(cfg) + _nested_sizes(_t_end(cfg.grid), cfg.env, "grid.t_max")
+    _, words, work = table_plan(levels, env.beta, table_n_max(t_end, env.beta, env.dt))
+    return words, work, {t_key: t_end, dt_key: 1.0 / env.dt, "env.beta": 1.0 / env.beta,
+                         "env.max_events": levels}
 
 
 def _gamma_ratio_sizes(cfg) -> list:  # the tables wait for the ladder
     levels, points = _size(cfg.ladder.n_max) + 1.0, _size(cfg.fit_window.n_points)
-    return [(_PER_POINT * levels * points, {"ladder.n_max": levels,
-                                            "fit_window.n_points": points})]
+    return [(0.0, _POINT_COLLAPSES * levels * points,
+             {"ladder.n_max": levels, "fit_window.n_points": points})]
 
 
-def _within_budget(sizes: list, raw: str | None, limit: float | None = None,
-                   what: str = "words, draws, terms or comparisons, over the work budget") -> None:
-    """ConfigError at the largest factor's key of the first size over `limit` (or WORK_BUDGET)."""
-    limit = WORK_BUDGET if limit is None else limit
-    for size, factors in sizes:
-        if size > limit:
-            raise _config_error(f"the run needs about {size:.3g} {what} of {limit:.0e}",
-                                max(factors, key=factors.get), raw)
+def _over(size: float, factors: dict, limit: float, what: str, raw: str | None) -> None:
+    """ConfigError at the key of the largest of `factors` when `size` is over `limit`."""
+    if size > limit:
+        raise _config_error(f"the run needs about {size:.3g} {what} of {limit:.0e}",
+                            max(factors, key=factors.get), raw)
+
+
+def _within_budget(sizes: list, raw: str | None) -> None:
+    """Each stage's words, then all stages' work, named by the stage over or the busiest."""
+    for words, _, factors in sizes:
+        _over(words, factors, WORK_BUDGET, "words held, over the work budget", raw)
+    _over(sum(size[1] for size in sizes), max(sizes, key=lambda size: size[1])[2],
+          WORK_BUDGET, "member collapses of work, over the work budget", raw)
 
 
 # kind -> (type built from the env section, the kind's own sections and keys,
@@ -186,7 +185,8 @@ _SPECS = {
                                           _grid_sizes),
     ExperimentKind.FIG3_INDISTINGUISHABLE: (IndistinguishableEnv, {
         "env": _Section({"dt": _positive(), "beta": _BETA, "max_events": _MAX_EVENTS}),
-        **_FIGURE}, _fig3_sizes),
+        **_FIGURE}, lambda cfg: _grid_sizes(cfg) + [
+            _table_size(_t_end(cfg.grid), cfg.env, "grid.t_max")]),
     ExperimentKind.MASTER_EQ_BASELINE: (MasterEqParams, {
         "env": _Section({"gamma_se": _at_least(0)}), **_FIGURE}, _grid_sizes),
     ExperimentKind.FIG5_GAMMA_RATIO: (IndistinguishableEnv, {
@@ -292,7 +292,7 @@ def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
     """Fig5's cross-key rules: one time scale, excited preparation and gamma_se
     for the master-eq swap (in the closed form's regime at every level), every
     ladder omega_n > 0. Sets `cfg.ladder` and `cfg.env.dt`."""
-    env, lad = cfg.env, cfg.ladder
+    env, lad, sizes = cfg.env, cfg.ladder, _gamma_ratio_sizes(cfg)
     if (env.dt is None) == (env.omega0_dt is None):
         raise _config_error("exactly one of dt and omega0_dt must be given", "env", raw)
     if cfg.predictor == "master-eq":
@@ -302,20 +302,20 @@ def _gamma_ratio_rules(cfg: ExperimentConfig, raw: str | None) -> None:
         _walk(_MASTER_EQ_SYSTEM, vars(cfg.system), raw, "system")
     cfg.ladder = _build("ladder.n_max", raw, rabi_frequency_ladder,
                         cfg.system.omega, lad.n_max, lad.lamb_dicke)
-    for _, omega_n in cfg.ladder.entries:  # each level fits omega_n t over [0, span]
-        _fit_window_rule(cfg.fit_window.n_points, cfg.fit_window.omega_t_span / omega_n, omega_n,
-                         {"points": "fit_window.n_points", "span": "fit_window.omega_t_span"},
-                         raw)
-    omega0_dt = vars(env).pop("omega0_dt")
+    omega0_dt, span = vars(env).pop("omega0_dt"), cfg.fit_window.omega_t_span
     if omega0_dt is not None:
         env.dt = omega0_dt / cfg.ladder.omega_n(0)
-    slowest = min(omega for _, omega in cfg.ladder.entries)
+    dt_key = "env.dt" if omega0_dt is None else "env.omega0_dt"
+    for _, omega_n in cfg.ladder.entries:  # each level fits omega_n t over [0, span]
+        _fit_window_rule(cfg.fit_window.n_points, span / omega_n, omega_n,
+                         {"points": "fit_window.n_points", "span": "fit_window.omega_t_span"},
+                         raw)
+        if cfg.predictor != "master-eq":  # and builds its own table
+            sizes.append(_table_size(span / omega_n, env, "fit_window.omega_t_span", dt_key))
+    _within_budget(sizes, raw)
     if cfg.predictor == "master-eq":  # the slowest level bounds gamma_se the most
-        _build("master_eq.gamma_se", raw, MasterEqParams, slowest, cfg.master_eq.gamma_se)
-    else:  # the slowest level builds the largest table
-        _within_budget(_nested_sizes(cfg.fit_window.omega_t_span / slowest, env,
-                                     "fit_window.omega_t_span",
-                                     "env.dt" if omega0_dt is None else "env.omega0_dt"), raw)
+        _build("master_eq.gamma_se", raw, MasterEqParams,
+               min(omega for _, omega in cfg.ladder.entries), cfg.master_eq.gamma_se)
 
 
 def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfig:
@@ -329,7 +329,7 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
         spec, {k: x for k, x in data.items() if k not in _COMMON}, raw_text))
     _within_budget(sizes(cfg), raw_text)
     if env_type is DistinguishableEnv:  # Fig2, and the oracle's reference curve
-        _within_budget([_epochs(cfg)], raw_text, MAX_EPOCHS, "epochs, over the epoch limit")
+        _over(*_epochs(cfg), MAX_EPOCHS, "epochs, over the epoch limit", raw_text)
     if {"grid", "fit"} <= spec.keys() and cfg.grid.n_points:  # an empty grid fits nothing
         _fit_window_rule(cfg.grid.n_points, cfg.grid.t_max, cfg.system.omega,
                          {"points": "grid.n_points", "span": "grid.t_max"}, raw_text)
@@ -538,7 +538,7 @@ def predictor_series(cfg: ExperimentConfig) -> ProbabilitySeries:
     if isinstance(env, DistinguishableEnv):
         n_max = math.ceil(float(grid[-1]) / env.dt) + 1 if grid.size else 0
         return sample_series(build_predictor(cfg.system, env, n_max), grid)
-    n_max = math.ceil(float(grid[-1]) / (env.beta * env.dt)) + 1 if grid.size else 0
+    n_max = table_n_max(float(grid[-1]), env.beta, env.dt) if grid.size else 0
     return sample_rescaled_series(build_nested_table(cfg.system, env, n_max), env, grid)
 
 

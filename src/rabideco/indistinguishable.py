@@ -86,25 +86,31 @@ class NestedTable:
 
 # Terms x columns evaluated at once by the exponential sum.
 _BLOCK = 1 << 16
-# A matrix form entry in exponential-sum terms, at the slow end of 0.19-0.82 ns per entry
-# of `shift + mat @ g` (1001-5001 columns, 1-2 BLAS threads) against 24-29 ns per term.
-_MATRIX_ENTRY = 1.0 / 40.0
+# Work in member collapses: an exponential-sum term (12-44 ns); a matrix form entry, filled
+# once (15-54 ns), then in each product `shift + mat @ g` (0.2-0.8 ns, 1-2 BLAS threads).
+_TERM_COLLAPSES, _FILL_COLLAPSES, _PRODUCT_COLLAPSES = 0.5, 0.5, 1.0 / 60.0
 
 
-def table_plan(levels, beta: float, n_max) -> tuple[str, float]:
-    """How `build_nested_table` builds columns 0..n_max, and its work in floats: "born"
-    (no collapse) holds a row of 3 words per column (tracemalloc peak); "sum", while
-    2^(levels + 1) <= n_max + 1, sums 2^levels terms per column or holds a 6-word row;
-    "matrix" holds 2 words per entry of its (n_max + 1)^2 matrix M, plus 3 per column
-    for each of its levels + 1 rows (the Born row, then one product with M each), or
-    makes levels products over all of M's entries at `_MATRIX_ENTRY` each."""
+def table_n_max(t_end: float, beta: float, dt: float):
+    """ceil(t_end / (beta dt)) + 1: the last column a table read to clock time t_end needs."""
+    index = t_end / (beta * dt) if beta * dt else math.inf
+    return math.ceil(index) + 1 if index < math.inf else math.inf
+
+
+def table_plan(levels, beta: float, n_max) -> tuple[str, float, float]:
+    """How `build_nested_table` builds columns 0..n_max: (path, words held, work in member
+    collapses). "born" (no collapse) holds a row of 3 words per column (tracemalloc peak)
+    and prices a term per column; "sum", while 2^(levels + 1) <= n_max + 1, holds a 6-word
+    row and sums 2^levels terms per column; "matrix" holds 2 words per entry of its
+    (n_max + 1)^2 matrix M, plus 3 per column for each of its levels + 1 rows (the Born
+    row, then one product with M each), and fills M once and takes levels products."""
     n_cols = n_max + 1.0
     if beta == 1.0 or not levels:
-        return "born", 3.0 * n_cols
+        return "born", 3.0 * n_cols, _TERM_COLLAPSES * n_cols
     if levels < 1023 and 2.0 ** (levels + 1) <= n_cols:
-        return "sum", max(2.0 ** levels, 6.0) * n_cols
-    return "matrix", max(2.0 * n_cols + 3.0 * (levels + 1.0),
-                         _MATRIX_ENTRY * levels * n_cols) * n_cols
+        return "sum", 6.0 * n_cols, _TERM_COLLAPSES * 2.0 ** levels * n_cols
+    return ("matrix", (2.0 * n_cols + 3.0 * (levels + 1.0)) * n_cols,
+            (_FILL_COLLAPSES + _PRODUCT_COLLAPSES * levels) * n_cols * n_cols)
 
 
 def build_nested_table(

@@ -33,13 +33,14 @@ from the (seed, 0) stream: per epoch one collapse-binomial and one
 outcome-binomial vector over the scanned keys in ascending order, per grid
 time the measurement. Its cost grows like ln N: 25 ms at N = 1e9 on row one.
 
-`run_work` is the one plan, priced by the config check and followed by the run. The
-chain runs when N (1 - eta) > W + _STEP_COLLAPSES, a step's fixed cost in collapses
-(a 2-key step 31-40 us, a collapse 53-63 ns), which also prices each grid time's fixed
-calls on either path (per member 40 us: a due scan, two bincounts, a measurement). A
-step scans about half of W on average, so the rule is not the cost crossover but leans
-to the members: it keeps the oracle_check preset (row four) and its output bytes, and
-long sparse runs, off the chain. 121 grid times, median of 3 runs, 1 for 7.1 s (numpy 2.4):
+`run_work` is the one plan, priced by the config check and followed by the run, in member
+collapses (53-63 ns), the work unit of `core.WORK_BUDGET`. The chain runs when
+N (1 - eta) > W + _STEP_COLLAPSES, a step's fixed cost in collapses (a 2-key step
+31-40 us), which also prices each grid time's fixed calls on either path (per member
+40 us: a due scan, two bincounts, a measurement). A step scans about half of W on
+average, so the rule is not the cost crossover but leans to the members: it keeps the
+oracle_check preset (row four) and its output bytes, and long sparse runs, off the chain.
+121 grid times, median of 3 runs, 1 for 7.1 s (numpy 2.4):
 
     N, eta, epochs     per member    chain   rule
     1e5, 0.5, 375         1164 ms    24 ms   chain
@@ -62,10 +63,9 @@ from .distinguishable import DistinguishableEnv
 BLOCK_SIZE = 65536
 # The chain's members are counts: at most 2^53 keeps every count / N exact.
 MAX_SYSTEMS = 2**53
-# One chain step's fixed numpy calls, priced in member collapses of `_block`.
-_STEP_COLLAPSES = 600.0
-# Words any run holds: 5000 of temporaries, 12000 of the 2000 freed 1-tuples CPython keeps.
-_FIXED_WORDS = 20_000.0
+# Work in member collapses: a chain step's or grid time's fixed numpy calls, a round of
+# `_block`'s collapse loop (14-15 us), a member or key scanned at a grid time (1-4 ns).
+_STEP_COLLAPSES, _ROUND_COLLAPSES, _SCAN_COLLAPSES = 600.0, 250.0, 1.0 / 15.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,34 +102,27 @@ def uses_chain(n_systems, eta: float, n_epochs: int) -> bool:
     return n_systems * (1.0 - eta) > _window(n_systems, eta, n_epochs) + _STEP_COLLAPSES
 
 
-def _held_words(n_epochs, block_size, window=0.0) -> float:
-    """The oracle's memory model: _FIXED_WORDS; 5 words per epoch for the shared cosine,
-    sine and lag tables and the temporary that builds them; 4 per epoch for the occupancy
-    and one bincount; 10 per member of a block (keys, next collapses, collapse
-    temporaries) or 9 per key of a chain step's window (its draws, a measurement's)."""
-    return _FIXED_WORDS + 9.0 * n_epochs + 10.0 * block_size + 9.0 * window
-
-
 def run_work(n_systems, eta: float, epochs: float, n_points) -> tuple:
     """The plan `simulate_distinguishable` runs for `epochs` = t_end / dt: (chain, n_epochs,
-    words held, draws made, members and keys scanned); `uses_chain` picks the path. Each
-    grid time and chain step costs _STEP_COLLAPSES draws for its fixed calls. The chain
-    draws twice per key scanned at each epoch and once at each grid time; members once
-    per expected collapse, and each grid time scans them and the reachable keys. An
-    empty grid costs nothing."""
+    work in member collapses); `uses_chain` picks the path. An epoch costs a collapse for the
+    shared tables, a grid time or chain step _STEP_COLLAPSES. The chain draws twice per key
+    scanned at each epoch and once at each grid time; members once, once per expected
+    collapse (a lone member's rounds too), and at each grid time once per occupied key,
+    scanning the members and the reachable keys. An empty grid costs nothing."""
     n_epochs = math.floor(epochs + 1e-9)  # one that rounding puts just past t_end counts
     if not n_points:
-        return False, n_epochs, 0.0, 0.0, 0.0
+        return False, n_epochs, 0.0
     chain = uses_chain(n_systems, eta, n_epochs)
-    steps = _STEP_COLLAPSES * (n_points + chain * n_epochs)
+    steps = n_epochs + _STEP_COLLAPSES * (n_points + chain * n_epochs)
     if chain:
         keys = _window(n_systems, eta, n_epochs)
-        return (True, n_epochs, _held_words(n_epochs, 0, keys),
-                keys * (2.0 * n_epochs + n_points) + steps, keys * (n_epochs + n_points))
-    keys = 2.0 * n_epochs + 2.0
-    draws = n_systems * (1.0 + (1.0 - eta) * n_epochs) + min(n_systems, keys) * n_points
-    return (False, n_epochs, _held_words(n_epochs, min(n_systems, BLOCK_SIZE)),
-            draws + steps, (n_systems + keys) * n_points)
+        draws, scanned = keys * (2.0 * n_epochs + n_points), keys * (n_epochs + n_points)
+    else:
+        keys, collapses = 2.0 * n_epochs + 2.0, (1.0 - eta) * n_epochs
+        steps += _ROUND_COLLAPSES * collapses
+        draws = n_systems * (1.0 + collapses) + min(n_systems, keys) * n_points
+        scanned = (n_systems + keys) * n_points
+    return chain, n_epochs, steps + draws + _SCAN_COLLAPSES * scanned
 
 
 def simulate_distinguishable(

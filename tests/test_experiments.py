@@ -5,16 +5,21 @@ import math
 import os
 import shutil
 import stat
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabideco import experiments, indistinguishable
 from rabideco.cli import main as cli_main
+from rabideco.core import rabi_frequency_ladder
 from rabideco.distinguishable import MAX_EPOCHS
 from rabideco.experiments import (
     ConfigError,
@@ -1043,6 +1048,86 @@ class TestWorkBudget:
         cfg = config_from_dict(data)
         assert table_plan(12, cfg.env.beta, 2999)[0] == "matrix"
 
+    @settings(max_examples=100, deadline=None)
+    @given(levels=st.integers(2, 9), beta=st.sampled_from([0.3, 0.9, 0.995]),
+           dt=st.floats(0.1, 1.0), offset=st.floats(-3.0, 3.0),
+           ladder=st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 4))))
+    def test_run_builds_the_priced_table(self, levels, beta, dt, offset, ladder):
+        # the check prices each table's path and columns; the run builds them. Fig3's
+        # table, or (ladder) Fig5's, with one level's table within 3 columns of the
+        # sum's first, 2^(levels + 1)
+        t_end = (2.0 ** (levels + 1) - 2.0 + offset) * beta * dt
+        env = {"dt": dt, "beta": beta, "max_events": levels}
+        if ladder is None:
+            data = fig3_config(env=env, grid={"t_max": t_end, "n_points": 20})
+            data["system"]["omega"] = 4.0 * math.pi / t_end  # two periods to fit
+        else:
+            n_max, level = ladder[0], min(ladder)
+            ratio = rabi_frequency_ladder(1.0, n_max).omega_n(level)
+            omega = 4.0 * math.pi / (t_end * ratio)  # level's span: omega_level t_end
+            data = small_fig5_config(system={"omega": omega}, env=env, ladder={"n_max": n_max},
+                                     fit_window={"omega_t_span": omega * ratio * t_end,
+                                                 "n_points": 20})
+        priced, built = [], []
+
+        def pricing(levels, beta, n_max):
+            path = table_plan(levels, beta, n_max)
+            priced.append((path[0], n_max + 1))
+            return path
+
+        def spy(path):
+            def build(row, *args):
+                built.append((path, len(row)))
+                return np.full(len(row), 0.5)
+            return build
+
+        def table_only(level):  # a Fig5 level's table, and a gamma for the ratios
+            predictor_series(level)
+            return SimpleNamespace(fit=SimpleNamespace(gamma=1.0))
+
+        with mock.patch.object(experiments, "table_plan", pricing):
+            cfg = config_from_dict(data)
+        with mock.patch.object(indistinguishable, "_exponential_sum", spy("sum")), \
+                mock.patch.object(indistinguishable, "_matrix_form", spy("matrix")), \
+                mock.patch.object(experiments, "run_figure_experiment", table_only):
+            if ladder is None:
+                predictor_series(cfg)
+            else:
+                run_gamma_ratio_experiment(cfg)
+        assert built == priced
+
+    @pytest.mark.parametrize("preset,changes,key_path", [
+        # 41 levels, 31 of them in the matrix form: priced at the slowest level's
+        # 8.2e7 alone they ran for 39 s
+        ("fig5.json", {"ladder": {"n_max": 40}, "env": {"max_events": 12},
+                       "fit_window": {"omega_t_span": 4000, "n_points": 3000}},
+         "fit_window.omega_t_span"),
+        # undamped, the fit takes all 200 iterations: about 12 s
+        ("fig2a.json", {"env": {"eta": 1.0}, "grid": {"n_points": 10**6}}, "grid.n_points"),
+    ])
+    def test_every_table_and_fit_priced_exits_2(self, tmp_path, capsys, preset, changes,
+                                                key_path):
+        data = json.loads((CONFIG_DIR / preset).read_text())
+        for section, keys in changes.items():
+            data[section].update(keys)
+        assert "work budget" in self.exits_2(tmp_path, capsys, data, key_path)
+
+    @pytest.mark.parametrize("preset,changes", [
+        # 2e8 comparisons of a member with its next collapse, about 1 ns each: 0.3 s
+        ("oracle_check.json", {"env": {"eta": 1.0}, "mc": {"n_systems": 65536},
+                               "grid": {"n_points": 3000}}),
+        # ceil(t / (beta dt)) + 2 = 2^13 columns, so the sum of 2^12 terms: 0.9 s
+        ("fig3.json", {"env": {"max_events": 12},
+                       "grid": {"t_max": 8189.5 * 0.995 * 0.7, "n_points": 3000}}),
+    ])
+    def test_cheap_runs_exit_0(self, tmp_path, preset, changes):
+        data = json.loads((CONFIG_DIR / preset).read_text())
+        for section, keys in changes.items():
+            data[section].update(keys)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
     def test_billion_member_dense_oracle_exits_0(self, tmp_path):
         # at eta 0.5 the chain steps 35 keys per epoch, whatever the ensemble size
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
@@ -1071,12 +1156,17 @@ class TestWorkBudget:
         # per epoch (752 keys + 600) it stays per member, 1.1e15 of them
         ({"env": {"dt": 0.08000000000008533, "eta": 1.0 - 1352.0 / 2**50},
           "mc": {"n_systems": 2**50}}, "mc.n_systems"),
+        # one member collapsing at each of 1e6 epochs: a round of the collapse loop
+        # each, 15 us apiece
+        ({"env": {"dt": 3e-5, "eta": 0.0}, "mc": {"n_systems": 1}, "grid": {"n_points": 2}},
+         "env.dt"),
     ])
     def test_long_oracle_scan_exits_2(self, tmp_path, capsys, changes, key_path):
         # few draws, but every grid time compares each member with its next
         # collapse, measures the chain's occupancy, or scans each key that 1e6
         # epochs can reach: 2e12 comparisons, 2e6 measurements, 4e10 and 4e9 keys;
-        # half an hour, a minute, a minute and 8 s of work
+        # half an hour, a minute, a minute and 8 s of work; or a lone member's 1e6
+        # rounds of collapses, 13 s
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         for section, keys in changes.items():
             data[section].update(keys)
@@ -1110,3 +1200,129 @@ class TestWorkBudget:
         configs = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
         for data in configs + perfbench_configs():
             config_from_dict(data)
+
+
+def work_estimate(data: dict) -> float | None:
+    """The check's estimate of `data`'s work in member collapses, or None if it rejects it:
+    the largest sum it checks, which for Fig5 is the one over every level's table."""
+    sums, check = [], experiments._within_budget
+
+    def spy(sizes, raw):
+        sums.append(sum(size[1] for size in sizes))
+        check(sizes, raw)
+
+    with mock.patch.object(experiments, "_within_budget", spy):
+        try:
+            config_from_dict(data)
+        except ConfigError:
+            return None
+    return max(sums)
+
+
+def with_value(data: dict, key_path: str, value) -> dict:
+    section, key = key_path.split(".")
+    return {**data, section: {**data[section], key: value}}
+
+
+def near_edge(data: dict, key_path: str, lo: float, hi: float, fraction: float,
+              integer: bool) -> dict | None:
+    """`data` with `key_path` at `fraction` of the largest value in [lo, hi] (bisected on a
+    log scale) that the check admits; None when it admits none."""
+    cast, least = (round if integer else float), lo
+    if work_estimate(with_value(data, key_path, cast(lo))) is None:
+        return None
+    for _ in range(30):
+        mid = math.sqrt(lo * hi)
+        if work_estimate(with_value(data, key_path, cast(mid))) is None:
+            hi = mid
+        else:
+            lo = mid
+    return with_value(data, key_path, cast(max(lo * fraction, least)))
+
+
+def preset(name: str, **sections) -> dict:
+    data = json.loads((CONFIG_DIR / name).read_text())
+    for section, keys in sections.items():
+        data[section] = {**data.get(section, {}), **keys}
+    return data
+
+
+@st.composite
+def runs_near_the_edge(draw, kind):
+    """A config of `kind` whose one size key puts its work estimate at 30-100% of the
+    budget's edge, or None when no value of that key passes the check."""
+    unit = st.floats(0.0, 1.0)
+    if kind == "fig2":
+        # undamped, the fit takes all its iterations
+        data = preset("fig2a.json", env={"eta": draw(st.sampled_from([1.0, 0.99, 0.9]))})
+        key, lo, hi, integer = "grid.n_points", 10, 1e8, True
+    elif kind == "master_eq":
+        data, key, lo, hi, integer = preset("master_eq.json"), "grid.n_points", 10, 1e8, True
+    elif kind in ("fig3_sum", "fig3_matrix"):
+        levels = draw(st.integers(4, 10) if kind == "fig3_sum" else st.integers(10, 300))
+        beta, dt = draw(st.floats(0.9, 0.999)), draw(st.floats(0.3, 1.0))
+        data = preset("fig3.json", env={"max_events": levels, "beta": beta, "dt": dt})
+        edge = (2.0 ** (levels + 1) - 2.0) * beta * dt  # the sum's first t_max
+        key, integer = "grid.t_max", False
+        lo, hi = (edge, 1e9) if kind == "fig3_sum" else (10.0, min(edge - 3.0 * beta * dt, 1e9))
+    elif kind == "fig5":
+        points = draw(st.integers(100, 400))
+        data = preset("fig5.json", ladder={"n_max": draw(st.integers(8, 40))},
+                      env={"max_events": draw(st.integers(3, 10))},
+                      fit_window={"n_points": points})
+        # from two periods to six points a period of every level's fit
+        key, lo, hi, integer = "fit_window.omega_t_span", 13.0, points * math.pi / 6.0, False
+    elif kind == "fig5_band":  # the slowest level's table just takes the sum, the faster
+        # ones the dearer matrix form: a ladder of 35-41 levels that takes about ten times
+        # the work of its slowest level, over the budget once every level is priced
+        omega0_dt, cols = draw(st.floats(0.008, 0.012)), 2.0**11 - 2.0 + draw(unit)
+        return preset("fig5.json", ladder={"n_max": draw(st.integers(34, 40))},
+                      env={"max_events": 10, "omega0_dt": omega0_dt},
+                      fit_window={"omega_t_span": cols * 0.995 * omega0_dt,
+                                  "n_points": draw(st.integers(60, 100))})
+    else:  # the oracle: few members over many epochs, many members scanned, or the chain
+        n, eta, points = {
+            "oracle_members": (st.integers(1, 300), st.floats(0.0, 0.999), st.integers(2, 60)),
+            "oracle_scans": (st.integers(10**4, 10**6), st.just(1.0), st.integers(2, 10)),
+            "oracle_chain": (st.integers(10**6, 10**12), st.floats(0.3, 0.7),
+                             st.integers(2, 121)),
+        }[kind]
+        data = preset("oracle_check.json", env={"eta": draw(eta), "dt": 1.0},
+                      mc={"n_systems": draw(n)}, grid={"n_points": draw(points)})
+        key, lo, hi, integer = (("grid.n_points", 2, 1e9, True) if kind == "oracle_scans"
+                                else ("grid.t_max", 1.0, 1e7, False))  # t_max epochs
+    return near_edge(data, key, lo, hi, 0.3 + 0.7 * draw(unit), integer)
+
+
+# The work unit and what a run may take beyond its estimate: a member collapse at the slow
+# end of 30-60 ns, a stated multiple of that, and the CLI's own parsing and writing.
+COLLAPSE_S, SLACK, FLOOR_S = 60e-9, 3.0, 0.2
+
+
+class TestWorkEstimate:
+    """The work budget holds its word: every config it admits runs through the CLI within
+    SLACK times its estimate at COLLAPSE_S per collapse, plus FLOOR_S."""
+
+    @pytest.mark.parametrize("kind", ["fig2", "master_eq", "fig3_sum", "fig3_matrix", "fig5",
+                                      "fig5_band", "oracle_members", "oracle_scans",
+                                      "oracle_chain"])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_admitted_runs_take_their_estimate(self, kind, data):
+        with mock.patch.object(experiments, "WORK_BUDGET", 3e6):  # about 0.18 s
+            config = data.draw(runs_near_the_edge(kind))
+            estimate = None if config is None else work_estimate(config)
+            if estimate is None:
+                return
+            bound = SLACK * estimate * COLLAPSE_S + FLOOR_S
+            with tempfile.TemporaryDirectory() as out:
+                cfg_path = Path(out) / "cfg.json"
+                cfg_path.write_text(json.dumps(config))
+                for _ in range(2):  # a second try, should the first meet a busy machine
+                    start = time.perf_counter()
+                    code = cli_main(["experiment", "--config", str(cfg_path), "--out", out])
+                    elapsed = time.perf_counter() - start
+                    if elapsed <= bound:
+                        break
+        assert code in (0, 3)  # 3: a fit of too few points per period can fail, quickly
+        assert elapsed <= bound

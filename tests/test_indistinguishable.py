@@ -393,17 +393,21 @@ class TestTablePlan:
             build_nested_table(RabiSystem(1.0), IndistinguishableEnv(0.4, beta, i), n_max)
         want = ("born" if beta == 1.0 or i == 0
                 else "sum" if 2 ** (i + 1) <= n_max + 1 else "matrix")
-        path, work = table_plan(i, beta, n_max)
+        path, words, work = table_plan(i, beta, n_max)
         assert path == want
         assert taken == ([] if want == "born" else [want])
         cols = n_max + 1  # the held row: 3 words per column, 6 with the sum
-        assert work == {"born": 3 * cols, "sum": max(2**i, 6) * cols,
-                        "matrix": max(2 * cols + 3 * (i + 1), i * cols / 40) * cols}[want]
+        assert words == {"born": 3 * cols, "sum": 6 * cols,
+                         "matrix": (2 * cols + 3 * (i + 1)) * cols}[want]
+        # in member collapses: half a collapse a term, or to fill an entry of the matrix,
+        # and a 60th of one per entry in each product
+        assert work == pytest.approx({"born": cols / 2, "sum": 2**i * cols / 2,
+                                      "matrix": (1 / 2 + i / 60) * cols * cols}[want], rel=1e-12)
 
     @pytest.mark.parametrize("levels, n_max", [(10**9, 100.0), (1e300, 1e300), (1022, math.inf)])
     def test_huge_order_stays_in_floats(self, levels, n_max):
-        path, work = table_plan(levels, 0.5, n_max)
-        assert work > 1e8
+        path, words, work = table_plan(levels, 0.5, n_max)
+        assert max(words, work) > 1e8
         assert path == ("sum" if n_max == math.inf else "matrix")
 
 

@@ -529,26 +529,25 @@ class TestPathRule:
 
     def test_largest_config_on_members(self):
         # oracle_check stretched to 1e7 epochs, with few enough members that its
-        # 5e7 collapses pass the work budget, and few enough grid times that its
-        # scans of 2e7 keys each do: 5 collapses per epoch, so one block of members
+        # 5e7 collapses and their 1e5 rounds pass the work budget, and few enough grid
+        # times that its scans of 2e7 keys each do: 5 collapses per epoch, so one block
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         data["env"]["dt"] = data["grid"]["t_max"] / 9_999_990
         data["mc"]["n_systems"] = 500
         data["grid"]["n_points"] = 4
         cfg = config_from_dict(data)
-        chain, n_epochs, held, _, _ = montecarlo.run_work(
+        chain, n_epochs, work = montecarlo.run_work(
             500, cfg.env.eta, cfg.grid.t_max / cfg.env.dt, 4)
         assert n_epochs >= 9_999_990
         assert not chain
-        assert held <= WORK_BUDGET
+        assert work <= WORK_BUDGET
 
     def test_chain_work_does_not_grow_with_members(self):
-        # the keys a step scans, and so all three counts, grow like ln N
+        # the keys a step scans, and so the work, grow like ln N: 9e9 times the
+        # members cost less than twice the work
         plans = [montecarlo.run_work(n, 0.5, 375, 121) for n in (10**6, 10**9, 2**53)]
-        assert [plan[:3] for plan in plans] == [
-            (True, 375, montecarlo._held_words(375, 0, montecarlo._window(n, 0.5, 375)))
-            for n in (10**6, 10**9, 2**53)]
-        assert max(max(plan[2:]) for plan in plans) < WORK_BUDGET / 100.0
+        assert [plan[:2] for plan in plans] == [(True, 375)] * 3
+        assert max(plan[2] for plan in plans) < 2.0 * plans[0][2] < WORK_BUDGET / 100.0
 
     @settings(max_examples=200, deadline=None)
     @given(config=oracle_configs(), flip=st.booleans(), skew=st.integers(0, 2))
@@ -597,9 +596,19 @@ class TestPathRule:
         assert built == [("chain" if chain else "members", 2 * n_epochs + 1)]
 
 
+def held_words(n_epochs, block_size, window=0.0) -> float:
+    """The oracle's memory model: 20000 words for any run (5000 of temporaries, 12000 of
+    the 2000 freed 1-tuples CPython keeps); 5 words per epoch for the shared cosine, sine
+    and lag tables and the temporary that builds them; 4 per epoch for the occupancy and
+    one bincount; 10 per member of a block (keys, next collapses, collapse temporaries)
+    or 9 per key of a chain step's window (its draws, a measurement's). The work budget
+    prices no words for the oracle: 9.07e7 at MAX_EPOCHS per member, and on the chain
+    fewer than its draws."""
+    return 20_000.0 + 9.0 * n_epochs + 10.0 * block_size + 9.0 * window
+
+
 class TestMemoryModel:
-    """The words a run holds at its peak stay within `_held_words`, which the work
-    budget is sized from."""
+    """The words a run holds at its peak stay within `held_words`."""
 
     @pytest.mark.parametrize("n,eta,n_epochs,path", [
         (20, 0.99, 10_000, "members"),  # a run's fixed words count against few members
@@ -617,9 +626,9 @@ class TestMemoryModel:
         if (n, eta) != (100_000, 0.5):
             assert montecarlo.uses_chain(n, eta, n_epochs) is (path == "chain")
         if path == "chain":
-            held = montecarlo._held_words(n_epochs, 0, montecarlo._window(n, eta, n_epochs))
+            held = held_words(n_epochs, 0, montecarlo._window(n, eta, n_epochs))
         else:
-            held = montecarlo._held_words(n_epochs, -(-n // -(-n // BLOCK_SIZE)))
+            held = held_words(n_epochs, -(-n // -(-n // BLOCK_SIZE)))
         montecarlo._block_rng(0, 0)  # a first Generator imports modules: not the run's words
         with forced(path):
             tracemalloc.start()
