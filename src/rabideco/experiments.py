@@ -13,12 +13,12 @@ import os
 import stat
 import sys
 from dataclasses import asdict, dataclass
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
+import orjson
 
 from .core import (WORK_BUDGET, InitialState, LAMB_DICKE, ProbabilitySeries, RabiSystem,
                    rabi_frequency_ladder)
@@ -372,10 +372,22 @@ def load_fit_config(path) -> FitConfig:
 
 # ---- results, each writing its own outputs ----
 def _csv(header: str, rows) -> str:
-    """Header line plus one line per row, numbers in shortest round-trip form."""
-    rows = list(rows)
-    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
-    return header + "\n" + line * len(rows) % tuple(chain.from_iterable(rows))
+    """Header line plus one line per row, numbers in shortest round-trip form.
+
+    `rows` is a C-contiguous 2-D float array or an iterable of tuples (Fig5's `n` is an
+    int). orjson writes repr's text for ints and for floats with 1e-4 <= |x| < 1e16 or
+    x = 0; a row holding any other float (repr's 5e-05, 1e+16, nan) is written with %r.
+    """
+    rows = rows if isinstance(rows, np.ndarray) else [tuple(row) for row in rows]
+    if not len(rows):
+        return header + "\n"
+    size = np.abs(np.asarray(rows, dtype=float))
+    off = ~((size >= 1e-4) & (size < 1e16) | (size == 0.0)).all(axis=1)
+    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    line = ",".join(["%r"] * (header.count(",") + 1))
+    for i in np.flatnonzero(off).tolist():
+        lines[i] = line % tuple(rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i])
+    return header + "\n" + "\n".join(lines) + "\n"
 
 
 def _finite(value):
@@ -409,7 +421,7 @@ class SeriesResult:
 
     def csv(self) -> str:
         series = self.series
-        return _csv("t_coord,p_predicted", zip(series.times.tolist(), series.probs.tolist()))
+        return _csv("t_coord,p_predicted", np.column_stack((series.times, series.probs)))
 
     def summary(self, cfg: ExperimentConfig) -> dict:
         return {"experiment": cfg.experiment.value, "seed": cfg.seed,
@@ -428,8 +440,9 @@ class FigureResult(SeriesResult):
     fit_curve: np.ndarray
 
     def csv(self) -> str:
-        return _csv("t_coord,p_predicted,p_fit", zip(
-            self.series.times.tolist(), self.series.probs.tolist(), self.fit_curve.tolist()))
+        series = self.series
+        return _csv("t_coord,p_predicted,p_fit",
+                    np.column_stack((series.times, series.probs, self.fit_curve)))
 
     def summary(self, cfg: ExperimentConfig) -> dict:
         fit, omega = self.fit, cfg.system.omega
@@ -492,9 +505,9 @@ class OracleCheckResult:
     max_abs_z: float
 
     def csv(self) -> str:
-        return _csv("t_coord,p_mc,p_analytic,sigma,z", zip(
-            self.mc_series.times.tolist(), self.mc_series.probs.tolist(),
-            self.analytic_series.probs.tolist(), self.sigma.tolist(), self.z_scores.tolist()))
+        return _csv("t_coord,p_mc,p_analytic,sigma,z", np.column_stack((
+            self.mc_series.times, self.mc_series.probs, self.analytic_series.probs, self.sigma,
+            self.z_scores)))
 
     def summary(self, cfg: ExperimentConfig) -> dict:
         bound = cfg.target.get("max_abs_z", 5.0)

@@ -5,10 +5,11 @@ analytic Jacobian: the model is offset + amplitude * exp(-gamma t) *
 cos(2 omega t + phase), any subset of the five parameters free. Damping is
 multiplied by 10 on a rejected step and divided by 10 on an accepted one, so
 the residual decreases monotonically. The fit ends after 200 iterations or
-at its first proposed step below 1e-9 relative to the parameters (MINPACK's
-step-size test, More 1978), kept unless it raises the residual: more damping
-would only shrink it. A step with a non-finite residual is a plain rejection.
-A step it would accept that takes a free omega to <= 0 ends the fit with
+at its first proposed step below 1e-9 relative to the parameters, each
+floored at 1e-6 so that one tending to 0 stops it too (MINPACK's step-size
+test, More 1978), kept unless it raises the residual: more damping would
+only shrink it. A step with a non-finite residual is a plain rejection. A
+step it would accept that takes a free omega to <= 0 ends the fit with
 FitConvergenceError at the last iterate.
 Each iteration solves the k x k damped normal equations on Python floats and
 evaluates exp(-gamma t) and the cosine of the phase once, for its trial step,
@@ -29,7 +30,9 @@ PARAM_ORDER = ("gamma", "omega", "amplitude", "offset", "phase")
 
 # a fitted series needs this many points, spanning two periods of the hint
 MIN_FIT_POINTS = 10
-_STEP_TOL = 1e-9
+# a step ends the fit when |s| < _STEP_TOL (|p| + _STEP_FLOOR) for every free parameter p;
+# the floor lets a parameter that tends to 0 (gamma when undamped, a free phase) stop it
+_STEP_TOL, _STEP_FLOOR = 1e-9, 1e-6
 _MAX_ITER = 200
 _LAMBDA_MAX = 1e12
 # the model is even under (omega, phase) -> (-omega, -phase): omega > 0 is never a restriction
@@ -246,7 +249,7 @@ def fit_damped_sinusoid(
             trial_sse = float(trial_resid @ trial_resid)
             # a step below tolerance is the last: more damping only shrinks it
             last = math.isfinite(trial_sse) and max(
-                abs(s) / (abs(params[i]) + 1e-12) for i, s in zip(free_idx, step)) < _STEP_TOL
+                abs(s) / (abs(params[i]) + _STEP_FLOOR) for i, s in zip(free_idx, step)) < _STEP_TOL
         if math.isfinite(trial_sse) and trial_sse <= sse:
             if trial[1] <= 0.0:  # only a free omega moves
                 raise FitConvergenceError(_NON_PHYSICAL, dict(zip(PARAM_ORDER, params)),

@@ -160,6 +160,17 @@ formatted_floats = st.one_of(
 )
 
 
+# any float (NaN, +-inf, +-0.0 and subnormals included), and the edges of the band
+# 1e-4 <= |x| < 1e16 where orjson writes repr's text, on both sides
+CSV_EDGES = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16]
+csv_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(CSV_EDGES + [-x for x in CSV_EDGES] + [0.0, -0.0, 5e-324]),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1e-7, 1e-2) | st.floats(1e13, 1e19))
+    .map(lambda pair: pair[0] * pair[1]),
+)
+
+
 def fixed2_texts(values) -> list:
     return [row[row != 0].tobytes().decode("ascii") for row in _fixed2(np.asarray(values))]
 
@@ -208,6 +219,19 @@ class TestWritersAgainstPrevious:
         rows = run_gamma_ratio_experiment(cfg).rows
         assert isinstance(rows[0].n, int)
         assert _csv("n,omega_n,gamma_n,ratio", rows) == previous_csv("n,omega_n,gamma_n,ratio", rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_rows=st.sampled_from([0, 1, 2, 5, 400]), n_cols=st.integers(1, 5))
+    def test_csv_bytes_property(self, data, n_rows, n_cols):
+        # rows cycle through a drawn pool, so many rows mix in-band and %r rows
+        pool = data.draw(st.lists(csv_floats, min_size=1, max_size=12))
+        table = np.resize(np.array(pool), (n_rows, n_cols))
+        rows = [tuple(row) for row in table.tolist()]
+        header = ",".join("abcde"[:n_cols])
+        assert _csv(header, table) == previous_csv(header, rows)
+        ns = data.draw(st.lists(st.integers(-2**63, 2**64 - 1), min_size=n_rows, max_size=n_rows))
+        rows = [(n, *row[1:]) for n, row in zip(ns, rows)]  # Fig5's int first column
+        assert _csv(header, iter(rows)) == previous_csv(header, rows)
 
     @pytest.mark.parametrize("dots,line", [
         ((np.linspace(0.0, 5.0, 40), np.sin(np.linspace(0.0, 5.0, 40))),

@@ -89,6 +89,20 @@ class TestDampedSinusoidFit:
         fit = fit_damped_sinusoid(series, omega_hint=1.0)
         assert abs(fit.gamma) < 1e-6
 
+    @pytest.mark.parametrize("n_points", [400, 15000])
+    @pytest.mark.parametrize("free", [{"gamma", "omega"}, {"gamma", "phase"},
+                                      {"gamma", "omega", "phase"}],
+                             ids=lambda f: "+".join(sorted(f)))
+    def test_undamped_fig2_stops(self, n_points, free):
+        # at eta 1 nothing collapses, so gamma (and a free phase) tend to 0: the
+        # step test's floor under |p| must still stop the fit, which ran all 200
+        # iterations at 15000 points with a floor of 1e-12
+        data = json.loads((CONFIG_DIR / "fig2a.json").read_text())
+        data["env"]["eta"], data["grid"]["n_points"] = 1.0, n_points
+        fit = fit_damped_sinusoid(predictor_series(config_from_dict(data)), 1.0, free)
+        assert fit.iterations < 20
+        assert abs(fit.gamma) <= 1e-9
+
     def test_ground_prepared_mirror_fits_the_same(self):
         # 1 - y starts at 1 > 1/2, so its fit starts from amplitude +1/2 and
         # mirrors the fit of y step for step
@@ -477,7 +491,8 @@ class TestAgainstReferenceFit:
         assert len(trials) == len(steps) + 1 == fit.iterations + 1  # every step finite
         free_idx = [PARAM_ORDER.index(name) for name in ("gamma", "omega")]
         # the step was taken from trial - step
-        rel = [max(abs(s) / (abs(trial[i] - s) + 1e-12) for i, s in zip(free_idx, step))
+        floor = fitting._STEP_FLOOR
+        rel = [max(abs(s) / (abs(trial[i] - s) + floor) for i, s in zip(free_idx, step))
                for step, trial in zip(steps, trials[1:])]
         return fit, next(j for j, r in enumerate(rel, start=1) if r < fitting._STEP_TOL)
 
