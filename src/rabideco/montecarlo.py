@@ -31,24 +31,24 @@ below the lowest occupied one fills again, so a step scans the keys from there
 to 2n, about W = min(2 epochs + 2, 2 (1 + ln N / -ln eta)). The ensemble draws
 from the (seed, 0) stream: per epoch one collapse-binomial and one
 outcome-binomial vector over the scanned keys in ascending order, per grid
-time the measurement. Its cost grows like ln N: 25 ms at N = 1e9 on row one.
+time the measurement. Its cost grows like ln N: row one takes as long at N = 1e9.
 
 `run_work` is the one plan, priced by the config check and followed by the run, in member
-collapses (53-63 ns), the work unit of `core.WORK_BUDGET`. The chain runs when
-N (1 - eta) > W + _STEP_COLLAPSES, a step's fixed cost in collapses (a 2-key step
-31-40 us), which also prices each grid time's fixed calls on either path (per member
-40 us: a due scan, two bincounts, a measurement). A step scans about half of W on
-average, so the rule is not the cost crossover but leans to the members: it keeps the
-oracle_check preset (row four) and its output bytes, and long sparse runs, off the chain.
-121 grid times, median of 3 runs, 1 for 7.1 s (numpy 2.4):
+collapses (53-63 ns), the work unit of `core.WORK_BUDGET`: `path_work` prices both paths
+and the cheaper one runs. A chain step costs _STEP_COLLAPSES of fixed calls (a 2-key step
+31-40 us), as does each grid time on either path (per member 40 us: a due scan, two
+bincounts, a measurement), plus its draws over the keys it scans, on average
+(1 / E) sum over n <= E of min(2 n, 2 (1 + ln N / -ln eta)): about W / 2 when the epochs
+cap the window.
+121 grid times, median of 3 runs, 1 for 7.9 s (numpy 2.4, a 2-core VM):
 
-    N, eta, epochs     per member    chain   rule
-    1e5, 0.5, 375         1164 ms    24 ms   chain
-    1e5, 0.9, 3750        2227 ms   314 ms   chain
-    1e5, 0.99, 375          85 ms    52 ms   member
-    1e4, 0.99, 375          23 ms    42 ms   member
-    1e5, 0.99, 3750        291 ms   796 ms   member
-    200, 0.99, 1e5         140 ms    7.1 s   member
+    N, eta, epochs     per member    chain   plan
+    1e5, 0.5, 375          803 ms    14 ms   chain
+    1e5, 0.9, 3750        1675 ms   215 ms   chain
+    1e5, 0.99, 375          50 ms    31 ms   chain
+    1e4, 0.99, 375          15 ms    27 ms   member
+    1e5, 0.99, 3750        179 ms   501 ms   member
+    200, 0.99, 1e5         129 ms    7.9 s   member
 """
 from __future__ import annotations
 
@@ -90,39 +90,51 @@ def _rate(eta: float) -> float:
     return -math.log(eta) if eta > 0.0 else math.inf
 
 
-def _window(n_systems, eta: float, n_epochs) -> float:
-    """Keys a chain step scans: N eta^m members are left m epochs after a
+def _window(n_systems, eta: float) -> float:
+    """Keys a chain step scans at most, W: N eta^m members are left m epochs after a
     collapse, fewer than one past m = ln N / -ln eta, at two keys per epoch."""
     rate = _rate(eta)
-    return min(2.0 * n_epochs + 2.0, 2.0 + 2.0 * math.log(n_systems) / rate if rate else math.inf)
+    return 2.0 + 2.0 * math.log(n_systems) / rate if rate else math.inf
 
 
-def uses_chain(n_systems, eta: float, n_epochs: int) -> bool:
-    """The rule by which `run_work` sends a run per epoch (`_chain`)."""
-    return n_systems * (1.0 - eta) > _window(n_systems, eta, n_epochs) + _STEP_COLLAPSES
+def _mean_keys(n_systems, eta: float, n_epochs) -> float:
+    """Keys a chain step scans on average over a run, (1 / E) sum over n <= E of
+    min(2 n, W): step n scans at most the 2 n keys below 2 n."""
+    window = _window(n_systems, eta)
+    if window >= 2.0 * n_epochs:
+        return n_epochs + 1.0
+    full = math.floor(window / 2.0)  # steps that scan every key below them
+    return window - full * (window - full - 1.0) / n_epochs
 
 
-def run_work(n_systems, eta: float, epochs: float, n_points) -> tuple:
-    """The plan `simulate_distinguishable` runs for `epochs` = t_end / dt: (chain, n_epochs,
-    work in member collapses); `uses_chain` picks the path. An epoch costs a collapse for the
-    shared tables, a grid time or chain step _STEP_COLLAPSES. The chain draws twice per key
-    scanned at each epoch and once at each grid time; members once, once per expected
-    collapse (a lone member's rounds too), and at each grid time once per occupied key,
-    scanning the members and the reachable keys. An empty grid costs nothing."""
-    n_epochs = math.floor(epochs + 1e-9)  # one that rounding puts just past t_end counts
-    if not n_points:
-        return False, n_epochs, 0.0
-    chain = uses_chain(n_systems, eta, n_epochs)
+def path_work(chain: bool, n_systems, eta: float, n_epochs, n_points) -> float:
+    """Work in member collapses of a run of `n_epochs` on the chain or per member. An epoch
+    costs a collapse for the shared tables, a grid time or chain step _STEP_COLLAPSES. The
+    chain draws twice per key a step scans on average, and once per key at each grid time;
+    members once, once per expected collapse (a lone member's rounds too), and at each grid
+    time once per occupied key, scanning the members and the reachable keys."""
     steps = n_epochs + _STEP_COLLAPSES * (n_points + chain * n_epochs)
     if chain:
-        keys = _window(n_systems, eta, n_epochs)
+        keys = _mean_keys(n_systems, eta, n_epochs)
         draws, scanned = keys * (2.0 * n_epochs + n_points), keys * (n_epochs + n_points)
     else:
         keys, collapses = 2.0 * n_epochs + 2.0, (1.0 - eta) * n_epochs
         steps += _ROUND_COLLAPSES * collapses
         draws = n_systems * (1.0 + collapses) + min(n_systems, keys) * n_points
         scanned = (n_systems + keys) * n_points
-    return chain, n_epochs, steps + draws + _SCAN_COLLAPSES * scanned
+    return steps + draws + _SCAN_COLLAPSES * scanned
+
+
+def run_work(n_systems, eta: float, epochs: float, n_points) -> tuple:
+    """The plan `simulate_distinguishable` runs for `epochs` = t_end / dt: (chain, n_epochs,
+    work in member collapses), the path `path_work` prices cheaper (members on a tie). An
+    empty grid costs nothing."""
+    n_epochs = math.floor(epochs + 1e-9)  # one that rounding puts just past t_end counts
+    if not n_points:
+        return False, n_epochs, 0.0
+    work = [path_work(chain, n_systems, eta, n_epochs, n_points) for chain in (False, True)]
+    chain = work[True] < work[False]
+    return chain, n_epochs, work[chain]
 
 
 def simulate_distinguishable(

@@ -37,6 +37,7 @@ from rabideco.experiments import (
 )
 from rabideco.fitting import FitConvergenceError
 from rabideco.indistinguishable import table_plan
+from rabideco.montecarlo import run_work
 from rabideco.svgfig import _H, _MB, _ML, _MR, _MT, _W, _fixed2, _fmt, _ticks, series_overlay_svg
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -1143,6 +1144,10 @@ class TestWorkBudget:
         # ceil(t / (beta dt)) + 2 = 2^13 columns, so the sum of 2^12 terms: 0.9 s
         ("fig3.json", {"env": {"max_events": 12},
                        "grid": {"t_max": 8189.5 * 0.995 * 0.7, "n_points": 3000}}),
+        # t_max / dt is 374.9999999996, but the run counts 375 epochs: 1352 collapses per
+        # epoch among 1.1e15 members, which the chain steps over 376 keys a step
+        ("oracle_check.json", {"env": {"dt": 0.08000000000008533, "eta": 1.0 - 1352.0 / 2**50},
+                               "mc": {"n_systems": 2**50}}),
     ])
     def test_cheap_runs_exit_0(self, tmp_path, preset, changes):
         data = json.loads((CONFIG_DIR / preset).read_text())
@@ -1166,7 +1171,7 @@ class TestWorkBudget:
 
     @pytest.mark.parametrize("changes,key_path", [
         ({"env": {"eta": 1.0}, "mc": {"n_systems": 2 * 10**7}, "grid": {"n_points": 10**5}},
-         "mc.n_systems"),
+         "grid.n_points"),
         ({"env": {"dt": 30.0}, "mc": {"n_systems": 9 * 10**7}, "grid": {"n_points": 2 * 10**6}},
          "grid.n_points"),
         # one member, one epoch: every grid time's fixed numpy calls, 8.7 s and over 30 s
@@ -1176,21 +1181,17 @@ class TestWorkBudget:
          "grid.n_points"),
         ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 20_000}}, "env.dt"),
         ({"env": {"dt": 3e-5}, "mc": {"n_systems": 10}, "grid": {"n_points": 2000}}, "env.dt"),
-        # t_max / dt is 374.9999999996, but the run counts 375 epochs: at 1352 collapses
-        # per epoch (752 keys + 600) it stays per member, 1.1e15 of them
-        ({"env": {"dt": 0.08000000000008533, "eta": 1.0 - 1352.0 / 2**50},
-          "mc": {"n_systems": 2**50}}, "mc.n_systems"),
         # one member collapsing at each of 1e6 epochs: a round of the collapse loop
         # each, 15 us apiece
         ({"env": {"dt": 3e-5, "eta": 0.0}, "mc": {"n_systems": 1}, "grid": {"n_points": 2}},
          "env.dt"),
     ])
     def test_long_oracle_scan_exits_2(self, tmp_path, capsys, changes, key_path):
-        # few draws, but every grid time compares each member with its next
-        # collapse, measures the chain's occupancy, or scans each key that 1e6
-        # epochs can reach: 2e12 comparisons, 2e6 measurements, 4e10 and 4e9 keys;
-        # half an hour, a minute, a minute and 8 s of work; or a lone member's 1e6
-        # rounds of collapses, 13 s
+        # few draws, but every grid time measures the chain's occupancy, the chain
+        # steps 1e6 epochs, or every grid time scans each key that 1e6 epochs can
+        # reach: 1e5 and 2e6 measurements, 1e6 steps of 460 keys and 4e9 keys; 4 s, a
+        # minute, over a minute and 8 s of work; or a lone member's 1e6 rounds of
+        # collapses, 13 s
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
         for section, keys in changes.items():
             data[section].update(keys)
@@ -1304,28 +1305,57 @@ def runs_near_the_edge(draw, kind):
                       env={"max_events": 10, "omega0_dt": omega0_dt},
                       fit_window={"omega_t_span": cols * 0.995 * omega0_dt,
                                   "n_points": draw(st.integers(60, 100))})
-    else:  # the oracle: few members over many epochs, many members scanned, or the chain
-        n, eta, points = {
-            "oracle_members": (st.integers(1, 300), st.floats(0.0, 0.999), st.integers(2, 60)),
-            "oracle_scans": (st.integers(10**4, 10**6), st.just(1.0), st.integers(2, 10)),
+    else:  # the oracle: few members over many epochs, the many keys those epochs reach
+        # scanned at each grid time, or the chain
+        n, eta, points, t_max = {
+            "oracle_members": (st.integers(1, 300), st.floats(0.0, 0.999), st.integers(2, 60),
+                               st.just(30.0)),
+            "oracle_scans": (st.integers(10**2, 10**4), st.just(1.0), st.integers(2, 10),
+                             st.floats(3e4, 1e5)),
             "oracle_chain": (st.integers(10**6, 10**12), st.floats(0.3, 0.7),
-                             st.integers(2, 121)),
+                             st.integers(2, 121), st.just(30.0)),
         }[kind]
         data = preset("oracle_check.json", env={"eta": draw(eta), "dt": 1.0},
-                      mc={"n_systems": draw(n)}, grid={"n_points": draw(points)})
+                      mc={"n_systems": draw(n)},
+                      grid={"n_points": draw(points), "t_max": draw(t_max)})
         key, lo, hi, integer = (("grid.n_points", 2, 1e9, True) if kind == "oracle_scans"
                                 else ("grid.t_max", 1.0, 1e7, False))  # t_max epochs
     return near_edge(data, key, lo, hi, 0.3 + 0.7 * draw(unit), integer)
 
 
 # The work unit and what a run may take beyond its estimate: a member collapse at the slow
-# end of 30-60 ns, a stated multiple of that, and the CLI's own parsing and writing.
+# end of 30-60 ns on a 2-core VM, a stated multiple of that, and the CLI's own parsing and
+# writing.
 COLLAPSE_S, SLACK, FLOOR_S = 60e-9, 3.0, 0.2
+
+
+def slowdown() -> float:
+    """How many times slower this machine runs now than the 2-core VM COLLAPSE_S was
+    measured on, at least 1: the best of three runs of the benchmark's calibration kernel
+    over its time there, `REFERENCE_S`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_calibrate", CONFIG_DIR.parent / "perfbench" / "calibrate.py")
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        calibrate.kernel()
+        times.append(time.perf_counter() - start)
+    return max(1.0, min(times) / calibrate.REFERENCE_S)
+
+
+def oracle_on_chain(data: dict) -> bool:
+    """Whether `run_work` plans `data`'s oracle run on the chain."""
+    grid = data["grid"]
+    return run_work(data["mc"]["n_systems"], data["env"]["eta"],
+                    grid["t_max"] / data["env"]["dt"], grid["n_points"])[0]
 
 
 class TestWorkEstimate:
     """The work budget holds its word: every config it admits runs through the CLI within
-    SLACK times its estimate at COLLAPSE_S per collapse, plus FLOOR_S."""
+    SLACK times its estimate at COLLAPSE_S per collapse, plus FLOOR_S; on a machine slower
+    now than the 2-core VM, at COLLAPSE_S times its `slowdown`."""
 
     @pytest.mark.parametrize("kind", ["fig2", "master_eq", "fig3_sum", "fig3_matrix", "fig5",
                                       "fig5_band", "oracle_members", "oracle_scans",
@@ -1338,6 +1368,8 @@ class TestWorkEstimate:
             estimate = None if config is None else work_estimate(config)
             if estimate is None:
                 return
+            if kind.startswith("oracle_"):  # the run takes the path its kind is named for
+                assert oracle_on_chain(config) is (kind == "oracle_chain")
             bound = SLACK * estimate * COLLAPSE_S + FLOOR_S
             with tempfile.TemporaryDirectory() as out:
                 cfg_path = Path(out) / "cfg.json"
@@ -1346,6 +1378,8 @@ class TestWorkEstimate:
                     start = time.perf_counter()
                     code = cli_main(["experiment", "--config", str(cfg_path), "--out", out])
                     elapsed = time.perf_counter() - start
+                    if elapsed > bound:  # timed only when needed: the factor is at least 1
+                        bound = SLACK * estimate * COLLAPSE_S * slowdown() + FLOOR_S
                     if elapsed <= bound:
                         break
         assert code in (0, 3)  # 3: a fit of too few points per period can fail, quickly

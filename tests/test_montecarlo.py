@@ -29,8 +29,11 @@ PATHS = ["members", "chain"]
 
 
 def forced(path):
-    """The oracle on `path`, per member or per epoch, whatever `uses_chain` picks."""
-    return mock.patch.object(montecarlo, "uses_chain", lambda *args: path == "chain")
+    """The oracle on `path`, per member or per epoch, whatever the plan: the other path
+    is priced out."""
+    price = montecarlo.path_work
+    return mock.patch.object(montecarlo, "path_work", lambda chain, *args: (
+        price(chain, *args) if chain == (path == "chain") else math.inf))
 
 
 @pytest.fixture(params=PATHS)
@@ -495,8 +498,8 @@ class PlanSpy(Exception):
 
 @st.composite
 def oracle_configs(draw):
-    """(n_systems, eta, dt, t_max, n_points) of small oracle runs, half of them with
-    N (1 - eta) within a few keys of the path rule's edge, W + _STEP_COLLAPSES."""
+    """(n_systems, eta, dt, t_max, n_points) of small oracle runs, half of them with N
+    within a few members of where `path_work` prices the two paths alike."""
     eta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
                          st.integers(1, 2**20).map(lambda k: 1.0 - k / 2**50)))
     # t_max / dt is 374.9999999996 at the first dt, which counts 375 epochs
@@ -504,28 +507,48 @@ def oracle_configs(draw):
     t_max = draw(st.one_of(st.just(30.0), st.floats(0.0, 30.0)))
     n_points = draw(st.integers(0, 4))
     n = draw(st.integers(1, MAX_SYSTEMS))
-    if eta < 1.0 and draw(st.booleans()):
-        epochs, keys = (t_max / dt if n_points > 1 else 0.0), draw(st.integers(-4, 4))
-        for _ in range(2):  # W grows like ln N
-            edge = montecarlo._window(n, eta, epochs) + montecarlo._STEP_COLLAPSES + keys
-            n = int(min(max(edge / (1.0 - eta), 1.0), float(MAX_SYSTEMS)))
+    if draw(st.booleans()):
+        n_epochs = math.floor((t_max / dt if n_points > 1 else 0.0) + 1e-9)
+
+        def chain_cheaper(m):
+            return (montecarlo.path_work(True, m, eta, n_epochs, n_points)
+                    < montecarlo.path_work(False, m, eta, n_epochs, n_points))
+
+        lo, hi = 1, MAX_SYSTEMS  # bisect for the least N that the chain runs
+        if chain_cheaper(hi) and not chain_cheaper(lo):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if chain_cheaper(mid) else (mid, hi)
+            n = min(max(hi + draw(st.integers(-4, 4)), 1), MAX_SYSTEMS)
     return n, eta, dt, t_max, n_points
 
 
 class TestPathRule:
-    """`uses_chain` sends a run to the chain when its collapses per epoch outnumber
-    the keys a step scans plus a step's fixed cost."""
+    """`run_work` runs the path that `path_work` prices cheaper."""
 
     @pytest.mark.parametrize("n,eta,n_epochs,chain", [
         (100_000, 0.5, 375, True),  # mc_dense
-        (100_000, 0.99, 375, False),  # oracle_check and mc_sparse: 1000 collapses
+        (100_000, 0.99, 375, True),  # oracle_check and mc_sparse: a step scans 376 keys
+        (10_000, 0.99, 375, False),
+        (100_000, 0.99, 3750, False),  # a step scans 1943 keys
         (10**9, 0.5, 375, True),
         (10**9, 0.0, 375, True),  # a step scans the 2 keys of the last epoch
-        (500, 0.0, 375, False),
-        (10**9, 1.0, 375, False),  # no member ever collapses
+        (500, 0.0, 375, True),  # each member collapses every epoch: a tie when timed
+        (10**9, 1.0, 375, True),  # no member ever collapses, but each is scanned
     ])
     def test_rule(self, n, eta, n_epochs, chain):
-        assert montecarlo.uses_chain(n, eta, n_epochs) is chain
+        assert montecarlo.run_work(n, eta, n_epochs, 121)[0] is chain
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=oracle_configs())
+    def test_plan_is_never_the_dearer_path(self, config):
+        n, eta, dt, t_max, n_points = config
+        chain, n_epochs, work = montecarlo.run_work(n, eta, t_max / dt, n_points)
+        if not n_points:
+            assert work == 0.0
+            return
+        assert work == montecarlo.path_work(chain, n, eta, n_epochs, n_points)
+        assert work <= montecarlo.path_work(not chain, n, eta, n_epochs, n_points)
 
     def test_largest_config_on_members(self):
         # oracle_check stretched to 1e7 epochs, with few enough members that its
@@ -614,7 +637,7 @@ class TestMemoryModel:
         (20, 0.99, 10_000, "members"),  # a run's fixed words count against few members
         (200, 0.99, 100_000, "members"),  # the per-epoch tables dominate
         (5000, 0.9999, 100_000, "members"),  # almost every member alone in its key
-        # two blocks of 50000, one after another; the rule sends this run to the chain
+        # two blocks of 50000, one after another; the plan sends this run to the chain
         (100_000, 0.5, 375, "members"),
         (BLOCK_SIZE, 0.9999, 500_000, "members"),  # one full block over many epochs
         (10**9, 0.9, 3750, "chain"),  # the occupancy alone, 395 keys a step
@@ -624,9 +647,9 @@ class TestMemoryModel:
         dt = 0.08
         grid = tuple(np.linspace(0.0, n_epochs * dt, 121))
         if (n, eta) != (100_000, 0.5):
-            assert montecarlo.uses_chain(n, eta, n_epochs) is (path == "chain")
+            assert montecarlo.run_work(n, eta, n_epochs, 121)[0] is (path == "chain")
         if path == "chain":
-            held = held_words(n_epochs, 0, montecarlo._window(n, eta, n_epochs))
+            held = held_words(n_epochs, 0, min(2.0 * n_epochs + 2.0, montecarlo._window(n, eta)))
         else:
             held = held_words(n_epochs, -(-n // -(-n // BLOCK_SIZE)))
         montecarlo._block_rng(0, 0)  # a first Generator imports modules: not the run's words
