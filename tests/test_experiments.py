@@ -802,7 +802,8 @@ class TestCli:
     # below tolerance (gamma_n within 2.0e-10 relative); the JSON of every preset
     # with a `fit` block (fig2*, fig3, master_eq) when that block gained `iterations`
     # and all three oracle_check files when the oracle split its 1e5 members into two
-    # equal blocks of 50000 instead of 65536 + 34464 (max_abs_z 2.675 -> 2.829)
+    # equal blocks of 50000 instead of 65536 + 34464 (max_abs_z 2.675 -> 2.829), and
+    # again when its plan moved it onto the per-epoch chain (max_abs_z 2.829 -> 2.352)
     PRESET_DIGESTS = {
         "fig2a": ("f46e985ec88c8a932957d546add89af88ce9c10c3b1de16bb6a2ff59333e8feb",
                   "3f4cc8530b4d75ec9c8d8a0de99ccd3b457266184e0dbdc2952efc1c8e245396",
@@ -831,9 +832,9 @@ class TestCli:
         "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
                       "1b90495ab429e9c74540e4bffcd8f280d19d36153ea2446a4fb5f687fc7a89d8",
                       "90399ebdc817362e2bd8124b3fda8c1783ec135953e2a4a9f574b5b89bb4e8b3"),
-        "oracle_check": ("68bd1bee394febf0010d3ccfb504a7e5caa3e4cc4c629a3987353048b4e7c2bb",
-                         "a7b15efbd74a4866ebad0d07426bb77f09902a3e2115eceee8373ee31a494042",
-                         "e34cbaf0166f55e989bcf910a3dc0050dcd9affc067cd04e00d4dd7da5e2374a"),
+        "oracle_check": ("3eff9507427484f8f74893571fe88b84f33117af9b4f57de8982f3e0a7069885",
+                         "1e67b2eac5b21e49433b91cb3330d47d9c1b747d6cbb1f6e01a1f933766c690d",
+                         "adc2f2a6d066a2f995afea625c40f90f9bf4761af4ff2d9209c1585a10e06165"),
     }
 
     @pytest.mark.parametrize("prefix", sorted(PRESET_DIGESTS))
