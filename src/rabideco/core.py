@@ -1,4 +1,4 @@
-"""Closed-form primitives for driven two-level systems.
+"""Closed-form primitives for driven two-level systems, and binomial masses by Pascal's rule.
 
 Angular frequencies are in radians per unit coordinate time. This module is
 the one place that decides, for every predictor, the oracle and the fit, what
@@ -24,9 +24,6 @@ WORK_BUDGET = 1e8
 
 # Lamb-Dicke parameter of the trapped-ion frequency ladder.
 LAMB_DICKE = 0.202
-
-# Above this n the direct comb/power product risks overflow; switch to logs.
-BINOM_DIRECT_MAX_N = 60
 
 
 class InitialState(enum.Enum):
@@ -103,45 +100,24 @@ def clamp_probability_array(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def binomial_weights_row(n: int, beta: float) -> np.ndarray:
-    """All masses C(n,k) beta^k (1-beta)^(n-k) for k = 0..n as one array.
+def binomial_weights_row(prev: np.ndarray, beta: float) -> np.ndarray:
+    """Binomial masses C(n,k) beta^k (1-beta)^(n-k), k = 0..n, of row n = len(prev).
 
-    Exact comb/power product for n <= 60, log-gamma form above so that
-    n ~ 10^4 neither overflows nor underflows. beta = 0 is rejected: the
-    coordinate-time rescaling divides by beta.
+    Row n comes from row n - 1 = prev by Pascal's rule
+    b(n, k) = (1-beta) b(n-1, k) + beta b(n-1, k-1), and row 0 (from the empty
+    row) is [1]. Each mass is a convex combination of two, so rounding does not
+    grow along the rows and nothing overflows; beta = 1 gives [0, ..., 0, 1]
+    exactly. beta = 0 is rejected: the coordinate-time rescaling divides by beta.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    k = np.arange(n + 1)
-    if beta == 1.0:
-        return (k == n).astype(float)
-    if n <= BINOM_DIRECT_MAX_N:
-        return _COMBS[n, : n + 1] * beta**k * (1.0 - beta) ** (n - k)
-    log_fact = _log_factorials(n)
-    log_mass = (
-        log_fact[n] - log_fact[k] - log_fact[n - k]
-        + k * math.log(beta) + (n - k) * math.log1p(-beta)
-    )
-    return np.exp(log_mass)
-
-
-# C(n, k) as floats for the direct form, n, k <= BINOM_DIRECT_MAX_N.
-_COMBS = np.array([[math.comb(n, k) for k in range(BINOM_DIRECT_MAX_N + 1)]
-                   for n in range(BINOM_DIRECT_MAX_N + 1)], dtype=float)
-
-# log(m!) = lgamma(m + 1) for m = 0..len - 1, grown on demand.
-_LOG_FACTORIALS = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if len(table) <= n:
-        table = np.array([math.lgamma(m + 1) for m in range(2 * n + 1)])
-        _LOG_FACTORIALS = table  # one rebinding: readers see an old or a full table
-    return table
+    if not len(prev):
+        return np.ones(1)
+    row = np.zeros(len(prev) + 1)
+    row[:-1] = prev
+    row *= 1.0 - beta
+    row[1:] += beta * prev
+    return row
 
 
 def _laguerre_l1_terms(x: float):

@@ -8,9 +8,8 @@ epochs of length dt, allowing at most i collapses, obeys
                                           + sin^2(omega (n-k) dt) * P_e^(j-1)(k dt) )
 
 with the plain Born probabilities as level 0 and b the binomial mass with
-interval probability beta. With P_e = 1 - P_g this is the affine map
-g_j = S + M g_{j-1}, M[n, k] = b(n, k) cos(2 omega (n-k) dt) and
-S[n] = sum_k b(n, k) sin^2(omega (n-k) dt).
+interval probability beta. With P_e = 1 - P_g and h = P_g - 1/2 the shift
+drops out: h_j[n] = sum_k b(n, k) cos(2 omega (n-k) dt) h_(j-1)[k].
 
 Level 0 is 1/2 + Re(a u^n), a = `InitialState.amplitude` (-1/2 excited,
 +1/2 ground), u = exp(2 i omega dt). The constant 1/2 passes through every
@@ -20,8 +19,10 @@ to the two terms (a/2) (beta z + (1-beta) u)^n and
 (a/2) (beta z + (1-beta) conj(u))^n.
 Level j is therefore an exact sum of 2^j exponentials, every node on the
 chord between u and conj(u). The table holds level i alone, at O(2^i n) with
-no binomial masses; deep truncations (2^(i+1) > n_max + 1) apply g <- S + M g
-i times instead, at O(i n^2). The literal nested sum would cost O(n^i).
+no binomial masses; deep truncations (2^(i+1) > n_max + 1) take the rows form
+instead, at O(i n^2): column by column, each binomial row from the one before
+by Pascal's rule, and every level of the column at once. The literal nested
+sum would cost O(n^i).
 
 Coordinate time enters through the mean of the binomial distribution:
 after stepping to n dt, on average beta*n intervals precede the last
@@ -86,9 +87,10 @@ class NestedTable:
 
 # Terms x columns evaluated at once by the exponential sum.
 _BLOCK = 1 << 16
-# Work in member collapses: an exponential-sum term (12-44 ns); a matrix form entry, filled
-# once (15-54 ns), then in each product `shift + mat @ g` (0.2-0.8 ns, 1-2 BLAS threads).
-_TERM_COLLAPSES, _FILL_COLLAPSES, _PRODUCT_COLLAPSES = 0.5, 0.5, 1.0 / 60.0
+# Work in member collapses: an exponential-sum term (12-44 ns); in the rows form, a column's
+# fixed numpy calls (10-13 us), a term of its product (0.4-0.5 ns) and a level step (115-250 ns).
+_TERM_COLLAPSES = 0.5
+_COLUMN_COLLAPSES, _PRODUCT_COLLAPSES, _STEP_COLLAPSES = 250.0, 1.0 / 100.0, 2.0
 
 
 def table_n_max(t_end: float, beta: float, dt: float):
@@ -101,16 +103,18 @@ def table_plan(levels, beta: float, n_max) -> tuple[str, float, float]:
     """How `build_nested_table` builds columns 0..n_max: (path, words held, work in member
     collapses). "born" (no collapse) holds a row of 3 words per column (tracemalloc peak)
     and prices a term per column; "sum", while 2^(levels + 1) <= n_max + 1, holds a 6-word
-    row and sums 2^levels terms per column; "matrix" holds 2 words per entry of its
-    (n_max + 1)^2 matrix M, plus 3 per column for each of its levels + 1 rows (the Born
-    row, then one product with M each), and fills M once and takes levels products."""
+    row and sums 2^levels terms per column; "rows" holds levels + 6 words per column (every
+    level, the binomial row and a Pascal step's temporaries) and 10 per level (a column's
+    product and its level steps as Python floats), and prices a fixed cost and `levels`
+    level steps per column, and levels (n_max + 1)^2 / 2 product terms in all."""
     n_cols = n_max + 1.0
     if beta == 1.0 or not levels:
         return "born", 3.0 * n_cols, _TERM_COLLAPSES * n_cols
     if levels < 1023 and 2.0 ** (levels + 1) <= n_cols:
         return "sum", 6.0 * n_cols, _TERM_COLLAPSES * 2.0 ** levels * n_cols
-    return ("matrix", (2.0 * n_cols + 3.0 * (levels + 1.0)) * n_cols,
-            (_FILL_COLLAPSES + _PRODUCT_COLLAPSES * levels) * n_cols * n_cols)
+    return ("rows", (levels + 6.0) * n_cols + 10.0 * levels,
+            (_COLUMN_COLLAPSES + _STEP_COLLAPSES * levels
+             + _PRODUCT_COLLAPSES * levels * n_cols / 2.0) * n_cols)
 
 
 def build_nested_table(
@@ -119,20 +123,21 @@ def build_nested_table(
     """The truncation level max_events at the times k dt, k = 0..n_max.
 
     Takes whichever exact form does less work (`table_plan`): the exponential
-    sum, 2^i nodes by n_max + 1 columns, or the matrix form, whose M has
-    (n_max + 1)^2 entries. At beta = 1 no collapse ever happens: every level is Born.
+    sum, 2^i nodes by n_max + 1 columns, or the rows form, i levels by
+    (n_max + 1)^2 / 2 binomial masses. At beta = 1 no collapse ever happens:
+    every level is Born.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     levels = env.max_events
     phase = system.omega * env.dt
-    ks = np.arange(n_max + 1)
-    ground = system.initial_state.born_ground(phase * ks)
+    ns = np.arange(n_max + 1)
     path = table_plan(levels, env.beta, n_max)[0]
-    if path == "sum":
-        ground = _exponential_sum(ks, levels, phase, env.beta, system.initial_state.amplitude)
-    elif path == "matrix":
-        ground = _matrix_form(ground, levels, phase, env.beta)
+    if path == "born":
+        ground = system.initial_state.born_ground(phase * ns)
+    else:
+        form = _exponential_sum if path == "sum" else _rows_form
+        ground = form(ns, levels, phase, env.beta, system.initial_state.amplitude)
     return NestedTable(system, env, n_max, clamp_probability_array(ground))
 
 
@@ -163,25 +168,30 @@ def _exponential_sum(ns: np.ndarray, levels: int, phase: float, beta: float,
     return 0.5 + amplitude / 2**levels * total
 
 
-def _matrix_form(g: np.ndarray, levels: int, phase: float, beta: float) -> np.ndarray:
-    """Level `levels` from the Born row g by g <- S + M g, one binomial row per n.
+def _rows_form(ns: np.ndarray, levels: int, phase: float, beta: float,
+               amplitude: float) -> np.ndarray:
+    """Level `levels` as 1/2 + h_levels, every level column by column.
 
-    M is lower triangular with (n_max + 1)^2 entries; this path is taken
-    only when the table is narrower than the exponential sum is long.
+    h_0[n] = amplitude cos(2 phase n) and h_j[n] = sum_k b(n, k) c(n - k) h_(j-1)[k],
+    c(d) = cos(2 phase d). Column n takes binomial row n from row n - 1, every level's
+    terms k < n in one product, then the diagonal b(n, n) = beta^n level by level.
     """
-    n_cols = len(g)
-    lags = np.arange(n_cols)
-    cos_lag = np.cos(2.0 * phase * lags)
-    sin2_lag = np.sin(phase * lags) ** 2
-    mat = np.zeros((n_cols, n_cols))
-    shift = np.empty(n_cols)
-    for n in range(n_cols):
-        w = binomial_weights_row(n, beta)
-        mat[n, : n + 1] = w * cos_lag[n::-1]
-        shift[n] = w @ sin2_lag[n::-1]
-    for _ in range(levels):
-        g = shift + mat @ g
-    return g
+    # 2 phase reduced to (-pi, pi] first, as the exponential sum's nodes are: the
+    # product with n then rounds at n pi, not at 2 n phase
+    cos_lag = np.cos(math.atan2(math.sin(2.0 * phase), math.cos(2.0 * phase)) * ns)
+    h = np.empty((len(ns), levels + 1))  # h[n, j]: level j at column n
+    h[:, 0] = amplitude * cos_lag
+    row = np.empty(0)
+    for n in range(len(ns)):
+        row = binomial_weights_row(row, beta)
+        earlier = (row[:n] * cos_lag[n:0:-1]) @ h[:n, :levels]
+        diag, level = float(row[n]), float(h[n, 0])
+        column = [level]
+        for part in earlier.tolist():
+            level = part + diag * level
+            column.append(level)
+        h[n] = column
+    return 0.5 + h[:, levels]
 
 
 def sample_rescaled_series(

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from rabideco.indistinguishable import (
 )
 from rabideco.montecarlo import EnsembleConfig, simulate_distinguishable
 
-from .reference import binomial_weight, laguerre_l1
+from .reference import laguerre_l1
 
 X_LD = 0.202**2  # 0.040804
 
@@ -93,70 +95,55 @@ class TestBornProb:
         assert law.tolist() == born_law(RabiSystem(1.0, state), phase).tolist()
 
 
-class TestBinomialWeight:
-    def test_certain_survival(self):
-        assert binomial_weights_row(5, 1.0)[5] == 1.0
-        assert binomial_weights_row(5, 1.0)[3] == 0.0
-
-    def test_direct_factorial_value(self):
-        # C(4,2) * 0.5^4 = 6/16
-        assert binomial_weights_row(4, 0.5)[2] == pytest.approx(0.375, rel=1e-15)
-
-    @pytest.mark.parametrize("n", [10, 60, 61, 500, 10_000])
-    @pytest.mark.parametrize("beta", [0.01, 0.5, 0.995, 1.0])
-    def test_normalization(self, n, beta):
-        total = math.fsum(binomial_weights_row(n, beta))
-        assert abs(total - 1.0) < 1e-10
-
-    def test_paths_agree_at_switchover(self):
-        # n = 60 runs the direct product, n = 61 the log-gamma form; evaluate
-        # the opposite form by hand and require 1e-12 relative agreement
-        for n in (60, 61):
-            for k in (0, 7, n // 2, n):
-                beta = 0.37
-                direct = math.comb(n, k) * beta**k * (1 - beta) ** (n - k)
-                logv = math.exp(
-                    math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                    + k * math.log(beta) + (n - k) * math.log1p(-beta)
-                )
-                got = binomial_weights_row(n, beta)[k]
-                assert got == pytest.approx(direct, rel=1e-12)
-                assert got == pytest.approx(logv, rel=1e-12)
-
-    @pytest.mark.parametrize("n,k,beta", [(9, 2, 0.25), (75, 30, 0.5), (120, 120, 0.625)])
-    def test_reflection_symmetry_exact_for_dyadic_beta(self, n, k, beta):
-        # 1 - beta is exact for dyadic beta, so the masses match bitwise
-        assert binomial_weights_row(n, beta)[k] == binomial_weights_row(n, 1.0 - beta)[n - k]
-
-    @pytest.mark.parametrize("n,k,beta", [(9, 2, 0.3), (75, 30, 0.995), (40, 17, 0.77)])
-    def test_reflection_symmetry_generic(self, n, k, beta):
-        assert binomial_weights_row(n, beta)[k] == pytest.approx(
-            binomial_weights_row(n, 1.0 - beta)[n - k], rel=1e-12
-        )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial_weights_row(-1, 0.5)
-        with pytest.raises(ValueError):
-            binomial_weights_row(4, 0.0)
-        with pytest.raises(ValueError):
-            binomial_weights_row(4, 1.2)
+def pascal_rows(beta: float, n_max: int):
+    """The binomial rows 0..n_max, each taken from the one before."""
+    row = np.empty(0)
+    for _ in range(n_max + 1):
+        row = binomial_weights_row(row, beta)
+        yield row
 
 
 class TestBinomialWeightsRow:
-    @pytest.mark.parametrize("beta", [0.01, 0.5, 0.995, 1.0])
-    @pytest.mark.parametrize("n", [0, 1, 60, 61, 500, 10_000])
-    def test_matches_scalar(self, n, beta):
-        row = binomial_weights_row(n, beta)
-        want = np.array([binomial_weight(n, k, beta) for k in range(n + 1)])
-        assert row.shape == (n + 1,)
-        np.testing.assert_allclose(row, want, rtol=1e-13, atol=0.0)
+    def test_first_rows(self):
+        assert binomial_weights_row(np.empty(0), 0.3).tolist() == [1.0]
+        assert binomial_weights_row(np.ones(1), 0.25).tolist() == [0.75, 0.25]
+        # C(4,2) * 0.5^4 = 6/16
+        assert list(pascal_rows(0.5, 4))[-1].tolist() == [1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16]
+
+    @pytest.mark.parametrize("beta", [0.01, 0.37, 0.5, 0.995, 1.0 - 2.0**-50])
+    def test_matches_exact_rationals(self, beta):
+        # every row to n = 200 against C(n,k) b^k (1-b)^(n-k) in exact arithmetic, b the
+        # float beta: a step rounds twice at most, and 1 - beta once. Masses under the
+        # normal range keep fewer bits, so only those above it are compared
+        num, den = Fraction(beta).as_integer_ratio()
+        for n, row in enumerate(pascal_rows(beta, 200)):
+            assert row.shape == (n + 1,)
+            exact = np.array([math.comb(n, k) * num**k * (den - num) ** (n - k) / den**n
+                              for k in range(n + 1)])
+            normal = exact >= sys.float_info.min
+            np.testing.assert_allclose(row[normal], exact[normal], rtol=1e-13, atol=0.0)
+
+    def test_certain_survival_is_exact(self):
+        for n, row in enumerate(pascal_rows(1.0, 50)):
+            assert row.tolist() == [0.0] * n + [1.0]
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.625, 2.0**-40])
+    def test_reflection_symmetry_exact_for_dyadic_beta(self, beta):
+        # 1 - beta is exact for dyadic beta, and each mass adds the same two products
+        for row, mirror in zip(pascal_rows(beta, 120), pascal_rows(1.0 - beta, 120)):
+            assert row.tolist() == mirror[::-1].tolist()
+
+    @pytest.mark.parametrize("beta", [1e-9, 0.01, 0.5, 0.995, 1.0 - 2.0**-50, 1.0])
+    def test_normalization_at_3000(self, beta):
+        *_, row = pascal_rows(beta, 3000)
+        assert abs(math.fsum(row) - 1.0) <= 1e-12
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial_weights_row(-1, 0.5)
-        with pytest.raises(ValueError):
-            binomial_weights_row(3, 0.0)
+        for beta in (0.0, -0.5, 1.2, math.nan):
+            with pytest.raises(ValueError):
+                binomial_weights_row(np.ones(3), beta)
+            with pytest.raises(ValueError):
+                binomial_weights_row(np.empty(0), beta)
 
 
 class TestLaguerre:

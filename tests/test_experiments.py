@@ -1066,13 +1066,15 @@ class TestWorkBudget:
         data["grid"]["t_max"] = t_max
         assert "work budget" in self.exits_2(tmp_path, capsys, data, key_path)
 
-    def test_shallow_matrix_form_admitted(self):
-        # 12 products at 3000 columns, built in about 0.3 s
+    @pytest.mark.parametrize("n_max", [2999, 8000])
+    def test_long_rows_form_admitted(self, n_max):
+        # 12 levels at 3000 columns, built in about 0.07 s, and at 8001, about 0.3 s: the
+        # (n_max + 1)^2 matrix these took before held 1.3e8 words at 8001 columns
         data = json.loads((CONFIG_DIR / "fig3.json").read_text())
         data["env"]["max_events"] = 12
-        data["grid"]["t_max"] = 2999 * 0.995 * 0.7
+        data["grid"]["t_max"] = n_max * 0.995 * 0.7
         cfg = config_from_dict(data)
-        assert table_plan(12, cfg.env.beta, 2999)[0] == "matrix"
+        assert table_plan(12, cfg.env.beta, n_max)[0] == "rows"
 
     @settings(max_examples=100, deadline=None)
     @given(levels=st.integers(2, 9), beta=st.sampled_from([0.3, 0.9, 0.995]),
@@ -1114,7 +1116,7 @@ class TestWorkBudget:
         with mock.patch.object(experiments, "table_plan", pricing):
             cfg = config_from_dict(data)
         with mock.patch.object(indistinguishable, "_exponential_sum", spy("sum")), \
-                mock.patch.object(indistinguishable, "_matrix_form", spy("matrix")), \
+                mock.patch.object(indistinguishable, "_rows_form", spy("rows")), \
                 mock.patch.object(experiments, "run_figure_experiment", table_only):
             if ladder is None:
                 predictor_series(cfg)
@@ -1123,8 +1125,8 @@ class TestWorkBudget:
         assert built == priced
 
     @pytest.mark.parametrize("preset,changes,key_path", [
-        # 41 levels, 31 of them in the matrix form: priced at the slowest level's
-        # 8.2e7 alone they ran for 39 s
+        # 41 levels, 31 of them deep tables: priced at the slowest level's 8.2e7 alone
+        # they ran for 39 s
         ("fig5.json", {"ladder": {"n_max": 40}, "env": {"max_events": 12},
                        "fit_window": {"omega_t_span": 4000, "n_points": 3000}},
          "fit_window.omega_t_span"),
@@ -1284,7 +1286,7 @@ def runs_near_the_edge(draw, kind):
         key, lo, hi, integer = "grid.n_points", 10, 1e8, True
     elif kind == "master_eq":
         data, key, lo, hi, integer = preset("master_eq.json"), "grid.n_points", 10, 1e8, True
-    elif kind in ("fig3_sum", "fig3_matrix"):
+    elif kind in ("fig3_sum", "fig3_rows"):
         levels = draw(st.integers(4, 10) if kind == "fig3_sum" else st.integers(10, 300))
         beta, dt = draw(st.floats(0.9, 0.999)), draw(st.floats(0.3, 1.0))
         data = preset("fig3.json", env={"max_events": levels, "beta": beta, "dt": dt})
@@ -1299,8 +1301,8 @@ def runs_near_the_edge(draw, kind):
         # from two periods to six points a period of every level's fit
         key, lo, hi, integer = "fit_window.omega_t_span", 13.0, points * math.pi / 6.0, False
     elif kind == "fig5_band":  # the slowest level's table just takes the sum, the faster
-        # ones the dearer matrix form: a ladder of 35-41 levels that takes about ten times
-        # the work of its slowest level, over the budget once every level is priced
+        # ones the rows form: a ladder of 35-41 levels that takes about ten times the work
+        # of its slowest level, over the budget once every level is priced
         omega0_dt, cols = draw(st.floats(0.008, 0.012)), 2.0**11 - 2.0 + draw(unit)
         return preset("fig5.json", ladder={"n_max": draw(st.integers(34, 40))},
                       env={"max_events": 10, "omega0_dt": omega0_dt},
@@ -1358,7 +1360,7 @@ class TestWorkEstimate:
     SLACK times its estimate at COLLAPSE_S per collapse, plus FLOOR_S; on a machine slower
     now than the 2-core VM, at COLLAPSE_S times its `slowdown`."""
 
-    @pytest.mark.parametrize("kind", ["fig2", "master_eq", "fig3_sum", "fig3_matrix", "fig5",
+    @pytest.mark.parametrize("kind", ["fig2", "master_eq", "fig3_sum", "fig3_rows", "fig5",
                                       "fig5_band", "oracle_members", "oracle_scans",
                                       "oracle_chain"])
     @settings(max_examples=3, deadline=None)

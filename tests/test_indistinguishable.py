@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabideco import indistinguishable
-from rabideco.core import (
-    InitialState,
-    RabiSystem,
-    binomial_weights_row,
-    clamp_probability_array,
-)
+from rabideco.core import InitialState, RabiSystem, clamp_probability_array
 from rabideco.fitting import fit_damped_sinusoid
 from rabideco.indistinguishable import (
     IndistinguishableEnv,
@@ -26,7 +22,7 @@ from rabideco.indistinguishable import (
     table_plan,
 )
 
-from .reference import binomial_weight
+from .reference import binomial_weight, nested_chain_estimate, previous_matrix_form
 
 
 def single_event_formula(omega, dt, beta, n):
@@ -179,7 +175,7 @@ def dp_reference(system, env, n_max):
 
     Fills ground and excited rows bottom-up over the whole k range with one
     scalar binomial mass per (n, k) pair; unclamped. Independent of the
-    exponential sum and of the matrix form.
+    exponential sum and of the rows form.
     """
     ks = np.arange(n_max + 1)
     s2 = np.sin(system.omega * env.dt * ks) ** 2
@@ -221,7 +217,8 @@ def mp_top_level(omega, dt, beta, i, ns, state):
 
 
 # The table builder before it kept the top level alone, verbatim but for the
-# names: every level 0..max_events in a (max_events + 1, n_max + 1) array.
+# names and its deep tables, which took `reference.previous_matrix_form`: every
+# level 0..max_events in a (max_events + 1, n_max + 1) array.
 _PREVIOUS_BLOCK = 1 << 16
 
 
@@ -230,9 +227,8 @@ def previous_build_nested_table(
 ) -> NestedTable:
     """Every truncation level 0..max_events at the times k dt, k = 0..n_max.
 
-    Takes whichever exact form does less work: the exponential sum, about
-    2^(i+1) (n_max + 1) terms over all levels, while 2^(i+1) <= n_max + 1;
-    else the matrix form, whose M has (n_max + 1)^2 entries.
+    Takes the exponential sum, about 2^(i+1) (n_max + 1) terms over all
+    levels, while 2^(i+1) <= n_max + 1; deeper tables are not built here.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
@@ -247,7 +243,7 @@ def previous_build_nested_table(
     elif 2 ** (levels + 1) <= n_max + 1:
         _previous_fill_exponential_sum(ground, phase, env.beta, system.initial_state.amplitude)
     elif levels:
-        _previous_fill_matrix_form(ground, phase, env.beta)
+        raise ValueError("a deep table: see reference.previous_matrix_form")
     return NestedTable(system, env, n_max, clamp_probability_array(ground))
 
 
@@ -279,33 +275,13 @@ def _previous_fill_exponential_sum(ground: np.ndarray, phase: float, beta: float
         ground[j] = 0.5 + amplitude / 2**j * total
 
 
-def _previous_fill_matrix_form(ground: np.ndarray, phase: float, beta: float) -> None:
-    """Levels 1.. as g_j = S + M g_{j-1}, one binomial row per n.
-
-    M is lower triangular with (n_max + 1)^2 entries; this path is taken
-    only when the table is narrower than the exponential sum is long.
-    """
-    n_cols = ground.shape[1]
-    lags = np.arange(n_cols)
-    cos_lag = np.cos(2.0 * phase * lags)
-    sin2_lag = np.sin(phase * lags) ** 2
-    mat = np.zeros((n_cols, n_cols))
-    shift = np.empty(n_cols)
-    for n in range(n_cols):
-        w = binomial_weights_row(n, beta)
-        mat[n, : n + 1] = w * cos_lag[n::-1]
-        shift[n] = w @ sin2_lag[n::-1]
-    for j in range(1, ground.shape[0]):
-        ground[j] = shift + mat @ ground[j - 1]
-
-
 def _row_calls(monkeypatch):
     calls = []
     row = indistinguishable.binomial_weights_row
 
-    def counting(n, beta):
-        calls.append(n)
-        return row(n, beta)
+    def counting(prev, beta):
+        calls.append(len(prev))
+        return row(prev, beta)
 
     monkeypatch.setattr(indistinguishable, "binomial_weights_row", counting)
     return calls
@@ -314,7 +290,7 @@ def _row_calls(monkeypatch):
 class TestAgainstDynamicProgram:
     # (i, n_max) on both sides of the cost rule 2^(i+1) <= n_max + 1:
     # (5, 400) and (6, 127) take the exponential sum, (6, 126) and (9, 60)
-    # the matrix form
+    # the rows form
     @pytest.mark.parametrize("i, n_max", [(5, 400), (6, 127), (6, 126), (9, 60)])
     @pytest.mark.parametrize("state", list(InitialState))
     @pytest.mark.parametrize("omega_dt", [0.05, 0.7, 2.3])
@@ -339,11 +315,12 @@ class TestAgainstDynamicProgram:
         (0.9, 6, 127, 0), (0.9, 6, 126, 127), (0.9, 1, 3, 0), (0.9, 1, 2, 3),
         (0.9, 0, 0, 0), (1.0, 8, 100, 0)])
     def test_cost_rule_picks_the_path(self, monkeypatch, beta, i, n_max, rows):
-        # only the matrix form needs binomial rows, one per n; beta = 1 needs none
+        # only the rows form needs binomial rows, each from the one before; beta = 1
+        # needs none
         calls = _row_calls(monkeypatch)
         env = IndistinguishableEnv(dt=0.4, beta=beta, max_events=i)
         build_nested_table(RabiSystem(1.0), env, n_max)
-        assert len(calls) == rows
+        assert calls == list(range(rows))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -377,7 +354,7 @@ class TestTablePlan:
     @given(i=st.integers(0, 20), n_max=st.integers(0, 5000),
            beta=st.sampled_from([0.3, 0.995, 1.0]))
     @example(i=11, n_max=4095, beta=0.995)  # 2^(i+1) = n_max + 1: the sum
-    @example(i=11, n_max=4094, beta=0.995)  # one column fewer: the matrix form
+    @example(i=11, n_max=4094, beta=0.995)  # one column fewer: the rows form
     def test_cost_and_build_take_one_path(self, i, n_max, beta):
         taken = []
 
@@ -389,26 +366,29 @@ class TestTablePlan:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(indistinguishable, "_exponential_sum", spy("sum"))
-            patch.setattr(indistinguishable, "_matrix_form", spy("matrix"))
+            patch.setattr(indistinguishable, "_rows_form", spy("rows"))
             build_nested_table(RabiSystem(1.0), IndistinguishableEnv(0.4, beta, i), n_max)
         want = ("born" if beta == 1.0 or i == 0
-                else "sum" if 2 ** (i + 1) <= n_max + 1 else "matrix")
+                else "sum" if 2 ** (i + 1) <= n_max + 1 else "rows")
         path, words, work = table_plan(i, beta, n_max)
         assert path == want
         assert taken == ([] if want == "born" else [want])
-        cols = n_max + 1  # the held row: 3 words per column, 6 with the sum
+        # the held row: 3 words per column, 6 with the sum; the rows form holds every
+        # level and 6 more words per column, and 10 words per level
+        cols = n_max + 1
         assert words == {"born": 3 * cols, "sum": 6 * cols,
-                         "matrix": (2 * cols + 3 * (i + 1)) * cols}[want]
-        # in member collapses: half a collapse a term, or to fill an entry of the matrix,
-        # and a 60th of one per entry in each product
+                         "rows": (i + 6) * cols + 10 * i}[want]
+        # in member collapses: half a collapse a term; in the rows form 250 a column, 2 a
+        # level step and a 100th of one a product term, i cols^2 / 2 of them
         assert work == pytest.approx({"born": cols / 2, "sum": 2**i * cols / 2,
-                                      "matrix": (1 / 2 + i / 60) * cols * cols}[want], rel=1e-12)
+                                      "rows": (250 + 2 * i) * cols + i * cols * cols / 200}[want],
+                                     rel=1e-12)
 
     @pytest.mark.parametrize("levels, n_max", [(10**9, 100.0), (1e300, 1e300), (1022, math.inf)])
     def test_huge_order_stays_in_floats(self, levels, n_max):
         path, words, work = table_plan(levels, 0.5, n_max)
         assert max(words, work) > 1e8
-        assert path == ("sum" if n_max == math.inf else "matrix")
+        assert path == ("sum" if n_max == math.inf else "rows")
 
 
 class TestAgainstPreviousTable:
@@ -426,13 +406,123 @@ class TestAgainstPreviousTable:
     @example(beta=0.3, omega_dt=2.9, i=8, n_max=300, state=InitialState.EXCITED)
     @example(beta=0.6, omega_dt=1.1, i=7, n_max=300, state=InitialState.GROUND)
     @example(beta=1.0, omega_dt=0.4, i=6, n_max=200, state=InitialState.EXCITED)
-    def test_top_row_bit_for_bit(self, beta, omega_dt, i, n_max, state):
+    def test_top_row(self, beta, omega_dt, i, n_max, state):
+        # the sum and the Born row bit for bit; the rows form within the matrix
+        # form's own rounding, which reaches 2.3e-12 at 3000 columns
         system = RabiSystem(1.0, state)
         env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
         table = build_nested_table(system, env, n_max)
         assert table.ground.shape == (n_max + 1,)
-        np.testing.assert_array_equal(
-            table.ground, previous_build_nested_table(system, env, n_max).ground[-1])
+        if table_plan(i, beta, n_max)[0] == "rows":
+            born = state.born_ground(omega_dt * np.arange(n_max + 1))
+            previous = previous_matrix_form(born, i, omega_dt, beta)
+            np.testing.assert_allclose(table.ground, previous, rtol=0.0, atol=1e-11)
+        else:
+            np.testing.assert_array_equal(
+                table.ground, previous_build_nested_table(system, env, n_max).ground[-1])
+
+
+EPS = np.finfo(float).eps
+
+
+def rows_and_sum(i, n_max, omega_dt, beta, state):
+    """The rows form and the exponential sum of level i at columns 0..n_max, unclamped."""
+    args = (np.arange(n_max + 1), i, omega_dt, beta, state.amplitude)
+    return indistinguishable._rows_form(*args), indistinguishable._exponential_sum(*args)
+
+
+class TestRowsForm:
+    """The deep path against the exponential sum, the matrix form it replaced, 40-digit
+    arithmetic and a Monte Carlo estimate of the nested sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+                       st.sampled_from([1.0 - 2.0**-50, 1e-300, 1.0])),
+        omega_dt=st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False),
+        i=st.integers(1, 9),
+        offset=st.integers(-3, 3),
+        state=st.sampled_from(list(InitialState)),
+    )
+    # a one-column table, and the widest tables on the rows' side of 2^(i+1) <= n_max + 1
+    @example(beta=0.5, omega_dt=0.7, i=1, offset=-3, state=InitialState.EXCITED)
+    @example(beta=0.9, omega_dt=1.3, i=6, offset=-1, state=InitialState.GROUND)
+    @example(beta=1.0 - 2.0**-50, omega_dt=0.7, i=9, offset=-1, state=InitialState.EXCITED)
+    @example(beta=1e-300, omega_dt=2.9, i=9, offset=-1, state=InitialState.GROUND)
+    @example(beta=1.0, omega_dt=0.4, i=9, offset=-1, state=InitialState.EXCITED)
+    def test_across_the_path_rule(self, beta, omega_dt, i, offset, state):
+        # n_max + 1 within 3 columns of 2^(i+1), where the table changes path. Both forms
+        # take cosines of phases up to n pi, rounded at that size: with 1 - beta near eps
+        # and omega dt near 2 each is 1e-13 off 40-digit values at 500-1000 columns
+        n_max = max(0, 2 ** (i + 1) - 1 + offset)
+        rows, exact = rows_and_sum(i, n_max, omega_dt, beta, state)
+        assert float(np.max(np.abs(rows - exact))) <= 1e-13 + 8.0 * n_max * EPS
+        born = state.born_ground(omega_dt * np.arange(n_max + 1))
+        previous = previous_matrix_form(born, i, omega_dt, beta)
+        assert float(np.max(np.abs(rows - previous))) <= 1e-11
+        env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
+        table = build_nested_table(RabiSystem(1.0, state), env, n_max).ground
+        built = born if beta == 1.0 else rows if 2 ** (i + 1) > n_max + 1 else exact
+        np.testing.assert_array_equal(table, clamp_probability_array(built))
+
+    @pytest.mark.parametrize("i, n_max, beta, omega_dt", [
+        (16, 150, 0.995, 0.7), (12, 3000, 0.995, 0.7), (14, 1000, 0.9, 1.1),
+        (12, 2999, 0.3, 2.9)])
+    def test_deep_against_exact_and_previous(self, i, n_max, beta, omega_dt):
+        # the matrix form is 5.8e-14 off the exact sum at 16 x 150 and 2.3e-12 at 12 x 3000
+        rows, exact = rows_and_sum(i, n_max, omega_dt, beta, InitialState.EXCITED)
+        assert float(np.max(np.abs(rows - exact))) <= 1e-13
+        born = InitialState.EXCITED.born_ground(omega_dt * np.arange(n_max + 1))
+        previous = previous_matrix_form(born, i, omega_dt, beta)
+        assert float(np.max(np.abs(rows - previous))) <= 1e-11
+
+    @pytest.mark.parametrize("i, n_max, beta, omega_dt, state", [
+        (10, 1500, 0.995, 0.7, InitialState.EXCITED),
+        (12, 3000, 0.99, 0.3, InitialState.GROUND),
+        (13, 400, 0.9, 1.1, InitialState.EXCITED)])
+    def test_deep_against_mpmath(self, i, n_max, beta, omega_dt, state):
+        assert table_plan(i, beta, n_max)[0] == "rows"
+        env = IndistinguishableEnv(dt=omega_dt, beta=beta, max_events=i)
+        table = build_nested_table(RabiSystem(1.0, state), env, n_max)
+        ns = [1, n_max // 3, n_max]
+        want = mp_top_level(1.0, omega_dt, beta, i, ns, state)
+        assert float(np.max(np.abs(table.ground[ns] - np.array(want)))) <= 1e-13
+
+    @pytest.mark.parametrize("i, n_max", [(12, 2999), (40, 999), (300, 199), (20000, 4)])
+    def test_peak_within_held_words(self, i, n_max):
+        # tracemalloc's peak over the build, in 8-byte words, within the plan's count
+        # and 512 words of array headers and the like
+        env = IndistinguishableEnv(dt=0.7, beta=0.995, max_events=i)
+        path, words, _ = table_plan(i, env.beta, n_max)
+        assert path == "rows"
+        build_nested_table(RabiSystem(1.0), env, 10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_nested_table(RabiSystem(1.0), env, n_max)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / 8.0 <= words + 512.0
+
+    def test_against_monte_carlo_chains(self):
+        # 16 levels on 151 columns, as in the benchmark's deep items: 38 columns of 10^4
+        # chains each. With a fixed seed the draw is fixed; over seeds, 38 normal z-scores
+        # pass 4.5 in absolute value with odds of about 3e-4. Columns of zero variance
+        # (every chain lands on the same value) must match to rounding. Level 15 fails it
+        system, beta, dt, i = RabiSystem(1.0), 0.995, 0.7, 16
+        table = build_nested_table(system, IndistinguishableEnv(dt, beta, i), 150)
+        lower = build_nested_table(system, IndistinguishableEnv(dt, beta, i - 1), 150)
+        assert table_plan(i, beta, 150)[0] == "rows"
+        ns = np.arange(0, 151, 4)
+        mean, stderr = nested_chain_estimate(system, beta, dt, i, ns, 10_000, seed=1)
+        exact = stderr < 1e-12
+        assert 1 <= exact.sum() < 3
+        assert float(np.max(np.abs(table.ground[ns] - mean)[exact])) <= 1e-12
+        z = (table.ground[ns] - mean)[~exact] / stderr[~exact]
+        assert float(np.max(np.abs(z))) <= 4.5
+        z_lower = (lower.ground[ns] - mean)[~exact] / stderr[~exact]
+        assert float(np.max(np.abs(z_lower))) > 4.5
 
 
 class TestRescale:

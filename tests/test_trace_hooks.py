@@ -34,7 +34,7 @@ RECURSION = {"distinguishable.build_predictor", "distinguishable.sample_series"}
 ITEMS = {
     "fig2a": ("fig2a", {}, CLI | FIT | RECURSION),
     "fig3": ("fig3", {}, CLI | FIT | NESTED),
-    # ten events on a 74-column table take the matrix path
+    # ten events on a 74-column table take the rows form, one Pascal step per column
     "fig3_deep": ("fig3", {"env": {"dt": 0.7, "beta": 0.995, "max_events": 10}},
                   CLI | FIT | NESTED | {"core.binomial_weights_row"}),
     "fig5": ("fig5", {}, CLI | FIT | NESTED),
