@@ -123,6 +123,29 @@ class TestBinomialWeightsRow:
             normal = exact >= sys.float_info.min
             np.testing.assert_allclose(row[normal], exact[normal], rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("beta", [0.01, 0.5, 0.995, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 60, 61, 500, 10_000])
+    def test_matches_mpmath(self, n, beta):
+        # deep rows against 40-digit masses, each from its neighbour by the ratio
+        # C(n,k+1)/C(n,k) b/(1-b), starting at (1-b)^n, which floats underflow
+        mpmath = pytest.importorskip("mpmath")
+        *_, row = pascal_rows(beta, n)
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            q = 1 - b
+            if q:
+                mass, exact = q**n, []
+                for k in range(n + 1):
+                    exact.append(float(mass))
+                    mass *= b * (n - k) / ((k + 1) * q)
+            else:
+                exact = [0.0] * n + [1.0]
+        exact = np.array(exact)
+        normal = exact >= sys.float_info.min
+        assert row.shape == (n + 1,)
+        np.testing.assert_allclose(row[normal], exact[normal], rtol=1e-13, atol=0.0)
+        assert (row[~normal] < sys.float_info.min).all()
+
     def test_certain_survival_is_exact(self):
         for n, row in enumerate(pascal_rows(1.0, 50)):
             assert row.tolist() == [0.0] * n + [1.0]
@@ -133,9 +156,16 @@ class TestBinomialWeightsRow:
         for row, mirror in zip(pascal_rows(beta, 120), pascal_rows(1.0 - beta, 120)):
             assert row.tolist() == mirror[::-1].tolist()
 
+    @pytest.mark.parametrize("n,k,beta", [(9, 2, 0.3), (75, 30, 0.995), (40, 17, 0.77)])
+    def test_reflection_symmetry_generic(self, n, k, beta):
+        *_, row = pascal_rows(beta, n)
+        *_, mirror = pascal_rows(1.0 - beta, n)
+        assert row[k] == pytest.approx(mirror[n - k], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 60, 61, 500, 3000, 10_000])
     @pytest.mark.parametrize("beta", [1e-9, 0.01, 0.5, 0.995, 1.0 - 2.0**-50, 1.0])
-    def test_normalization_at_3000(self, beta):
-        *_, row = pascal_rows(beta, 3000)
+    def test_normalization(self, beta, n):
+        *_, row = pascal_rows(beta, n)
         assert abs(math.fsum(row) - 1.0) <= 1e-12
 
     def test_domain_errors(self):
