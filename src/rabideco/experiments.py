@@ -119,7 +119,7 @@ _COMMON = {
 
 # ---- work budget: what a config asks for, sized from the config alone ----
 # checked against core.WORK_BUDGET; each module prices its own work in member collapses
-_POINT_COLLAPSES = 220.0  # a grid point's series, output and 200-iteration fit: 12-13 us
+_POINT_COLLAPSES = 220.0  # a grid point's series, output and fit to the 200-iteration cap: 13 us
 
 
 def _size(value) -> float:
@@ -371,7 +371,7 @@ def load_fit_config(path) -> FitConfig:
 
 
 # ---- results, each writing its own outputs ----
-def _csv(header: str, rows) -> str:
+def _csv(header: str, rows) -> bytes:
     """Header line plus one line per row, numbers in shortest round-trip form.
 
     `rows` is a C-contiguous 2-D float array or an iterable of tuples (Fig5's `n` is an
@@ -380,14 +380,15 @@ def _csv(header: str, rows) -> str:
     """
     rows = rows if isinstance(rows, np.ndarray) else [tuple(row) for row in rows]
     if not len(rows):
-        return header + "\n"
+        return header.encode() + b"\n"
     size = np.abs(np.asarray(rows, dtype=float))
     off = ~((size >= 1e-4) & (size < 1e16) | (size == 0.0)).all(axis=1)
-    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
     line = ",".join(["%r"] * (header.count(",") + 1))
     for i in np.flatnonzero(off).tolist():
-        lines[i] = line % tuple(rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i])
-    return header + "\n" + "\n".join(lines) + "\n"
+        row = rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i]
+        lines[i] = (line % tuple(row)).encode()
+    return b"%s\n%s\n" % (header.encode(), b"\n".join(lines))
 
 
 def _finite(value):
@@ -419,7 +420,7 @@ class SeriesResult:
 
     series: ProbabilitySeries
 
-    def csv(self) -> str:
+    def csv(self) -> bytes:
         series = self.series
         return _csv("t_coord,p_predicted", np.column_stack((series.times, series.probs)))
 
@@ -427,7 +428,7 @@ class SeriesResult:
         return {"experiment": cfg.experiment.value, "seed": cfg.seed,
                 "parameters": dict(self.series.meta), "n_points": len(self.series)}
 
-    def svg(self, cfg: ExperimentConfig) -> str:
+    def svg(self, cfg: ExperimentConfig) -> bytes:
         return series_overlay_svg((self.series.times, self.series.probs), ((), ()),
                                   cfg.experiment.value)
 
@@ -439,7 +440,7 @@ class FigureResult(SeriesResult):
     fit: DampedSinusoidFit | None
     fit_curve: np.ndarray
 
-    def csv(self) -> str:
+    def csv(self) -> bytes:
         series = self.series
         return _csv("t_coord,p_predicted,p_fit",
                     np.column_stack((series.times, series.probs, self.fit_curve)))
@@ -453,7 +454,7 @@ class FigureResult(SeriesResult):
             _verdict(summary, cfg.target, "gamma_over_omega", fit.gamma / omega)
         return summary
 
-    def svg(self, cfg: ExperimentConfig) -> str:
+    def svg(self, cfg: ExperimentConfig) -> bytes:
         times = self.series.times
         return series_overlay_svg((times, self.series.probs), (times, self.fit_curve),
                                   cfg.experiment.value)
@@ -469,7 +470,7 @@ class GammaRatioResult(NamedTuple):
     rows: list[GammaRatioRow]
     power_law: PowerLawFit
 
-    def csv(self) -> str:
+    def csv(self) -> bytes:
         return _csv("n,omega_n,gamma_n,ratio", self.rows)
 
     def summary(self, cfg: ExperimentConfig) -> dict:
@@ -487,7 +488,7 @@ class GammaRatioResult(NamedTuple):
             _verdict(summary, cfg.target, "exponent", self.power_law.exponent)
         return summary
 
-    def svg(self, cfg: ExperimentConfig) -> str:
+    def svg(self, cfg: ExperimentConfig) -> bytes:
         ns = np.array([row.n for row in self.rows], dtype=float)
         ratios, law = np.array([row.ratio for row in self.rows]), self.power_law
         xs = ns if law.degenerate else np.linspace(0.0, float(ns[-1]), 100)
@@ -504,7 +505,7 @@ class OracleCheckResult:
     z_scores: np.ndarray
     max_abs_z: float
 
-    def csv(self) -> str:
+    def csv(self) -> bytes:
         return _csv("t_coord,p_mc,p_analytic,sigma,z", np.column_stack((
             self.mc_series.times, self.mc_series.probs, self.analytic_series.probs, self.sigma,
             self.z_scores)))
@@ -515,7 +516,7 @@ class OracleCheckResult:
                 "parameters": dict(self.mc_series.meta), "max_abs_z": self.max_abs_z,
                 "bound": bound, "pass": bool(self.max_abs_z <= bound)}
 
-    def svg(self, cfg: ExperimentConfig) -> str:
+    def svg(self, cfg: ExperimentConfig) -> bytes:
         return series_overlay_svg((self.mc_series.times, self.mc_series.probs),
                                   (self.analytic_series.times, self.analytic_series.probs),
                                   cfg.experiment.value)
@@ -622,12 +623,12 @@ def run_experiment(cfg: ExperimentConfig):
     return runs.get(cfg.experiment, run_figure_experiment)(cfg)
 
 
-def _rewrite(path: Path, body: str) -> None:
-    """`path.write_text(body)` without first truncating the old file to zero:
+def _rewrite(path: Path, body: bytes) -> None:
+    """`path.write_bytes(body)` without first truncating the old file to zero:
     overwrite from the start, then cut a regular file at the new length."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with os.fdopen(fd, "wb") as file:
-        file.write(body.encode("utf-8"))
+        file.write(body)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             file.truncate()
 
@@ -646,8 +647,8 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     writers = {"csv": result.csv,
-               "json": lambda: json.dumps(_finite(result.summary(cfg)), indent=2, sort_keys=True,
-                                          allow_nan=False) + "\n",
+               "json": lambda: (json.dumps(_finite(result.summary(cfg)), indent=2, sort_keys=True,
+                                           allow_nan=False) + "\n").encode(),
                "svg": lambda: result.svg(cfg)}
     paths: list[Path] = []
     for fmt, write in writers.items():

@@ -12,10 +12,11 @@ only shrink it. A step with a non-finite residual is a plain rejection. A
 step it would accept that takes a free omega to <= 0 ends the fit with
 FitConvergenceError at the last iterate.
 Each iteration solves the k x k damped normal equations on Python floats and
-evaluates exp(-gamma t) and the cosine of the phase once, for its trial step,
-from -t and 2t formed once per fit; an accepted step overwrites the free rows
-of one preallocated J^T from those arrays and one sine, and a rejected step
-reuses J^T J and J^T r, as only the damping changed.
+evaluates its trial step's phase, exp(-gamma t), cosine and residual in place, into
+the spare one of two preallocated sets of rows; an accepted step swaps the sets and
+rewrites the free rows of one preallocated J^T from them, one sine row and the leads
+(-t) amp and (2t) (-amp), formed once per fit unless the amplitude is free, as are -t,
+2t and the offset's row of ones. A rejected step reuses J^T J and J^T r.
 """
 from __future__ import annotations
 
@@ -128,24 +129,32 @@ class DampedSinusoidFit:
     degenerate: bool = False
 
 
-def _terms(params, neg_t, two_t) -> tuple:
-    """Model values, exp(-gamma t), the phase 2 omega t + phase, and its cosine."""
+def _evaluate(params, neg_t, two_t, y, out) -> np.ndarray:
+    """Overwrite the rows of `out` with the phase 2 omega t + phase, exp(-gamma t), the
+    phase's cosine and the model values less `y`; returns the last row."""
     gamma, omega, amp, off, phase = params
-    arg = omega * two_t + phase
-    decay, cos_a = np.exp(gamma * neg_t), np.cos(arg)
-    return off + amp * decay * cos_a, decay, arg, cos_a
+    arg, decay, cos_a, resid = out
+    np.add(np.multiply(omega, two_t, arg), phase, arg)
+    np.exp(np.multiply(gamma, neg_t, decay), decay)
+    np.cos(arg, cos_a)
+    np.multiply(amp, decay, resid)
+    resid *= cos_a
+    resid += off
+    resid -= y
+    return resid
 
 
-def _jacobian_into(rows, columns, neg_t, two_t, amp, decay, cos_a, sin_a) -> None:
-    """Overwrite row j of `rows` with the derivative by parameter `columns[j]`,
-    its factors multiplied left to right."""
-    factors = ((neg_t, amp, decay, cos_a), (two_t, -amp, decay, sin_a), (decay, cos_a),
-               (1.0, 1.0), (decay, -amp, sin_a))
+def _jacobian_into(rows, columns, leads, amp, decay, cos_a, sin_a) -> None:
+    """Overwrite row j of `rows` with the derivative by parameter `columns[j]`, factors
+    multiplied left to right from the `leads`; the offset's row of ones stays as it is."""
+    factors = ((leads[0], decay, cos_a), (leads[1], decay, sin_a), (decay, cos_a), (),
+               (decay, -amp, sin_a))
     for row, i in zip(rows, columns):
-        first, second, *rest = factors[i]
-        np.multiply(first, second, out=row)
-        for factor in rest:
-            row *= factor
+        if factors[i]:
+            first, second, *rest = factors[i]
+            np.multiply(first, second, row)
+            for factor in rest:
+                row *= factor
 
 
 def _solve(a: list, b: list) -> list | None:
@@ -153,7 +162,10 @@ def _solve(a: list, b: list) -> list | None:
     floats, for the fit's k <= 5; a and b are overwritten. None on a zero pivot."""
     k = len(b)
     for c in range(k):
-        p = max(range(c, k), key=lambda r: abs(a[r][c]))
+        p = c  # the first row of largest |a[r][c]|
+        for r in range(c + 1, k):
+            if abs(a[r][c]) > abs(a[p][c]):
+                p = r
         if a[p][c] == 0.0:
             return None
         a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
@@ -169,7 +181,7 @@ def _solve(a: list, b: list) -> list | None:
 
 def damped_sinusoid_model(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Model values for params ordered (gamma, omega, amplitude, offset, phase)."""
-    return _terms(params, -t, 2.0 * t)[0]
+    return _evaluate(params, -t, 2.0 * t, 0.0, np.empty((4, *t.shape)))  # x - 0.0 is x
 
 
 @np.errstate(over="ignore")  # overflow makes a step or its SSE non-finite: rejected
@@ -218,10 +230,10 @@ def fit_damped_sinusoid(
     params = [0.0, float(omega_hint), 0.5 if y[0] > 0.5 else -0.5, 0.5, 0.0]
     free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
     neg_t, two_t = -t, 2.0 * t
-    rows = np.empty((len(free_idx), t.size))  # J^T, one row per free parameter
-
-    model, *terms = _terms(params, neg_t, two_t)
-    resid = model - y
+    rows = np.ones((len(free_idx), t.size))  # J^T, one row per free parameter
+    sin_a = np.empty(t.size)
+    terms, trial_terms = (list(block) for block in np.empty((2, 4, t.size)))  # params, trial
+    resid = _evaluate(params, neg_t, two_t, y, terms)
     sse = float(resid @ resid)
     lam = 1e-3
     iterations = 0
@@ -229,8 +241,10 @@ def fit_damped_sinusoid(
     while iterations < _MAX_ITER:
         iterations += 1
         if normal is None:
-            decay, arg, cos_a = terms
-            _jacobian_into(rows, free_idx, neg_t, two_t, params[2], decay, cos_a, np.sin(arg))
+            if iterations == 1 or "amplitude" in free:
+                leads = neg_t * params[2], two_t * -params[2]
+            arg, decay, cos_a, _ = terms
+            _jacobian_into(rows, free_idx, leads, params[2], decay, cos_a, np.sin(arg, sin_a))
             jtj = (rows @ rows.T).tolist()
             normal = (jtj, [-v for v in (rows @ resid).tolist()],
                       [1e-30 if row[j] <= 0.0 else row[j] for j, row in enumerate(jtj)])
@@ -244,8 +258,7 @@ def fit_damped_sinusoid(
             trial = params[:]
             for i, s in zip(free_idx, step):
                 trial[i] += s
-            trial_model, *trial_terms = _terms(trial, neg_t, two_t)
-            trial_resid = trial_model - y
+            trial_resid = _evaluate(trial, neg_t, two_t, y, trial_terms)
             trial_sse = float(trial_resid @ trial_resid)
             # a step below tolerance is the last: more damping only shrinks it
             last = math.isfinite(trial_sse) and max(
@@ -254,7 +267,8 @@ def fit_damped_sinusoid(
             if trial[1] <= 0.0:  # only a free omega moves
                 raise FitConvergenceError(_NON_PHYSICAL, dict(zip(PARAM_ORDER, params)),
                                           math.sqrt(sse / t.size))
-            params, resid, sse, terms = trial, trial_resid, trial_sse, trial_terms
+            params, resid, sse = trial, trial_resid, trial_sse
+            terms, trial_terms = trial_terms, terms
             normal = None
             lam = max(lam / 10.0, 1e-12)
         elif not last:

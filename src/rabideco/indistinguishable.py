@@ -102,16 +102,19 @@ def table_n_max(t_end: float, beta: float, dt: float):
 def table_plan(levels, beta: float, n_max) -> tuple[str, float, float]:
     """How `build_nested_table` builds columns 0..n_max: (path, words held, work in member
     collapses). "born" (no collapse) holds a row of 3 words per column (tracemalloc peak)
-    and prices a term per column; "sum", while 2^(levels + 1) <= n_max + 1, holds a 6-word
-    row and sums 2^levels terms per column; "rows" holds levels + 6 words per column (every
-    level, the binomial row and a Pascal step's temporaries) and 10 per level (a column's
-    product and its level steps as Python floats), and prices a fixed cost and `levels`
-    level steps per column, and levels (n_max + 1)^2 / 2 product terms in all."""
+    and prices a term per column; "sum", while 2^(levels + 1) <= n_max + 1, sums 2^levels
+    terms per column and holds 4 words per column and per term, two block buffers and
+    numpy's two iterator buffers for their outer products; "rows" holds levels + 6 words per
+    column (every level, the binomial row and a Pascal step's temporaries) and 10 per level
+    (a column's product and its level steps as Python floats), and prices a fixed cost and
+    `levels` level steps per column, and levels (n_max + 1)^2 / 2 product terms in all."""
     n_cols = n_max + 1.0
     if beta == 1.0 or not levels:
         return "born", 3.0 * n_cols, _TERM_COLLAPSES * n_cols
     if levels < 1023 and 2.0 ** (levels + 1) <= n_cols:
-        return "sum", 6.0 * n_cols, _TERM_COLLAPSES * 2.0 ** levels * n_cols
+        block = min(2.0 ** levels, max(1.0, _BLOCK // n_cols))
+        return ("sum", (4.0 + 2.0 * block) * n_cols + 4.0 * 2.0 ** levels + 2.0 * np.getbufsize(),
+                _TERM_COLLAPSES * 2.0 ** levels * n_cols)
     return ("rows", (levels + 6.0) * n_cols + 10.0 * levels,
             (_COLUMN_COLLAPSES + _STEP_COLLAPSES * levels
              + _PRODUCT_COLLAPSES * levels * n_cols / 2.0) * n_cols)
@@ -131,7 +134,7 @@ def build_nested_table(
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     levels = env.max_events
     phase = system.omega * env.dt
-    ns = np.arange(n_max + 1)
+    ns = np.arange(n_max + 1.0)  # floats: an outer product with them casts nothing
     path = table_plan(levels, env.beta, n_max)[0]
     if path == "born":
         ground = system.initial_state.born_ground(phase * ns)
@@ -161,10 +164,12 @@ def _exponential_sum(ns: np.ndarray, levels: int, phase: float, beta: float,
     arg = np.arctan2(s * sin_2p, cos_2p)
     total = np.zeros(len(ns))
     step = max(1, _BLOCK // len(ns))
+    blocks = np.empty((2, min(step, len(s)), len(ns)))  # a block's |z|^n and cos(n arg z)
     for lo in range(0, len(s), step):
-        blk = slice(lo, lo + step)
-        total += (np.exp(np.outer(log_abs[blk], ns))
-                  * np.cos(np.outer(arg[blk], ns))).sum(axis=0)
+        mag, osc = blocks[:, :min(step, len(s) - lo)]
+        np.exp(np.multiply.outer(log_abs[lo:lo + step], ns, out=mag), out=mag)
+        np.cos(np.multiply.outer(arg[lo:lo + step], ns, out=osc), out=osc)
+        total += np.multiply(mag, osc, out=mag).sum(axis=0)
     return 0.5 + amplitude / 2**levels * total
 
 

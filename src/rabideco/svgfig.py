@@ -1,4 +1,5 @@
-"""Tiny static SVG plots, no renderer dependencies, byte-deterministic."""
+"""Tiny static SVG plots, no renderer dependencies, byte-deterministic: a plot's points
+are formatted by one `_fixed2` call over all of their coordinates and joined as bytes."""
 from __future__ import annotations
 
 import math
@@ -72,14 +73,13 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _rows(pre: str, xs: np.ndarray, mid: str, ys: np.ndarray, post: str) -> str:
-    """''.join(pre + '%.2f' % x + mid + '%.2f' % y + post)[:-1], in one numpy pass.
+def _rows(pre: bytes, xs: np.ndarray, mid: bytes, ys: np.ndarray, post: bytes) -> bytes:
+    """b''.join(pre + x + mid + y + post)[:-1] over the rows of `_fixed2` tables xs and ys.
 
     The last character goes with the pad bytes rather than in a sliced copy."""
-    pieces = [np.frombuffer(pre.encode("ascii"), dtype=np.uint8), _fixed2(xs),
-              np.frombuffer(mid.encode("ascii"), dtype=np.uint8), _fixed2(ys),
-              np.frombuffer(post.encode("ascii"), dtype=np.uint8)]
-    table = np.empty((xs.size, sum(piece.shape[-1] for piece in pieces)), dtype=np.uint8)
+    pieces = [np.frombuffer(pre, dtype=np.uint8), xs, np.frombuffer(mid, dtype=np.uint8), ys,
+              np.frombuffer(post, dtype=np.uint8)]
+    table = np.empty((len(xs), sum(piece.shape[-1] for piece in pieces)), dtype=np.uint8)
     stop = 0
     for piece in pieces:
         start, stop = stop, stop + piece.shape[-1]
@@ -89,16 +89,16 @@ def _rows(pre: str, xs: np.ndarray, mid: str, ys: np.ndarray, post: str) -> str:
     del pieces
     text = table.tobytes()
     del table
-    text = text.replace(b"\0", b"")
-    return text.decode("ascii")
+    return text.replace(b"\0", b"")
 
 
 def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
-                       ylabel: str = "P(ground)") -> str:
-    """Scatter `dots` with an overlaid `line`, both (x, y) array pairs."""
+                       ylabel: str = "P(ground)") -> bytes:
+    """Scatter `dots` with an overlaid `line`, both (x, y) array pairs, as UTF-8 text."""
     dx, dy = (np.asarray(a, dtype=float) for a in dots)
     lx, ly = (np.asarray(a, dtype=float) for a in line)
-    x_lo, x_hi = _range(dx, lx)
+    shared = lx is dx  # a line on the dots' own times, as every FigureResult draws
+    x_lo, x_hi = _range(dx, *[] if shared else [lx])
     y_lo, y_hi = _range(dy, ly)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -137,11 +137,16 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
                      f'y2="{sy(yv):.2f}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
+    # every coordinate in one `_fixed2` call, a shared x column once
+    columns = [sx(lx), sy(ly)] + ([] if shared else [sx(dx)]) + [sy(dy)]
+    stops = np.cumsum([column.size for column in columns])[:-1]
+    lxs, lys, *dot_tables = np.split(_fixed2(np.concatenate(columns)), stops)
+    dxs, dys = [lxs, *dot_tables] if shared else dot_tables
+    svg = ["\n".join(parts).encode()]
     if lx.size:
-        parts.append(f'<polyline points="{_rows("", sx(lx), ",", sy(ly), " ")}" fill="none" '
-                     f'stroke="#d62728" stroke-width="1.5"/>')
+        svg.append(b'<polyline points="' + _rows(b"", lxs, b",", lys, b" ")
+                   + b'" fill="none" stroke="#d62728" stroke-width="1.5"/>')
     if dx.size:
-        parts.append(_rows('<circle cx="', sx(dx), '" cy="', sy(dy),
-                           '" r="1.6" fill="#1f77b4"/>\n'))
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+        svg.append(_rows(b'<circle cx="', dxs, b'" cy="', dys, b'" r="1.6" fill="#1f77b4"/>\n'))
+    svg.append(b"</svg>\n")
+    return b"\n".join(svg)

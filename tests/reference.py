@@ -3,16 +3,19 @@
 The library evaluates each quantity only as a series over a grid of times.
 These evaluate one point, one binomial mass or one polynomial at a time, or
 the fit's full five-column Jacobian, so that a test can check the library
-point by point. Also here: the nested table's earlier deep form, and a
-Monte Carlo estimate of the nested predictor.
+point by point. Also here: the damped-sinusoid fit and the nested table's
+earlier forms, and a Monte Carlo estimate of the nested predictor.
 """
 import itertools
 import math
 
 import numpy as np
 
-from rabideco.core import RabiSystem, _laguerre_l1_terms, time_grid
-from rabideco.fitting import _jacobian_into, _terms
+from rabideco.core import (InvalidEntryError, ProbabilitySeries, RabiSystem, _laguerre_l1_terms,
+                           time_grid)
+from rabideco.fitting import (_LAMBDA_MAX, _MAX_ITER, _NON_PHYSICAL, _STEP_FLOOR, _STEP_TOL,
+                              PARAM_ORDER, DampedSinusoidFit, FitConvergenceError,
+                              check_fit_window)
 
 # Above this n the direct comb/power product risks overflow; switch to logs.
 BINOM_DIRECT_MAX_N = 60
@@ -70,6 +73,159 @@ def damped_sinusoid_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     rows = np.empty((5, t.size))
     _jacobian_into(rows, range(5), neg_t, two_t, params[2], decay, cos_a, np.sin(arg))
     return rows.T
+
+
+# The damped-sinusoid fit before it evaluated its trials into preallocated buffers,
+# verbatim but for the name: each trial allocates its own arrays.
+def _terms(params, neg_t, two_t) -> tuple:
+    """Model values, exp(-gamma t), the phase 2 omega t + phase, and its cosine."""
+    gamma, omega, amp, off, phase = params
+    arg = omega * two_t + phase
+    decay, cos_a = np.exp(gamma * neg_t), np.cos(arg)
+    return off + amp * decay * cos_a, decay, arg, cos_a
+
+
+def _jacobian_into(rows, columns, neg_t, two_t, amp, decay, cos_a, sin_a) -> None:
+    """Overwrite row j of `rows` with the derivative by parameter `columns[j]`,
+    its factors multiplied left to right."""
+    factors = ((neg_t, amp, decay, cos_a), (two_t, -amp, decay, sin_a), (decay, cos_a),
+               (1.0, 1.0), (decay, -amp, sin_a))
+    for row, i in zip(rows, columns):
+        first, second, *rest = factors[i]
+        np.multiply(first, second, out=row)
+        for factor in rest:
+            row *= factor
+
+
+def _solve(a: list, b: list) -> list | None:
+    """x with a x = b by Gaussian elimination with partial pivoting on Python
+    floats, for the fit's k <= 5; a and b are overwritten. None on a zero pivot."""
+    k = len(b)
+    for c in range(k):
+        p = max(range(c, k), key=lambda r: abs(a[r][c]))
+        if a[p][c] == 0.0:
+            return None
+        a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
+        for r in range(c + 1, k):
+            f = a[r][c] / a[c][c]
+            for j in range(c + 1, k):
+                a[r][j] -= f * a[c][j]
+            b[r] -= f * b[c]
+    for r in reversed(range(k)):
+        b[r] = (b[r] - sum(a[r][j] * b[j] for j in range(r + 1, k))) / a[r][r]
+    return b
+
+
+
+@np.errstate(over="ignore")  # overflow makes a step or its SSE non-finite: rejected
+def previous_fit(
+    series: ProbabilitySeries,
+    omega_hint: float,
+    free_params: frozenset | set | None = None,
+) -> DampedSinusoidFit:
+    """Least-squares fit of the damped sinusoid to a probability series.
+
+    By default gamma and omega are free (gamma starts at 0, omega at
+    omega_hint) while offset = 1/2, phase = 0 and the amplitude stay fixed:
+    +1/2 when the first sample is above 1/2 (ground preparation), else -1/2.
+    The series must pass `check_fit_window`: at least MIN_FIT_POINTS points
+    spanning two oscillation periods of the hinted frequency. A constant
+    series yields a flat fit flagged degenerate with gamma = nan.
+    """
+    if omega_hint <= 0.0 or not math.isfinite(omega_hint):
+        raise ValueError(f"omega_hint must be positive and finite, got {omega_hint}")
+    free = frozenset(free_params) if free_params is not None else frozenset({"gamma", "omega"})
+    unknown = free - set(PARAM_ORDER)
+    if unknown:
+        raise ValueError(f"unknown fit parameters: {sorted(unknown)}")
+    if not free:
+        raise ValueError("at least one parameter must be free")
+
+    t = time_grid(series.times)
+    y = np.asarray(series.probs, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise InvalidEntryError("probs", "finite", y, int(bad[0]))
+    check_fit_window(t.size, float(t[-1] - t[0]) if t.size else 0.0, omega_hint)
+
+    if float(np.ptp(y)) < 1e-12:
+        return DampedSinusoidFit(
+            gamma=math.nan,
+            omega_fit=math.nan,
+            amplitude=0.0,
+            offset=float(np.mean(y)),
+            phase=0.0,
+            residual_rms=float(np.std(y)),
+            free_params=free,
+            degenerate=True,
+        )
+
+    params = [0.0, float(omega_hint), 0.5 if y[0] > 0.5 else -0.5, 0.5, 0.0]
+    free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
+    neg_t, two_t = -t, 2.0 * t
+    rows = np.empty((len(free_idx), t.size))  # J^T, one row per free parameter
+
+    model, *terms = _terms(params, neg_t, two_t)
+    resid = model - y
+    sse = float(resid @ resid)
+    lam = 1e-3
+    iterations = 0
+    normal = None  # J^T J, -J^T r and the clipped diagonal at `params`, as lists
+    while iterations < _MAX_ITER:
+        iterations += 1
+        if normal is None:
+            decay, arg, cos_a = terms
+            _jacobian_into(rows, free_idx, neg_t, two_t, params[2], decay, cos_a, np.sin(arg))
+            jtj = (rows @ rows.T).tolist()
+            normal = (jtj, [-v for v in (rows @ resid).tolist()],
+                      [1e-30 if row[j] <= 0.0 else row[j] for j, row in enumerate(jtj)])
+        jtj, rhs, diag = normal
+        damped = [row[:] for row in jtj]
+        for j, d in enumerate(diag):
+            damped[j][j] += lam * d
+        step = _solve(damped, rhs[:])
+        trial_sse, last = math.inf, False
+        if step is not None and all(map(math.isfinite, step)):
+            trial = params[:]
+            for i, s in zip(free_idx, step):
+                trial[i] += s
+            trial_model, *trial_terms = _terms(trial, neg_t, two_t)
+            trial_resid = trial_model - y
+            trial_sse = float(trial_resid @ trial_resid)
+            # a step below tolerance is the last: more damping only shrinks it
+            last = math.isfinite(trial_sse) and max(
+                abs(s) / (abs(params[i]) + _STEP_FLOOR) for i, s in zip(free_idx, step)) < _STEP_TOL
+        if math.isfinite(trial_sse) and trial_sse <= sse:
+            if trial[1] <= 0.0:  # only a free omega moves
+                raise FitConvergenceError(_NON_PHYSICAL, dict(zip(PARAM_ORDER, params)),
+                                          math.sqrt(sse / t.size))
+            params, resid, sse, terms = trial, trial_resid, trial_sse, trial_terms
+            normal = None
+            lam = max(lam / 10.0, 1e-12)
+        elif not last:
+            lam *= 10.0
+            if lam > _LAMBDA_MAX:
+                raise FitConvergenceError(
+                    "damping exhausted without residual decrease",
+                    dict(zip(PARAM_ORDER, params)),
+                    math.sqrt(sse / t.size),
+                )
+        if last:
+            break
+
+    gamma = float(params[0])
+    if -1e-9 < gamma < 0.0:
+        gamma = 0.0  # exactly undamped inputs may round a hair negative
+    return DampedSinusoidFit(
+        gamma=gamma,
+        omega_fit=float(params[1]),
+        amplitude=float(params[2]),
+        offset=float(params[3]),
+        phase=float(params[4]),
+        residual_rms=math.sqrt(sse / t.size),
+        free_params=free,
+        iterations=iterations,
+    )
 
 
 # The deep nested table and its binomial rows before they were taken by Pascal's

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -22,7 +23,7 @@ from rabideco.fitting import (
     master_eq_series,
 )
 
-from .reference import born_ground_prob, damped_sinusoid_jacobian
+from .reference import born_ground_prob, damped_sinusoid_jacobian, previous_fit
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -481,12 +482,12 @@ class TestAgainstReferenceFit:
         """The fit, and the 1-based iteration that proposed its first step of
         relative size below the step tolerance."""
         steps, trials = [], []
-        real_solve, real_terms = fitting._solve, fitting._terms
+        real_solve, real_evaluate = fitting._solve, fitting._evaluate
         monkeypatch.setattr(fitting, "_solve",
                             lambda *args: steps.append(real_solve(*args)) or steps[-1])
-        monkeypatch.setattr(fitting, "_terms",
+        monkeypatch.setattr(fitting, "_evaluate",
                             lambda params, *args: trials.append(list(params))
-                            or real_terms(params, *args))
+                            or real_evaluate(params, *args))
         fit = fit_damped_sinusoid(series, omega)
         assert len(trials) == len(steps) + 1 == fit.iterations + 1  # every step finite
         free_idx = [PARAM_ORDER.index(name) for name in ("gamma", "omega")]
@@ -537,6 +538,78 @@ class TestAgainstReferenceFit:
         y = 0.5 * (1.0 + sign * np.exp(-gamma * omega * t) * np.cos(2.0 * omega * t))
         y += noise * np.random.default_rng(seed).standard_normal(n)
         assert_close_fit(ProbabilitySeries(t, y, {}), omega_hint=hint * omega)
+
+
+def fit_outcome(fit, series, omega_hint, free_params):
+    """Every field of the fit, each float by its repr so that NaN and -0.0 compare too;
+    or the exception's type, message and last iterate."""
+    try:
+        got = fit(series, omega_hint, free_params)
+    except (RuntimeError, ValueError) as exc:  # FitConvergenceError, or a rejected input
+        return type(exc), str(exc), repr(getattr(exc, "params", None))
+    return {f.name: getattr(got, f.name) if f.name == "free_params" else repr(getattr(got, f.name))
+            for f in dataclasses.fields(got)}
+
+
+def non_physical_case():
+    # 10 points over four periods alias cos(2 omega t); the default fit heads for omega <= 0
+    omega = 0.375
+    t = np.linspace(0.0, 8.0 * math.pi / omega, 10)
+    y = 0.5 * (1.0 - np.exp(-0.0234375 * omega * t) * np.cos(2.0 * omega * t))
+    return ProbabilitySeries(t, y, {}), 0.8 * omega
+
+
+def overflow_case():
+    # times up to 1e300 overflow J^T J
+    t = np.linspace(0.0, 1e300, 60)
+    with np.errstate(over="ignore"):
+        return ProbabilitySeries(t, np.sin(t) ** 2, {}), 1.0
+
+
+PREVIOUS_CASES = {"fig2a": lambda: preset_series("fig2a"), "fig2b": lambda: preset_series("fig2b"),
+                  "fig3": lambda: preset_series("fig3"),
+                  "master_eq": lambda: preset_series("master_eq"),
+                  "noisy": lambda: (noisy_series(), 1.0), "overshooting": overshooting_series,
+                  "non_physical": non_physical_case, "overflow": overflow_case}
+
+
+class TestAgainstPreviousFit:
+    """The fit against `reference.previous_fit`, the loop before it evaluated its trials
+    into preallocated rows: the same bits in every field, iterations included, or the
+    same exception, message and last iterate."""
+
+    @pytest.mark.parametrize("case", PREVIOUS_CASES)
+    def test_every_free_subset(self, case):
+        series, hint = PREVIOUS_CASES[case]()
+        for free in FREE_SUBSETS:
+            want = fit_outcome(previous_fit, series, hint, free)
+            assert fit_outcome(fit_damped_sinusoid, series, hint, free) == want, sorted(free)
+
+    def test_cases_reach_every_ending(self):
+        # converged, the iteration cap, a non-physical omega and exhausted damping
+        endings = set()
+        for case in PREVIOUS_CASES.values():
+            series, hint = case()
+            for free in FREE_SUBSETS:
+                got = fit_outcome(fit_damped_sinusoid, series, hint, free)
+                endings.add(got[1].split(" (")[0] if isinstance(got, tuple)
+                            else got["iterations"] == "200")
+        assert endings >= {False, True, fitting._NON_PHYSICAL,
+                           "damping exhausted without residual decrease"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(0.0, 0.3), omega=st.floats(0.3, 3.0),
+           n=st.integers(10, 600), noise=st.floats(0.0, 0.05),
+           hint=st.floats(0.8, 1.2), seed=st.integers(0, 2**32 - 1),
+           free=st.sampled_from(FREE_SUBSETS))
+    def test_property(self, gamma, omega, n, noise, hint, seed, free):
+        # n odd and even: the rows' offsets in their buffers, and so BLAS's alignment, differ
+        t = np.linspace(0.0, 8.0 * math.pi / omega, n)
+        y = 0.5 * (1.0 - np.exp(-gamma * omega * t) * np.cos(2.0 * omega * t))
+        y += noise * np.random.default_rng(seed).standard_normal(n)
+        series = ProbabilitySeries(t, y, {})
+        assert (fit_outcome(fit_damped_sinusoid, series, hint * omega, free)
+                == fit_outcome(previous_fit, series, hint * omega, free))
 
 
 class TestSolve:

@@ -373,10 +373,13 @@ class TestTablePlan:
         path, words, work = table_plan(i, beta, n_max)
         assert path == want
         assert taken == ([] if want == "born" else [want])
-        # the held row: 3 words per column, 6 with the sum; the rows form holds every
-        # level and 6 more words per column, and 10 words per level
+        # the held row: 3 words per column; the sum holds 4 words per column and per term,
+        # two blocks of at most 2^16 / cols terms (at least one) by every column, and numpy's
+        # two 8192-word iterator buffers; the rows form holds every level and 6 more words
+        # per column, and 10 words per level
         cols = n_max + 1
-        assert words == {"born": 3 * cols, "sum": 6 * cols,
+        block = min(2**i, max(1, 2**16 // cols))
+        assert words == {"born": 3 * cols, "sum": (4 + 2 * block) * cols + 4 * 2**i + 2 * 8192,
                          "rows": (i + 6) * cols + 10 * i}[want]
         # in member collapses: half a collapse a term; in the rows form 250 a column, 2 a
         # level step and a 100th of one a product term, i cols^2 / 2 of them
@@ -495,6 +498,24 @@ class TestRowsForm:
         env = IndistinguishableEnv(dt=0.7, beta=0.995, max_events=i)
         path, words, _ = table_plan(i, env.beta, n_max)
         assert path == "rows"
+        build_nested_table(RabiSystem(1.0), env, 10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_nested_table(RabiSystem(1.0), env, n_max)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / 8.0 <= words + 512.0
+
+    @pytest.mark.parametrize("i, n_max", [(2, 9999), (5, 800), (10, 4000), (6, 127), (8, 600),
+                                          (12, 8191), (1, 70000)])
+    def test_sum_peak_within_held_words(self, i, n_max):
+        # as the rows form's test below: the block buffers, once per build, and not one
+        # set of outer products, exponentials and cosines per block
+        env = IndistinguishableEnv(dt=0.7, beta=0.995, max_events=i)
+        path, words, _ = table_plan(i, env.beta, n_max)
+        assert path == "sum"
         build_nested_table(RabiSystem(1.0), env, 10)
         tracemalloc.start()
         try:
