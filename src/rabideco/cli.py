@@ -8,8 +8,8 @@ Subcommands:
 
 Every subcommand takes --config <path> and --out. All but fit also take
 --seed and repeatable --format flags; fit writes only its JSON summary and
-rejects both. Exit codes: 0 success, 2 config error (argparse usage errors
-included), 3 numerical failure.
+rejects both. Exit codes: 0 success, 1 an output that cannot be written, 2 config
+error (argparse usage errors and unreadable input files included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -69,7 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_series_csv(path: Path) -> tuple[ProbabilitySeries, list]:
     """The series in a CSV file and the line each of its rows came from."""
     rows, lines = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{exc.strerror or exc}: {path}", "series_csv") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -87,54 +91,47 @@ def _read_series_csv(path: Path) -> tuple[ProbabilitySeries, list]:
     return ProbabilitySeries(times, probs, {"source": str(path)}), lines
 
 
-def _cmd_simulate(cfg, out_dir: Path, formats) -> int:
+def _simulate(cfg) -> SeriesResult:
     if cfg.experiment is ExperimentKind.FIG5_GAMMA_RATIO:
         raise ConfigError(
             "simulate does not apply to Fig5GammaRatio (it is a fit pipeline); "
             "use the experiment subcommand", "experiment")
     if cfg.experiment is ExperimentKind.ORACLE_CROSS_CHECK:
-        series = run_oracle_check(cfg).mc_series
-    else:
-        series = predictor_series(cfg)
-    for path in emit_outputs(SeriesResult(series), cfg, out_dir, formats):
-        print(path)
-    return 0
+        return SeriesResult(run_oracle_check(cfg).mc_series)
+    return SeriesResult(predictor_series(cfg))
 
 
-def _cmd_fit(config_path: Path, out_dir: Path) -> int:
-    cfg = load_fit_config(config_path)
+def _fit(cfg) -> FitResult:
     series, lines = _read_series_csv(cfg.series_csv)
     try:
-        fit = fit_damped_sinusoid(series, omega_hint=cfg.omega_hint, free_params=cfg.free_params)
+        return FitResult(fit_damped_sinusoid(series, omega_hint=cfg.omega_hint,
+                                             free_params=cfg.free_params))
     except InvalidEntryError as exc:  # a time or sample of the file
         raise ConfigError(f"{cfg.series_csv} line {lines[exc.index]}: {exc}",
                           "series_csv") from None
     except FitWindowError as exc:  # too few rows, or too short a span, to fit
         raise ConfigError(f"{cfg.series_csv}: {exc}", "series_csv") from None
-    for path in emit_outputs(FitResult(fit), cfg, out_dir, ("json",)):
-        print(path)
-    return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out)
     try:
         if args.command == "fit":
-            return _cmd_fit(Path(args.config), out_dir)
-        formats = tuple(args.format) if args.format else ("csv", "json")
-        cfg = load_config(args.config, seed=args.seed)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, out_dir, formats)
-        if args.command == "oracle-check":
-            if cfg.experiment is not ExperimentKind.ORACLE_CROSS_CHECK:
-                raise ConfigError(
-                    f"oracle-check needs an OracleCrossCheck config, got "
-                    f"{cfg.experiment.value}", "experiment")
-            result = run_oracle_check(cfg)
+            cfg = load_fit_config(args.config)
+            result, formats = _fit(cfg), ("json",)
         else:
-            result = run_experiment(cfg)
-        for path in emit_outputs(result, cfg, out_dir, formats):
+            cfg = load_config(args.config, seed=args.seed)
+            formats = tuple(args.format) if args.format else ("csv", "json")
+            if args.command == "simulate":
+                result = _simulate(cfg)
+            elif args.command == "experiment":
+                result = run_experiment(cfg)
+            elif cfg.experiment is ExperimentKind.ORACLE_CROSS_CHECK:
+                result = run_oracle_check(cfg)
+            else:
+                raise ConfigError(f"oracle-check needs an OracleCrossCheck config, got "
+                                  f"{cfg.experiment.value}", "experiment")
+        for path in emit_outputs(result, cfg, Path(args.out), formats):
             print(path)
         return 0
     except ConfigError as exc:
@@ -143,7 +140,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except OSError as exc:  # an output that cannot be written
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
 

@@ -352,6 +352,8 @@ def _read_json_object(path) -> tuple[dict, str]:
         raise ConfigError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", "", exc.lineno) from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{exc.strerror or exc}: {path}") from None
     return data, raw_text
 
 
@@ -371,33 +373,64 @@ def load_fit_config(path) -> FitConfig:
 
 
 # ---- results, each writing its own outputs ----
-def _csv(header: str, rows) -> bytes:
-    """Header line plus one line per row, numbers in shortest round-trip form.
+def _in_band(size):
+    """Where orjson writes repr's text for a float of magnitude `size`: 0 or [1e-4, 1e16)."""
+    return (size >= 1e-4) & (size < 1e16) | (size == 0.0)
 
-    `rows` is a C-contiguous 2-D float array or an iterable of tuples (Fig5's `n` is an
-    int). orjson writes repr's text for ints and for floats with 1e-4 <= |x| < 1e16 or
-    x = 0; a row holding any other float (repr's 5e-05, 1e+16, nan) is written with %r.
-    """
-    rows = rows if isinstance(rows, np.ndarray) else [tuple(row) for row in rows]
+
+def _csv(header: str, rows) -> bytes:
+    """Header line plus one line per row of a C-contiguous 2-D float array or of tuples
+    (Fig5's `n` is an int): orjson writes the rows as one flat list, repr's text for ints
+    and floats `_in_band`, and one numpy pass turns each row's last comma into a newline.
+    Only a row with any other float (5e-05, 1e+16, nan) splits the text, to take %r."""
+    array = isinstance(rows, np.ndarray)
+    rows = rows if array else [tuple(row) for row in rows]
     if not len(rows):
         return header.encode() + b"\n"
-    size = np.abs(np.asarray(rows, dtype=float))
-    off = ~((size >= 1e-4) & (size < 1e16) | (size == 0.0)).all(axis=1)
-    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    line = ",".join(["%r"] * (header.count(",") + 1))
-    for i in np.flatnonzero(off).tolist():
-        row = rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i]
-        lines[i] = (line % tuple(row)).encode()
-    return b"%s\n%s\n" % (header.encode(), b"\n".join(lines))
+    values, head = np.asarray(rows, dtype=float), header.encode()
+    body = bytearray(head) + orjson.dumps(rows.ravel() if array else [
+        x for row in rows for x in row], option=orjson.OPT_SERIALIZE_NUMPY)
+    text, width = np.frombuffer(body, dtype=np.uint8)[len(head):], values.shape[1]
+    text[np.flatnonzero(text == ord(","))[width - 1::width]] = ord("\n")
+    text[0] = text[-1] = ord("\n")  # the brackets: the header's line end and the last row's
+    inside = _in_band(np.abs(values))
+    if inside.all():
+        return bytes(body)
+    lines, line = body.split(b"\n"), ",".join(["%r"] * width)
+    for i in np.flatnonzero(~inside.all(axis=1)).tolist():  # line 0 is the header
+        lines[i + 1] = (line % tuple(rows[i].tolist() if array else rows[i])).encode()
+    return b"\n".join(lines)
 
 
-def _finite(value):
-    """`value` with every non-finite float, which JSON cannot hold, as None (null)."""
-    if isinstance(value, dict):
-        return {key: _finite(x) for key, x in value.items()}
+# per exact type, whether orjson writes a JSON key or leaf as `json.dumps` does
+_PLAIN = {str: lambda s: s.isascii() and s.isprintable(), int: lambda n: -2**63 <= n < 2**64,
+          float: lambda x: bool(_in_band(abs(x))), bool: lambda _: True,
+          type(None): lambda _: True}
+
+
+def _finite(value, plain: list):
+    """`value` with every non-finite float, which JSON cannot hold, as None (null);
+    `plain[0]` turns False at a key or leaf that `_PLAIN` does not pass."""
+    if isinstance(value, dict):  # the keys' text is printable ASCII if their concatenation is
+        plain[0] = plain[0] and all(type(k) is str for k in value) and _PLAIN[str]("".join(value))
+        return {key: _finite(x, plain) for key, x in value.items()}
     if isinstance(value, list):
-        return [_finite(x) for x in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+        return [_finite(x, plain) for x in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    plain[0] = plain[0] and type(value) in _PLAIN and _PLAIN[type(value)](value)
+    return value
+
+
+def _json(summary: dict) -> bytes:
+    """`json.dumps(summary, indent=2, sort_keys=True) + "\\n"` with non-finite floats as
+    null, by orjson where `_finite` finds that its text is the same."""
+    plain = [True]
+    summary = _finite(summary, plain)
+    if plain[0]:
+        return orjson.dumps(summary, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                            | orjson.OPT_APPEND_NEWLINE)
+    return (json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _fit_fields(fit: DampedSinusoidFit) -> dict:
@@ -637,7 +670,8 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
                  formats=("csv", "json")) -> list[Path]:
     """Write any result type of this module as CSV/JSON/SVG files named by the
     config prefix, each rewritten in place; returns their paths in the order
-    csv, json, svg."""
+    csv, json, svg. Every body is built as bytes (`_csv`, `_json`, `series_overlay_svg`)
+    and written as it is."""
     unknown = set(formats) - {"csv", "json", "svg"}
     if unknown:
         raise ConfigError(f"unknown output format(s): {sorted(unknown)}", "format")
@@ -646,9 +680,7 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    writers = {"csv": result.csv,
-               "json": lambda: (json.dumps(_finite(result.summary(cfg)), indent=2, sort_keys=True,
-                                           allow_nan=False) + "\n").encode(),
+    writers = {"csv": result.csv, "json": lambda: _json(result.summary(cfg)),
                "svg": lambda: result.svg(cfg)}
     paths: list[Path] = []
     for fmt, write in writers.items():

@@ -1,5 +1,6 @@
 """Tiny static SVG plots, no renderer dependencies, byte-deterministic: a plot's points
-are formatted by one `_fixed2` call over all of their coordinates and joined as bytes."""
+are formatted by one `_fixed2` call over all of their coordinates and joined as bytes;
+its frame (ranges and ticks) is worked out on Python floats in numpy's own arithmetic."""
 from __future__ import annotations
 
 import math
@@ -11,10 +12,11 @@ _ML, _MR, _MT, _MB = 64, 16, 34, 46  # margins around the plot box
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+    """`np.linspace(lo, hi, n)` in numpy's own float arithmetic; hi <= lo widens to lo + 1."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(v) for v in raw]
+    step = (hi - lo) / (n - 1)  # where it underflows to 0, numpy scales i / (n - 1) instead
+    return [i * step + lo if step else i / (n - 1) * (hi - lo) + lo for i in range(n - 1)] + [hi]
 
 
 def _widened(lo: float, hi: float) -> tuple[float, float]:
@@ -31,9 +33,10 @@ def _widened(lo: float, hi: float) -> tuple[float, float]:
 def _range(*arrays: np.ndarray) -> tuple[float, float]:
     """`_widened` min and max of the arrays as if concatenated (NaN wins), without
     the copy; [0, 1] when all are empty."""
-    arrays = [a for a in arrays if a.size] or [np.array([0.0, 1.0])]
-    return _widened(float(np.min([a.min() for a in arrays])),
-                    float(np.max([a.max() for a in arrays])))
+    bounds = [(float(a.min()), float(a.max())) for a in arrays if a.size] or [(0.0, 1.0)]
+    if any(math.isnan(lo) for lo, _ in bounds):  # an array with a NaN has it as both bounds
+        return math.nan, math.nan
+    return _widened(min(lo for lo, _ in bounds), max(hi for _, hi in bounds))
 
 
 def _fmt(v: float) -> str:
@@ -77,16 +80,11 @@ def _rows(pre: bytes, xs: np.ndarray, mid: bytes, ys: np.ndarray, post: bytes) -
     """b''.join(pre + x + mid + y + post)[:-1] over the rows of `_fixed2` tables xs and ys.
 
     The last character goes with the pad bytes rather than in a sliced copy."""
-    pieces = [np.frombuffer(pre, dtype=np.uint8), xs, np.frombuffer(mid, dtype=np.uint8), ys,
-              np.frombuffer(post, dtype=np.uint8)]
-    table = np.empty((len(xs), sum(piece.shape[-1] for piece in pieces)), dtype=np.uint8)
-    stop = 0
-    for piece in pieces:
-        start, stop = stop, stop + piece.shape[-1]
-        table[:, start:stop] = piece
+    table = np.concatenate([piece if isinstance(piece, np.ndarray) else np.frombuffer(
+        piece * len(xs), dtype=np.uint8).reshape(len(xs), -1)
+        for piece in (pre, xs, mid, ys, post)], axis=1)
     table[-1, -1] = 0
     # each stage drops the one before it: at most two copies of the text live at once
-    del pieces
     text = table.tobytes()
     del table
     return text.replace(b"\0", b"")
@@ -139,9 +137,9 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
                      f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
     # every coordinate in one `_fixed2` call, a shared x column once
     columns = [sx(lx), sy(ly)] + ([] if shared else [sx(dx)]) + [sy(dy)]
-    stops = np.cumsum([column.size for column in columns])[:-1]
-    lxs, lys, *dot_tables = np.split(_fixed2(np.concatenate(columns)), stops)
-    dxs, dys = [lxs, *dot_tables] if shared else dot_tables
+    table, n = _fixed2(np.concatenate(columns)), lx.size
+    lxs, lys, dys = table[:n], table[n:2 * n], table[len(table) - dx.size:]
+    dxs = lxs if shared else table[2 * n:2 * n + dx.size]
     svg = ["\n".join(parts).encode()]
     if lx.size:
         svg.append(b'<polyline points="' + _rows(b"", lxs, b",", lys, b" ")

@@ -4,18 +4,22 @@ The library evaluates each quantity only as a series over a grid of times.
 These evaluate one point, one binomial mass or one polynomial at a time, or
 the fit's full five-column Jacobian, so that a test can check the library
 point by point. Also here: the damped-sinusoid fit and the nested table's
-earlier forms, and a Monte Carlo estimate of the nested predictor.
+earlier forms, a Monte Carlo estimate of the nested predictor, and the output
+writers' earlier CSV, JSON and SVG-frame code.
 """
 import itertools
+import json
 import math
 
 import numpy as np
+import orjson
 
 from rabideco.core import (InvalidEntryError, ProbabilitySeries, RabiSystem, _laguerre_l1_terms,
                            time_grid)
 from rabideco.fitting import (_LAMBDA_MAX, _MAX_ITER, _NON_PHYSICAL, _STEP_FLOOR, _STEP_TOL,
                               PARAM_ORDER, DampedSinusoidFit, FitConvergenceError,
                               check_fit_window)
+from rabideco.svgfig import _widened
 
 # Above this n the direct comb/power product risks overflow; switch to logs.
 BINOM_DIRECT_MAX_N = 60
@@ -317,3 +321,56 @@ def nested_chain_estimate(system: RabiSystem, beta: float, dt: float, levels: in
         k = drawn
     total += weight * system.initial_state.born_ground(phase * k)
     return total.mean(axis=1), total.std(axis=1, ddof=1) / math.sqrt(chains)
+
+
+# The output writers before the CSV rows were dumped as one flat list, the JSON
+# summary could take orjson and the SVG frame was worked out on Python floats,
+# verbatim but for the names.
+def split_join_csv(header: str, rows) -> bytes:
+    """Header line plus one line per row, numbers in shortest round-trip form.
+
+    `rows` is a C-contiguous 2-D float array or an iterable of tuples (Fig5's `n` is an
+    int). orjson writes repr's text for ints and for floats with 1e-4 <= |x| < 1e16 or
+    x = 0; a row holding any other float (repr's 5e-05, 1e+16, nan) is written with %r.
+    """
+    rows = rows if isinstance(rows, np.ndarray) else [tuple(row) for row in rows]
+    if not len(rows):
+        return header.encode() + b"\n"
+    size = np.abs(np.asarray(rows, dtype=float))
+    off = ~((size >= 1e-4) & (size < 1e16) | (size == 0.0)).all(axis=1)
+    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    line = ",".join(["%r"] * (header.count(",") + 1))
+    for i in np.flatnonzero(off).tolist():
+        row = rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i]
+        lines[i] = (line % tuple(row)).encode()
+    return b"%s\n%s\n" % (header.encode(), b"\n".join(lines))
+
+
+def _finite(value):
+    """`value` with every non-finite float, which JSON cannot hold, as None (null)."""
+    if isinstance(value, dict):
+        return {key: _finite(x) for key, x in value.items()}
+    if isinstance(value, list):
+        return [_finite(x) for x in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def previous_json(summary) -> bytes:
+    """`emit_outputs`' JSON body."""
+    return (json.dumps(_finite(summary), indent=2, sort_keys=True,
+                       allow_nan=False) + "\n").encode()
+
+
+def previous_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+    if hi <= lo:
+        hi = lo + 1.0
+    raw = np.linspace(lo, hi, n)
+    return [float(v) for v in raw]
+
+
+def previous_range(*arrays: np.ndarray) -> tuple[float, float]:
+    """`_widened` min and max of the arrays as if concatenated (NaN wins), without
+    the copy; [0, 1] when all are empty."""
+    arrays = [a for a in arrays if a.size] or [np.array([0.0, 1.0])]
+    return _widened(float(np.min([a.min() for a in arrays])),
+                    float(np.max([a.max() for a in arrays])))

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabideco import experiments, indistinguishable
@@ -26,6 +26,7 @@ from rabideco.experiments import (
     WORK_BUDGET,
     ExperimentKind,
     _csv,
+    _json,
     config_from_dict,
     emit_outputs,
     load_config,
@@ -38,7 +39,10 @@ from rabideco.experiments import (
 from rabideco.fitting import FitConvergenceError
 from rabideco.indistinguishable import table_plan
 from rabideco.montecarlo import run_work
-from rabideco.svgfig import _H, _MB, _ML, _MR, _MT, _W, _fixed2, _fmt, _ticks, series_overlay_svg
+from rabideco.svgfig import (_H, _MB, _ML, _MR, _MT, _W, _fixed2, _fmt, _range, _ticks,
+                             series_overlay_svg)
+
+from .reference import previous_json, previous_range, previous_ticks, split_join_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -290,6 +294,137 @@ class TestWritersAgainstPrevious:
         circle = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}circle")
         assert _ML <= float(circle.get("cx")) <= _W - _MR
         assert _MT <= float(circle.get("cy")) <= _H - _MB
+
+
+# every double: NaN, +-inf, +-0, subnormals and both sides of the band's edges
+any_floats = st.one_of(st.floats(), csv_floats,
+                       st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e308]))
+band_floats = st.sampled_from([1.0, -1.0]).flatmap(
+    lambda sign: st.floats(1e-4, 1e16, exclude_max=True).map(lambda x: sign * x)) | st.just(0.0)
+plain_texts = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=8)
+
+
+def json_trees(leaves, keys):
+    return st.dictionaries(keys, st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(keys, children, max_size=4)),
+        max_leaves=12), max_size=6)
+
+
+# anything a JSON summary may hold: escaped text, ints of 2^63 and beyond, floats
+# that orjson writes otherwise than repr, empty lists and dicts
+any_json = json_trees(st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63 - 2, 2**64 + 2).flatmap(
+        lambda n: st.sampled_from([n, -n])), any_floats, st.text(max_size=8), plain_texts,
+    st.just([]), st.just({})), st.text(max_size=6) | plain_texts)
+# only what `_json` gives to orjson
+plain_json = json_trees(st.one_of(
+    st.none(), st.booleans(), st.integers(-2**63, 2**64 - 1), band_floats, plain_texts,
+    st.just([]), st.just({})), plain_texts)
+
+# ends of the tick range: zeros, subnormals, magnitudes at and past 2^53, and
+# pairs whose difference overflows
+tick_ends = st.one_of(st.floats(), st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.0**53, -2.0**53, 2.0**53 + 2.0, 2.0**60,
+    1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+def reprs(values) -> list:
+    return [repr(v) for v in values]
+
+
+class TestWritersAgainstReference:
+    """The writers against their previous code (tests/reference.py), byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_rows=st.sampled_from([0, 1, 2, 7, 300]), width=st.integers(2, 5),
+           in_band=st.booleans())
+    def test_csv_matches_split_join(self, data, n_rows, width, in_band):
+        # rows cycle through a drawn pool, of band floats only (the path that never
+        # splits lines) or of any doubles, so many rows mix in-band and %r rows
+        pool = data.draw(st.lists(band_floats if in_band else any_floats, min_size=1,
+                                  max_size=12))
+        table = np.resize(np.array(pool), (n_rows, width))
+        header = ",".join("abcde"[:width])
+        assert _csv(header, table) == split_join_csv(header, table)
+        ns = data.draw(st.lists(st.integers(-2**63, 2**64 - 1), min_size=n_rows,
+                                max_size=n_rows))
+        rows = [(n, *row[1:]) for n, row in zip(ns, table.tolist())]  # Fig5's int first column
+        assert _csv(header, iter(rows)) == split_join_csv(header, iter(rows))
+
+    @pytest.mark.parametrize("rows", [[], [(0, 1e-05, 2.0)], [(2**64 - 1, 1.0, 1e16)],
+                                      [(1.0, 2.0, 3.0)] * 3 + [(float("nan"), 0.0, -0.0)]])
+    def test_csv_edge_rows(self, rows):
+        assert _csv("a,b,c", rows) == split_join_csv("a,b,c", rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=any_json)
+    def test_json_matches_json_dumps(self, tree):
+        assert _json(tree) == previous_json(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=plain_json)
+    def test_plain_json_takes_orjson(self, tree):
+        want = previous_json(tree)
+        with mock.patch.object(experiments.json, "dumps", side_effect=AssertionError):
+            assert _json(tree) == want
+
+    @pytest.mark.parametrize("tree", [
+        {"a": 1e-05}, {"a": -1e16}, {"a": 2**64}, {"a": -2**63 - 1}, {"a": "\x7f"},
+        {"a": "caf\xe9"}, {"\n": 1}, {1: 2.0}, {"a": (1.0, 2)}, {"a": np.float64(0.5)},
+        {"a": [float("nan"), {"b": -float("inf")}]}, {"a": [], "b": {}, "c": [{}]}])
+    def test_json_edge_trees(self, tree):
+        assert _json(tree) == previous_json(tree)
+
+    def test_preset_summaries_take_orjson_but_one(self):
+        # fig5_master_eq's fitted exponent (-9.7e-05) lies outside the band
+        fallback = []
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            cfg = load_config(path)
+            summary = run_experiment(cfg).summary(cfg)
+            want = previous_json(summary)
+            with mock.patch.object(experiments.json, "dumps", side_effect=AssertionError):
+                try:
+                    assert _json(summary) == want
+                except AssertionError:
+                    fallback.append(path.name)
+            assert _json(summary) == want
+        assert fallback == ["fig5_master_eq.json"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(lo=tick_ends, hi=tick_ends, ulps=st.integers(0, 3), near=st.booleans(),
+           n=st.sampled_from([2, 3, 5, 9]))
+    def test_ticks_match_linspace(self, lo, hi, ulps, near, n):
+        if near:  # hi == lo, or a few ulps above it: the step rounds or underflows
+            hi = lo
+            for _ in range(ulps):
+                hi = math.nextafter(hi, math.inf)
+        with np.errstate(all="ignore"):
+            want = previous_ticks(lo, hi, n)
+        assert reprs(_ticks(lo, hi, n)) == reprs(want)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (1.0, 1.0), (0.0, 5e-324), (-5e-324, 5e-324), (0.0, 2e-323),
+        (-1.7976931348623157e308, 1.7976931348623157e308), (-1e308, 1e308),
+        (2.0**53, 2.0**53), (-2.0**60, -2.0**60), (2.0**53, 2.0**53 + 2.0),
+        (float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), float("inf"))])
+    def test_ticks_edges(self, lo, hi):
+        with np.errstate(all="ignore"):
+            assert reprs(_ticks(lo, hi)) == reprs(previous_ticks(lo, hi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=st.lists(st.lists(any_floats | st.just(float("nan")), max_size=6),
+                            max_size=3))
+    @example(columns=[[1.0], [float("nan")]])
+    @example(columns=[[], [0.0, float("nan")], [2.0]])
+    @example(columns=[[float("inf")], [-float("inf")]])
+    @example(columns=[[-0.0], [0.0]])
+    @example(columns=[[], []])
+    def test_range_matches_min_max(self, columns):
+        arrays = [np.array(column, dtype=float) for column in columns]
+        # equal, or NaN on both sides; min() keeps the first of two equal zeros and
+        # numpy the last, a sign no plot shows (test_svg_bytes_property)
+        for got, want in zip(_range(*arrays), previous_range(*arrays)):
+            assert got == want or math.isnan(got) and math.isnan(want)
 
 
 class TestConfigParsing:
@@ -764,6 +899,33 @@ class TestCli:
         cfg_path.write_bytes(b"\xff\xfe" + json.dumps(fig3_config()).encode("utf-16-le"))
         assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: <config>: not UTF-8 text")
+
+    @pytest.mark.parametrize("command,target", [
+        ("experiment", "config"), ("fit", "config"), ("fit", "series_csv")])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_is_a_config_error(self, tmp_path, capsys, command, target, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        cfg_path = path
+        if target == "series_csv":
+            cfg_path = tmp_path / "fit.json"
+            cfg_path.write_text(json.dumps({"series_csv": "input", "omega_hint": 1.0}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {'<config>' if target == 'config' else target}: ")
+        assert err.endswith(f": {path}\n")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fig3_config()))
+        (tmp_path / "fig3.json").mkdir()
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: cannot write ") and "fig3.json" in err
 
     def test_series_csv_not_utf8_is_a_config_error(self, tmp_path, capsys):
         (tmp_path / "series.csv").write_bytes(b"\xff\xfe" + "t_coord,p\n0.0,0.0\n".encode(
