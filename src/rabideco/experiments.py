@@ -90,7 +90,8 @@ def _one_of(*choices: str, default=_REQUIRED) -> _Key:
 
 
 def _output(default: str) -> _Section:
-    prefix = _Key(str, default, lambda v: bool(v) and v == Path(v).name, "a bare file name")
+    prefix = _Key(str, default, lambda v: bool(v) and v == Path(v).name and "\0" not in v,
+                  "a bare file name")
     return _Section({"prefix": prefix}, {})
 
 
@@ -214,7 +215,8 @@ _MASTER_EQ_SYSTEM = {
                           "baseline models excited preparation only)"),
     "omega": _Key(float, check=lambda v: v <= 1e150, rule="a value <= 1e+150")}
 
-_FIT_SPEC = {"series_csv": _Key(str), "omega_hint": _positive(),
+_FIT_SPEC = {"series_csv": _Key(str, check=lambda v: "\0" not in v, rule="a path without NUL"),
+             "omega_hint": _positive(),
              "free_params": _FREE_PARAMS, "output": _output("fit")}
 
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list"}
@@ -352,8 +354,8 @@ def _read_json_object(path) -> tuple[dict, str]:
         raise ConfigError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", "", exc.lineno) from exc
-    except OSError as exc:  # missing, a directory, unreadable
-        raise ConfigError(f"{exc.strerror or exc}: {path}") from None
+    except (OSError, ValueError) as exc:  # missing, a directory, unreadable, a NUL in the path
+        raise ConfigError(f"{getattr(exc, 'strerror', None) or exc}: {path}") from None
     return data, raw_text
 
 
@@ -647,7 +649,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> OracleCheckResult:
     dev = np.abs(mc.probs - analytic.probs)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sigma > 0.0, dev / sigma, np.where(dev > 0.0, np.inf, 0.0))
-    return OracleCheckResult(mc, analytic, sigma, z, float(np.max(z)) if z.size else 0.0)
+    return OracleCheckResult(mc, analytic, sigma, z, float(np.max(z)) if z.size else math.nan)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -670,15 +672,15 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
                  formats=("csv", "json")) -> list[Path]:
     """Write any result type of this module as CSV/JSON/SVG files named by the
     config prefix, each rewritten in place; returns their paths in the order
-    csv, json, svg. Every body is built as bytes (`_csv`, `_json`, `series_overlay_svg`)
-    and written as it is."""
+    csv, json, svg. Every body is built as bytes (`_csv`, `_json`, and `series_overlay_svg`
+    with its points in whole hundredths of a pixel) and written as it is."""
     unknown = set(formats) - {"csv", "json", "svg"}
     if unknown:
         raise ConfigError(f"unknown output format(s): {sorted(unknown)}", "format")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the path is a ValueError
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
     writers = {"csv": result.csv, "json": lambda: _json(result.summary(cfg)),
                "svg": lambda: result.svg(cfg)}

@@ -90,7 +90,7 @@ _BLOCK = 1 << 16
 # Work in member collapses: an exponential-sum term (12-44 ns); in the rows form, a column's
 # fixed numpy calls (10-13 us), a term of its product (0.4-0.5 ns) and a level step (115-250 ns).
 _TERM_COLLAPSES = 0.5
-_COLUMN_COLLAPSES, _PRODUCT_COLLAPSES, _STEP_COLLAPSES = 250.0, 1.0 / 100.0, 2.0
+_COLUMN_COLLAPSES, _PRODUCT_COLLAPSES, _LEVEL_COLLAPSES = 250.0, 1.0 / 100.0, 2.0
 
 
 def table_n_max(t_end: float, beta: float, dt: float):
@@ -116,7 +116,7 @@ def table_plan(levels, beta: float, n_max) -> tuple[str, float, float]:
         return ("sum", (4.0 + 2.0 * block) * n_cols + 4.0 * 2.0 ** levels + 2.0 * np.getbufsize(),
                 _TERM_COLLAPSES * 2.0 ** levels * n_cols)
     return ("rows", (levels + 6.0) * n_cols + 10.0 * levels,
-            (_COLUMN_COLLAPSES + _STEP_COLLAPSES * levels
+            (_COLUMN_COLLAPSES + _LEVEL_COLLAPSES * levels
              + _PRODUCT_COLLAPSES * levels * n_cols / 2.0) * n_cols)
 
 

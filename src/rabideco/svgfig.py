@@ -1,11 +1,12 @@
-"""Tiny static SVG plots, no renderer dependencies, byte-deterministic: a plot's points
-are formatted by one `_fixed2` call over all of their coordinates and joined as bytes;
-its frame (ranges and ticks) is worked out on Python floats in numpy's own arithmetic."""
+"""Tiny static SVG plots, no renderer dependencies, byte-deterministic: the points are
+whole hundredths of a pixel in one `scale(0.01)` group, the dots markers on a polyline;
+the frame (ranges and ticks) is worked out on Python floats in numpy's own arithmetic."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import orjson
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 34, 46  # margins around the plot box
@@ -43,51 +44,23 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _fixed2(values: np.ndarray) -> np.ndarray:
-    """'%.2f' % v for each v, as rows of ASCII codes right-aligned in 0 padding.
-
-    Works on k = |rint(100 v)|. Below 2^31 the product 100 v is within 2^-22
-    of its exact value, so it rounds the same way unless it lies within 1e-6
-    of a tie; those entries, the non-finite ones and the larger ones take the
-    scalar '%.2f'.
-    """
-    v = np.asarray(values, dtype=float).ravel()
-    with np.errstate(invalid="ignore", over="ignore"):
-        s = v * 100.0
-        scalar = ~(np.abs(s) < 2.0**31) | (np.abs(s - np.floor(s) - 0.5) < 1e-6)
-        k = np.abs(np.rint(np.where(scalar, 0.0, s)))  # integers below 2^31, exact
-    places = len("%d" % (k.max(initial=0.0) // 100))  # digits of the largest whole part
-    # q[j] = k // 10^(places + 1 - j): each exact quotient is at least
-    # 10^-(places + 1) from the next integer, far more than its rounding error
-    q = np.floor(k / 10.0 ** np.arange(places + 1, -1, -1)[:, None])
-    chars = q + 48.0
-    chars[1:] -= 10.0 * q[:-1]
-    chars[:places - 1] *= q[:places - 1] != 0.0  # leading zeros become pad
-    texts = {i: b"%.2f" % v[i] for i in np.flatnonzero(scalar).tolist()}
-    width = max([places + 4] + [len(text) for text in texts.values()])
-    out = np.zeros((width, v.size), dtype=np.uint8)  # one column per entry
-    out[-places - 4] = np.signbit(v) * ord("-")  # any pad before the digits drops out
-    out[-places - 3:-3] = chars[:places]
-    out[-3] = ord(".")
-    out[-2:] = chars[places:]
-    for i, text in texts.items():
-        out[:, i] = 0
-        out[width - len(text):, i] = np.frombuffer(text, dtype=np.uint8)
-    return out.T
+def _points(xs: np.ndarray, ys: np.ndarray) -> bytes:
+    """The finite (x, y) pixel pairs as "x,y x,y ..." in whole hundredths of a pixel:
+    orjson writes the ints as one flat list, and every second comma becomes a space."""
+    xy = np.rint(100.0 * np.column_stack((xs, ys)))
+    xy = xy[np.isfinite(xy).all(axis=1)].astype(np.int64)
+    text = bytearray(orjson.dumps(xy.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    codes = np.frombuffer(text, dtype=np.uint8)
+    codes[np.flatnonzero(codes == ord(","))[1::2]] = ord(" ")
+    return bytes(text[1:-1])  # without the brackets
 
 
-def _rows(pre: bytes, xs: np.ndarray, mid: bytes, ys: np.ndarray, post: bytes) -> bytes:
-    """b''.join(pre + x + mid + y + post)[:-1] over the rows of `_fixed2` tables xs and ys.
-
-    The last character goes with the pad bytes rather than in a sliced copy."""
-    table = np.concatenate([piece if isinstance(piece, np.ndarray) else np.frombuffer(
-        piece * len(xs), dtype=np.uint8).reshape(len(xs), -1)
-        for piece in (pre, xs, mid, ys, post)], axis=1)
-    table[-1, -1] = 0
-    # each stage drops the one before it: at most two copies of the text live at once
-    text = table.tobytes()
-    del table
-    return text.replace(b"\0", b"")
+# in the group's hundredths of a pixel: a 1.6 px dot, a marker at each vertex; a 1.5 px line
+_DOT = (b'<defs><marker id="dot" markerUnits="userSpaceOnUse" markerWidth="320" '
+        b'markerHeight="320" refX="160" refY="160"><circle cx="160" cy="160" r="160" '
+        b'fill="#1f77b4"/></marker></defs>')
+_LINE = b'stroke="#d62728" stroke-width="150"'
+_DOTS = b'marker-start="url(#dot)" marker-mid="url(#dot)" marker-end="url(#dot)"'
 
 
 def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
@@ -95,8 +68,7 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
     """Scatter `dots` with an overlaid `line`, both (x, y) array pairs, as UTF-8 text."""
     dx, dy = (np.asarray(a, dtype=float) for a in dots)
     lx, ly = (np.asarray(a, dtype=float) for a in line)
-    shared = lx is dx  # a line on the dots' own times, as every FigureResult draws
-    x_lo, x_hi = _range(dx, *[] if shared else [lx])
+    x_lo, x_hi = _range(dx, lx)
     y_lo, y_hi = _range(dy, ly)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -135,16 +107,10 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
                      f'y2="{sy(yv):.2f}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>')
-    # every coordinate in one `_fixed2` call, a shared x column once
-    columns = [sx(lx), sy(ly)] + ([] if shared else [sx(dx)]) + [sy(dy)]
-    table, n = _fixed2(np.concatenate(columns)), lx.size
-    lxs, lys, dys = table[:n], table[n:2 * n], table[len(table) - dx.size:]
-    dxs = lxs if shared else table[2 * n:2 * n + dx.size]
-    svg = ["\n".join(parts).encode()]
-    if lx.size:
-        svg.append(b'<polyline points="' + _rows(b"", lxs, b",", lys, b" ")
-                   + b'" fill="none" stroke="#d62728" stroke-width="1.5"/>')
-    if dx.size:
-        svg.append(_rows(b'<circle cx="', dxs, b'" cy="', dys, b'" r="1.6" fill="#1f77b4"/>\n'))
-    svg.append(b"</svg>\n")
+    svg = ["\n".join(parts).encode(), _DOT, b'<g transform="scale(0.01)">']
+    for xs, ys, style in ((lx, ly, _LINE), (dx, dy, _DOTS)):  # the line under the dots
+        points = _points(sx(xs), sy(ys))
+        if points:
+            svg.append(b'<polyline points="%s" fill="none" %s/>' % (points, style))
+    svg.append(b"</g>\n</svg>\n")
     return b"\n".join(svg)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import tempfile
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 
 from rabideco import experiments, indistinguishable
 from rabideco.cli import main as cli_main
-from rabideco.core import rabi_frequency_ladder
+from rabideco.core import ProbabilitySeries, rabi_frequency_ladder
 from rabideco.distinguishable import MAX_EPOCHS
 from rabideco.experiments import (
     ConfigError,
     WORK_BUDGET,
     ExperimentKind,
+    SeriesResult,
     _csv,
     _json,
     config_from_dict,
@@ -39,7 +41,7 @@ from rabideco.experiments import (
 from rabideco.fitting import FitConvergenceError
 from rabideco.indistinguishable import table_plan
 from rabideco.montecarlo import run_work
-from rabideco.svgfig import (_H, _MB, _ML, _MR, _MT, _W, _fixed2, _fmt, _range, _ticks,
+from rabideco.svgfig import (_H, _MB, _ML, _MR, _MT, _W, _fmt, _points, _range, _ticks,
                              series_overlay_svg)
 
 from .reference import previous_json, previous_range, previous_ticks, split_join_csv
@@ -176,36 +178,85 @@ csv_floats = st.one_of(
 )
 
 
-def fixed2_texts(values) -> list:
-    return [row[row != 0].tobytes().decode("ascii") for row in _fixed2(np.asarray(values))]
+SVG = "{http://www.w3.org/2000/svg}"
+# the plot box in hundredths of a pixel, as the points are written
+BOX_X, BOX_Y = (100 * _ML, 100 * (_W - _MR)), (100 * _MT, 100 * (_H - _MB))
 
 
-class TestFixed2:
-    def test_specials_and_ties(self):
-        values = SPECIALS + [0.125, 0.135, -0.125, -0.005, -0.004, 68.375, 624.0, 1e12, -1e12,
-                             1e300, -5e-324, 21474836.475]
-        assert fixed2_texts(values) == ["%.2f" % v for v in values]
-
-    def test_tie_grid_pixels(self):
-        xs = _ML + TIE_GRID / 512.0 * (_W - _MR - _ML)
-        assert fixed2_texts(xs) == ["%.2f" % v for v in xs.tolist()]
-        assert "68.38" in fixed2_texts(xs)  # 68.375 rounds half to even
-
-    def test_empty(self):
-        assert fixed2_texts([]) == []
-
-    @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(formatted_floats, max_size=40))
-    def test_matches_percent_format(self, values):
-        assert fixed2_texts(values) == ["%.2f" % v for v in values]
-
-
-def assert_well_formed_svg(svg: bytes, n_dots: int, n_line: int) -> None:
-    """Parses as SVG, with one circle per dot and a polyline when there is a line."""
+def svg_points(svg: bytes) -> dict:
+    """Parses a `series_overlay_svg` plot: its dot marker, and one `scale(0.01)` group
+    holding the line's polyline and then the dots' one, each only when it has points.
+    Returns each polyline's points, "line" and "dots", as (k, 2) ints (hundredths)."""
     root = ET.fromstring(svg)
-    assert root.tag == "{http://www.w3.org/2000/svg}svg"
-    assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == n_dots
-    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == (1 if n_line else 0)
+    assert root.tag == f"{SVG}svg"
+    (marker,) = root.findall(f"{SVG}defs/{SVG}marker")
+    assert marker.attrib == {"id": "dot", "markerUnits": "userSpaceOnUse", "markerWidth": "320",
+                             "markerHeight": "320", "refX": "160", "refY": "160"}
+    (dot,) = marker
+    assert dot.tag == f"{SVG}circle"
+    assert dot.attrib == {"cx": "160", "cy": "160", "r": "160", "fill": "#1f77b4"}
+    (group,) = root.findall(f"{SVG}g")
+    assert group.attrib == {"transform": "scale(0.01)"}
+    points = {"line": np.empty((0, 2), dtype=np.int64), "dots": np.empty((0, 2), dtype=np.int64)}
+    kinds = []
+    for polyline in group:
+        assert polyline.tag == f"{SVG}polyline" and polyline.get("fill") == "none"
+        kinds.append("dots" if polyline.get("marker-mid") else "line")
+        pairs = [pair.split(",") for pair in polyline.get("points").split(" ")]
+        points[kinds[-1]] = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert kinds in ([], ["line"], ["dots"], ["line", "dots"])  # the line under the dots
+    return points
+
+
+def pixels(dots, line) -> dict:
+    """Each point's (x, y) pixels as both writers scale them, "line" and "dots"."""
+    (dx, dy), (lx, ly) = ([np.asarray(a, dtype=float) for a in pair] for pair in (dots, line))
+    (x_lo, x_hi), (y_lo, y_hi) = _range(dx, lx), _range(dy, ly)
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def scale(x, y):
+        return np.column_stack((_ML + (x - x_lo) / (x_hi - x_lo) * (_W - _MR - _ML),
+                                _H - _MB + (y - y_lo) / (y_hi - y_lo) * (_MT - _H + _MB)))
+
+    return {"line": scale(lx, ly), "dots": scale(dx, dy)}
+
+
+def assert_matches_previous(dots, line) -> None:
+    """`series_overlay_svg` against `previous_series_overlay_svg`: the same frame bytes up
+    to the points; each point with a finite '%.2f' text, and only those, at that text's
+    hundredths, one off only where 100 v lies within 1e-6 of a tie; the same colours,
+    draw order, 1.5 px stroke and 1.6 px radius once scaled by 0.01."""
+    svg = series_overlay_svg(dots, line, "t")
+    previous = previous_series_overlay_svg(dots, line, "t")
+    frame = re.split(r"\n<(?:polyline|circle|/svg)", previous)[0]
+    assert svg.startswith(frame.encode() + b"\n<defs>")
+    old = ET.fromstring(previous)
+    old_line, old_dots = old.find(f"{SVG}polyline"), old.findall(f"{SVG}circle")
+    texts = {"line": [] if old_line is None else [
+        pair.split(",") for pair in old_line.get("points").split(" ")],
+        "dots": [(circle.get("cx"), circle.get("cy")) for circle in old_dots]}
+    got, want_pixels = svg_points(svg), pixels(dots, line)
+    for kind, pairs in texts.items():
+        hundredths = 100.0 * np.array(pairs, dtype=float).reshape(-1, 2)
+        finite = np.isfinite(hundredths).all(axis=1)
+        assert got[kind].shape == hundredths[finite].shape
+        off = got[kind] - np.rint(hundredths[finite])
+        v = 100.0 * want_pixels[kind][finite]
+        near_tie = np.abs(v - np.floor(v) - 0.5) < 1e-6
+        assert ((off == 0) | near_tie & (np.abs(off) == 1)).all()
+    root = ET.fromstring(svg)
+    for polyline in root.iter(f"{SVG}polyline"):
+        if polyline.get("marker-mid"):
+            assert {polyline.get(f"marker-{at}") for at in ("start", "mid", "end")} == {
+                "url(#dot)"} and polyline.get("stroke") is None
+            dot = root.find(f"{SVG}defs/{SVG}marker/{SVG}circle")
+            assert dot.get("fill") == old_dots[0].get("fill") == "#1f77b4"
+            assert float(dot.get("r")) / 100 == float(old_dots[0].get("r")) == 1.6
+        else:
+            assert polyline.get("stroke") == old_line.get("stroke") == "#d62728"
+            assert (float(polyline.get("stroke-width")) / 100
+                    == float(old_line.get("stroke-width")) == 1.5)
 
 
 class TestWritersAgainstPrevious:
@@ -254,8 +305,7 @@ class TestWritersAgainstPrevious:
     ])
     def test_svg_bytes(self, dots, line):
         with np.errstate(invalid="ignore"):
-            assert (series_overlay_svg(dots, line, "t")
-                    == previous_series_overlay_svg(dots, line, "t").encode())
+            assert_matches_previous(dots, line)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n_dots=st.integers(0, 30), n_line=st.integers(0, 30),
@@ -273,13 +323,15 @@ class TestWritersAgainstPrevious:
             line_x = {"same": dots[0], "equal": dots[0].copy(), "prefix": dots[0][:n_line]}[times]
         line = (line_x, column(line_x.size))
         with np.errstate(all="ignore"):
-            svg = series_overlay_svg(dots, line, "t")
             try:
-                previous = previous_series_overlay_svg(dots, line, "t")
+                previous_series_overlay_svg(dots, line, "t")
             except ZeroDivisionError:  # a zero range that adding 1 does not widen
-                assert_well_formed_svg(svg, n_dots, line_x.size)
+                got, want = svg_points(series_overlay_svg(dots, line, "t")), pixels(dots, line)
+                for kind, points in got.items():
+                    assert len(points) == np.isfinite(want[kind]).all(axis=1).sum()
+                    assert_in_box(points)
             else:
-                assert svg == previous.encode()
+                assert_matches_previous(dots, line)
 
     @pytest.mark.parametrize("x,y", [(2.0**53, 0.0), (0.0, 2.0**53), (-2.0**54, 0.5),
                                      (2.0**53 + 2.0, -2.0**60), (1.7976931348623157e308, 1.0),
@@ -289,11 +341,57 @@ class TestWritersAgainstPrevious:
         dots, line = (np.array([x]), np.array([y])), (np.array([x]), np.array([y]))
         with pytest.raises(ZeroDivisionError):
             previous_series_overlay_svg(dots, line, "t")
-        svg = series_overlay_svg(dots, line, "t")
-        assert_well_formed_svg(svg, 1, 1)
-        circle = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}circle")
-        assert _ML <= float(circle.get("cx")) <= _W - _MR
-        assert _MT <= float(circle.get("cy")) <= _H - _MB
+        got = svg_points(series_overlay_svg(dots, line, "t"))
+        assert got["line"].tolist() == got["dots"].tolist() and len(got["dots"]) == 1
+        assert_in_box(got["dots"])
+
+
+def assert_in_box(points: np.ndarray) -> None:
+    assert ((BOX_X[0] <= points[:, 0]) & (points[:, 0] <= BOX_X[1])).all()
+    assert ((BOX_Y[0] <= points[:, 1]) & (points[:, 1] <= BOX_Y[1])).all()
+
+
+class TestSvgPoints:
+    def test_non_finite_points_dropped(self):
+        nan, inf = float("nan"), float("inf")
+        xs = np.array([1.0, nan, 3.0, inf, 5.0, -inf, -0.004])
+        ys = np.array([2.0, 2.0, -inf, 4.0, 6.0, 7.0, 0.125])
+        # -0.4 rounds to 0, not -0, and 12.5 half to even
+        assert _points(xs, ys) == b"100,200 500,600 0,12"
+
+    def test_empty(self):
+        assert _points(np.empty(0), np.empty(0)) == b""
+        assert _points(np.array([float("nan")]), np.array([1.0])) == b""
+
+    def test_series_without_a_line(self):
+        series = ProbabilitySeries(np.linspace(0.0, 1.0, 4), np.array([0.0, 1.0, 0.5, 0.25]), {})
+        cfg = SimpleNamespace(experiment=ExperimentKind.FIG3_INDISTINGUISHABLE)
+        got = svg_points(SeriesResult(series).svg(cfg))
+        assert got["line"].size == 0
+        want = np.rint(100.0 * pixels((series.times, series.probs), ((), ()))["dots"])
+        assert got["dots"].tolist() == want.tolist()
+        assert got["dots"][[0, -1], 0].tolist() == list(BOX_X)  # the first and last times
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3", "fig5_one_level", "oracle", "simulate",
+                                      "fig3_empty"])
+    def test_every_result_type_parses(self, kind):
+        oracle = {"experiment": "OracleCrossCheck", "system": {"omega": 1.0},
+                  "env": {"dt": 0.2, "eta": 0.98}, "grid": {"t_max": 6.0, "n_points": 13},
+                  "mc": {"n_systems": 1000}, "seed": 3}
+        data = {"fig2": json.loads((CONFIG_DIR / "fig2a.json").read_text()),
+                "fig3": fig3_config(), "fig3_empty": fig3_config(grid={"t_max": 0.0,
+                                                                       "n_points": 0}),
+                "fig5_one_level": small_fig5_config(ladder={"n_max": 0}),
+                "oracle": oracle, "simulate": fig3_config()}[kind]
+        cfg = config_from_dict(data)
+        result = SeriesResult(predictor_series(cfg)) if kind == "simulate" else run_experiment(cfg)
+        got = svg_points(result.svg(cfg))
+        n_dots = {"fig2": 400, "fig5_one_level": 1,
+                  "oracle": 13, "fig3_empty": 0}.get(kind, 300)
+        n_line = 0 if kind == "simulate" else n_dots
+        assert (len(got["dots"]), len(got["line"])) == (n_dots, n_line)
+        for points in got.values():
+            assert_in_box(points)
 
 
 # every double: NaN, +-inf, +-0, subnormals and both sides of the band's edges
@@ -919,6 +1017,36 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("where,code,err", [
+        ("config", 2, "config error: <config>: embedded null byte: "),
+        ("series_csv", 2, "config error: series_csv (line 1): expected a path without NUL"),
+        ("prefix", 2, "config error: output.prefix (line 1): expected a bare file name"),
+        ("out", 1, "i/o error: cannot create output directory "),
+    ])
+    def test_nul_byte_in_a_path(self, tmp_path, capsys, where, code, err):
+        # a user-named path is refused at its key (the --out directory as unwritable),
+        # not taken for a numerical failure
+        data = fig3_config(output={"prefix": "a\0b" if where == "prefix" else "fig3"})
+        if where == "series_csv":
+            data = {"series_csv": "a\0b.csv", "omega_hint": 1.0}
+        cfg_path = tmp_path / ("a\0b.json" if where == "config" else "cfg.json")
+        if where != "config":
+            cfg_path.write_text(json.dumps(data))
+        out = tmp_path / ("o\0x" if where == "out" else "out")
+        command = "fit" if where == "series_csv" else "experiment"
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(err)
+
+    def test_oracle_on_an_empty_grid_does_not_pass(self, tmp_path):
+        # no point is compared, so there is no largest |z| to pass on
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["grid"]["n_points"] = 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        summary = strict_json((tmp_path / "oracle_check.json").read_text())
+        assert summary["max_abs_z"] is None and summary["pass"] is False
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fig3_config()))
@@ -950,11 +1078,12 @@ class TestCli:
         # SHA-256 digests of the files the CLI wrote for the fig2a preset
         # before `simulate` and `fit` shared `emit_outputs`; the CSV and the
         # refit re-pinned when the predictor moved to powers of the epoch map, and
-        # again when the fit block gained `iterations`
+        # again when the fit block gained `iterations`; the SVG when its points became
+        # whole hundredths of a pixel, the dots markers on one polyline
         want = {
             "fig2a.csv": "3ac5584e7793daee85b2fde56e31cb63c8828db493b332c49f270b35caaf641d",
             "fig2a.json": "558d9424cdacaf70c80be49f2d64c14c920ef4cd31249c901110bc237bce54aa",
-            "fig2a.svg": "2f27ef90bcec0d1c316af647777ec75c3d6bbdf817dccb2d65a2c197066455ae",
+            "fig2a.svg": "5532196603d835af89681976be96ab2da9c56b9ee66a836f35b0dd68d96e4d73",
             "refit.json": "263dd87ff49de8af7a26b7f5b8bd735b9d2848243ffac45b516b875ca0cfe7e4",
         }
         monkeypatch.chdir(tmp_path)  # relative paths keep series_csv out of the digest
@@ -975,38 +1104,40 @@ class TestCli:
     # with a `fit` block (fig2*, fig3, master_eq) when that block gained `iterations`
     # and all three oracle_check files when the oracle split its 1e5 members into two
     # equal blocks of 50000 instead of 65536 + 34464 (max_abs_z 2.675 -> 2.829), and
-    # again when its plan moved it onto the per-epoch chain (max_abs_z 2.829 -> 2.352)
+    # again when its plan moved it onto the per-epoch chain (max_abs_z 2.829 -> 2.352);
+    # every SVG when its points became whole hundredths of a pixel in one scaled
+    # group, the dots markers on one polyline (each point keeps its '%.2f' hundredth)
     PRESET_DIGESTS = {
         "fig2a": ("f46e985ec88c8a932957d546add89af88ce9c10c3b1de16bb6a2ff59333e8feb",
                   "3f4cc8530b4d75ec9c8d8a0de99ccd3b457266184e0dbdc2952efc1c8e245396",
-                  "f443e85862d75b720d0dbafc60467bb3ab1570da2fb7023fe1e289510e07a053"),
+                  "033a146bd2daa450ab350f456cb4a78967fea76799dfc6cb33b6dfa8007bfc16"),
         "fig2a_consistent": (
             "2d0523afeeb204cee4c1d37bb903f6dcfb49a69079eadb2df622af49567ee51a",
             "902838d6ae28c51f5ebf7ba1f8e5bd063f5acb3e9368ca63171fc1f74126af35",
-            "13a676f908350d90b896206ec98dd033d057bb932a6bd8679b333edaac22eb09"),
+            "24eb524af17554df7a5666c2a984c2739ac3c5966b61d3f34482689a136c590f"),
         "fig2b": ("6a0e139c93bc42b2b6d3958a74325bc30439b957188c588007b39d08b98a6c2b",
                   "aa579d3809bdcb8b7e42b2e5283f2632c89051fc0afa0dc4b19567bec6263a9a",
-                  "1dafa31eed9f6264af490712bdedd7412806f5e062015a3351211a64784933c0"),
+                  "41a8a1ab08ff288f3852622b72950198c21f6b4b48708df73ecab039580d233e"),
         "fig2b_consistent": (
             "d33db1cc11bb42b021c0267f84907175a7d1ed473c9c75285464912df4b52282",
             "39f0e972fdae5d000de77d5c5b808de18c623006b10e70b3d74bc2f41bb94a0f",
-            "86cbddec3407d2705e20b9a9f4d985314f7407c8ee7951e5d27469e8a95a284c"),
+            "b92b80701236457c12b0633b57586d9579e00bd56c57de32c5996e03cd113895"),
         "fig3": ("8488b75990db24910362a7a77309b1aa805fd503b9ec7ee8751382795ad78ca6",
                  "a1a723b53256303cfd26336ed9c96a4d2f2a7f062f14dc0f73c4570f3d55ea94",
-                 "5e1aa55dd261c0350a3f47c4f3bf0277d41cbc9846fae7351560a2cac8ef9111"),
+                 "70d776b106e6c063b67d2a2b92048ef02bbd8b7ee3bf4a594da5ebb54430dcd2"),
         "fig5": ("54250195f25227fcca7122aef7cf05ffc20538ce29886c0fc3d5ebf21ed0c780",
                  "d866ecab241126647b33221802f44c5da4d9cbd2bc61f403b4ed6c7fa9437656",
-                 "c58ea9b3fab5a9ecc5f87a9b27e30111da6250d6ea7b2b4ebcef68d16b0daf99"),
+                 "2bdd64416aa5fcfdde0cc2c285e0eeb8673827a49d2571a873737329f0a0db48"),
         "fig5_master_eq": (
             "f0f897f20c66b647b8839cad6f1c7eeae393f769a689438ceabf1a6bd023338e",
             "1d4247fe5b982b53d890091c6e10f182d68e097d2fea84f5223987e7937e7b99",
-            "c4348cd4354d4ee1182fb2fa449f3abf5875394c67f3e35632e1fe1d3f9c92fa"),
+            "e180d30a9b6edba2d17976ae2a6de58aa94b1cdf69ed168f366a8748dbac736b"),
         "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
                       "1b90495ab429e9c74540e4bffcd8f280d19d36153ea2446a4fb5f687fc7a89d8",
-                      "90399ebdc817362e2bd8124b3fda8c1783ec135953e2a4a9f574b5b89bb4e8b3"),
+                      "35276126507d902da328b245a4091de815871120a52a2aa1b97772b7541aac57"),
         "oracle_check": ("3eff9507427484f8f74893571fe88b84f33117af9b4f57de8982f3e0a7069885",
                          "1e67b2eac5b21e49433b91cb3330d47d9c1b747d6cbb1f6e01a1f933766c690d",
-                         "adc2f2a6d066a2f995afea625c40f90f9bf4761af4ff2d9209c1585a10e06165"),
+                         "26e449c0078e47b63b291c800e757d24ebae0de43ffebc30d74d8cef214c97ad"),
     }
 
     @pytest.mark.parametrize("prefix", sorted(PRESET_DIGESTS))
