@@ -105,7 +105,8 @@ _FREE_PARAMS = _Key(list, ["gamma", "omega"],
 _ETA = _Key(float, _REQUIRED, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 _DIST_ENV = _Section({"dt": _positive(), "eta": _ETA})
 _BETA = _Key(float, _REQUIRED, lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
-_MAX_EVENTS = _at_least(0, int, 5)
+_SEED = _Key(int, 0, lambda v: 0 <= v < 2**64, "a value in [0, 2^64 - 1]")  # orjson's int range
+_MAX_EVENTS = _SEED._replace(default=5)
 _GRID = _Section({"t_max": _at_least(0), "n_points": _at_least(0, int)})
 _FIT = _Section({"free_params": _FREE_PARAMS}, {})
 _FIGURE = {"grid": _GRID, "fit": _FIT, "target": _target("gamma_over_omega", "tol")}
@@ -114,7 +115,7 @@ _COMMON = {
     "experiment": _one_of(*(kind.value for kind in ExperimentKind)),
     "system": _Section({"omega": _positive(),
                         "initial_state": _one_of("excited", "ground", default="excited")}),
-    "seed": _at_least(0, int, 0),
+    "seed": _SEED,
     "output": _output("experiment"),
 }
 
@@ -215,9 +216,11 @@ _MASTER_EQ_SYSTEM = {
                           "baseline models excited preparation only)"),
     "omega": _Key(float, check=lambda v: v <= 1e150, rule="a value <= 1e+150")}
 
-_FIT_SPEC = {"series_csv": _Key(str, check=lambda v: "\0" not in v, rule="a path without NUL"),
-             "omega_hint": _positive(),
+_FIT_SPEC = {"series_csv": _Key(str), "omega_hint": _positive(),
              "free_params": _FREE_PARAMS, "output": _output("fit")}
+# the resolved series_csv: a path that opens, and text that the summary can write
+_SERIES_PATH = _Key(str, check=lambda v: "\0" not in v and v == v.encode(errors="ignore").decode(),
+                    rule="a path without NUL, in valid UTF-8")
 
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list"}
 
@@ -369,22 +372,19 @@ def load_config(path, seed: int | None = None) -> ExperimentConfig:
 
 def load_fit_config(path) -> FitConfig:
     """Validate a `rabideco fit` config; series_csv resolves against its directory."""
-    cfg = FitConfig(**_walk(_FIT_SPEC, *_read_json_object(path)))
-    cfg.series_csv = Path(path).parent / cfg.series_csv  # an absolute path stays as it is
+    data, raw = _read_json_object(path)
+    cfg = FitConfig(**_walk(_FIT_SPEC, data, raw))
+    resolved = str(Path(path).parent / cfg.series_csv)  # an absolute path stays as it is
+    cfg.series_csv = Path(_checked(_SERIES_PATH, resolved, "series_csv", raw))
     return cfg
 
 
 # ---- results, each writing its own outputs ----
-def _in_band(size):
-    """Where orjson writes repr's text for a float of magnitude `size`: 0 or [1e-4, 1e16)."""
-    return (size >= 1e-4) & (size < 1e16) | (size == 0.0)
-
-
 def _csv(header: str, rows) -> bytes:
     """Header line plus one line per row of a C-contiguous 2-D float array or of tuples
-    (Fig5's `n` is an int): orjson writes the rows as one flat list, repr's text for ints
-    and floats `_in_band`, and one numpy pass turns each row's last comma into a newline.
-    Only a row with any other float (5e-05, 1e+16, nan) splits the text, to take %r."""
+    (Fig5's `n` is an int): orjson writes the rows as one flat list, and one numpy pass
+    turns each row's last comma into a newline. A row with a NaN or inf, which orjson
+    writes as null, is written with %r instead."""
     array = isinstance(rows, np.ndarray)
     rows = rows if array else [tuple(row) for row in rows]
     if not len(rows):
@@ -395,44 +395,20 @@ def _csv(header: str, rows) -> bytes:
     text, width = np.frombuffer(body, dtype=np.uint8)[len(head):], values.shape[1]
     text[np.flatnonzero(text == ord(","))[width - 1::width]] = ord("\n")
     text[0] = text[-1] = ord("\n")  # the brackets: the header's line end and the last row's
-    inside = _in_band(np.abs(values))
-    if inside.all():
+    finite = np.isfinite(values).all(axis=1)
+    if finite.all():
         return bytes(body)
     lines, line = body.split(b"\n"), ",".join(["%r"] * width)
-    for i in np.flatnonzero(~inside.all(axis=1)).tolist():  # line 0 is the header
+    for i in np.flatnonzero(~finite).tolist():  # line 0 is the header
         lines[i + 1] = (line % tuple(rows[i].tolist() if array else rows[i])).encode()
     return b"\n".join(lines)
 
 
-# per exact type, whether orjson writes a JSON key or leaf as `json.dumps` does
-_PLAIN = {str: lambda s: s.isascii() and s.isprintable(), int: lambda n: -2**63 <= n < 2**64,
-          float: lambda x: bool(_in_band(abs(x))), bool: lambda _: True,
-          type(None): lambda _: True}
-
-
-def _finite(value, plain: list):
-    """`value` with every non-finite float, which JSON cannot hold, as None (null);
-    `plain[0]` turns False at a key or leaf that `_PLAIN` does not pass."""
-    if isinstance(value, dict):  # the keys' text is printable ASCII if their concatenation is
-        plain[0] = plain[0] and all(type(k) is str for k in value) and _PLAIN[str]("".join(value))
-        return {key: _finite(x, plain) for key, x in value.items()}
-    if isinstance(value, list):
-        return [_finite(x, plain) for x in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    plain[0] = plain[0] and type(value) in _PLAIN and _PLAIN[type(value)](value)
-    return value
-
-
 def _json(summary: dict) -> bytes:
-    """`json.dumps(summary, indent=2, sort_keys=True) + "\\n"` with non-finite floats as
-    null, by orjson where `_finite` finds that its text is the same."""
-    plain = [True]
-    summary = _finite(summary, plain)
-    if plain[0]:
-        return orjson.dumps(summary, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
-                            | orjson.OPT_APPEND_NEWLINE)
-    return (json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    """Sorted-key, two-space-indented JSON, NaN and inf as null. The config check keeps
+    the summary in orjson's range: ints below 2^64 and text in valid UTF-8."""
+    return orjson.dumps(summary, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                        | orjson.OPT_APPEND_NEWLINE)
 
 
 def _fit_fields(fit: DampedSinusoidFit) -> dict:
@@ -672,8 +648,8 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
                  formats=("csv", "json")) -> list[Path]:
     """Write any result type of this module as CSV/JSON/SVG files named by the
     config prefix, each rewritten in place; returns their paths in the order
-    csv, json, svg. Every body is built as bytes (`_csv`, `_json`, and `series_overlay_svg`
-    with its points in whole hundredths of a pixel) and written as it is."""
+    csv, json, svg. Every body is built as bytes, its numbers written by orjson (`_csv`,
+    `_json`, and `series_overlay_svg`'s whole hundredths of a pixel), and written as it is."""
     unknown = set(formats) - {"csv", "json", "svg"}
     if unknown:
         raise ConfigError(f"unknown output format(s): {sorted(unknown)}", "format")

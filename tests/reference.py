@@ -4,15 +4,13 @@ The library evaluates each quantity only as a series over a grid of times.
 These evaluate one point, one binomial mass or one polynomial at a time, or
 the fit's full five-column Jacobian, so that a test can check the library
 point by point. Also here: the damped-sinusoid fit and the nested table's
-earlier forms, a Monte Carlo estimate of the nested predictor, and the output
-writers' earlier CSV, JSON and SVG-frame code.
+earlier forms, a Monte Carlo estimate of the nested predictor, and the SVG
+frame's earlier ranges and ticks.
 """
 import itertools
-import json
 import math
 
 import numpy as np
-import orjson
 
 from rabideco.core import (InvalidEntryError, ProbabilitySeries, RabiSystem, _laguerre_l1_terms,
                            time_grid)
@@ -323,44 +321,7 @@ def nested_chain_estimate(system: RabiSystem, beta: float, dt: float, levels: in
     return total.mean(axis=1), total.std(axis=1, ddof=1) / math.sqrt(chains)
 
 
-# The output writers before the CSV rows were dumped as one flat list, the JSON
-# summary could take orjson and the SVG frame was worked out on Python floats,
-# verbatim but for the names.
-def split_join_csv(header: str, rows) -> bytes:
-    """Header line plus one line per row, numbers in shortest round-trip form.
-
-    `rows` is a C-contiguous 2-D float array or an iterable of tuples (Fig5's `n` is an
-    int). orjson writes repr's text for ints and for floats with 1e-4 <= |x| < 1e16 or
-    x = 0; a row holding any other float (repr's 5e-05, 1e+16, nan) is written with %r.
-    """
-    rows = rows if isinstance(rows, np.ndarray) else [tuple(row) for row in rows]
-    if not len(rows):
-        return header.encode() + b"\n"
-    size = np.abs(np.asarray(rows, dtype=float))
-    off = ~((size >= 1e-4) & (size < 1e16) | (size == 0.0)).all(axis=1)
-    lines = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    line = ",".join(["%r"] * (header.count(",") + 1))
-    for i in np.flatnonzero(off).tolist():
-        row = rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i]
-        lines[i] = (line % tuple(row)).encode()
-    return b"%s\n%s\n" % (header.encode(), b"\n".join(lines))
-
-
-def _finite(value):
-    """`value` with every non-finite float, which JSON cannot hold, as None (null)."""
-    if isinstance(value, dict):
-        return {key: _finite(x) for key, x in value.items()}
-    if isinstance(value, list):
-        return [_finite(x) for x in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def previous_json(summary) -> bytes:
-    """`emit_outputs`' JSON body."""
-    return (json.dumps(_finite(summary), indent=2, sort_keys=True,
-                       allow_nan=False) + "\n").encode()
-
-
+# The SVG frame's ranges and ticks before they were worked out on Python floats.
 def previous_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,7 +45,7 @@ from rabideco.montecarlo import run_work
 from rabideco.svgfig import (_H, _MB, _ML, _MR, _MT, _W, _fmt, _points, _range, _ticks,
                              series_overlay_svg)
 
-from .reference import previous_json, previous_range, previous_ticks, split_join_csv
+from .reference import previous_range, previous_ticks
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -80,12 +81,6 @@ def strict_json(text: str):
         raise ValueError(f"{token} is not JSON")
 
     return json.loads(text, parse_constant=refuse)
-
-
-def previous_csv(header: str, rows) -> str:
-    """`experiments._csv` before its one-format rows (verbatim)."""
-    line = ",".join(["%r"] * (header.count(",") + 1)) + "\n"
-    return header + "\n" + "".join(line % row for row in rows)
 
 
 def previous_series_overlay_svg(dots, line, title: str, xlabel: str = "t",
@@ -148,8 +143,6 @@ def previous_series_overlay_svg(dots, line, title: str, xlabel: str = "t",
     return "\n".join(parts) + "\n"
 
 
-SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.0, 1.0, 0.1, -2.5e-7]
-
 # 513 points put the x pixels 35/32 apart, so every eighth one is a tie
 # (68.375, 77.125, ...) that '%.2f' rounds half to even on its exact value
 TIE_GRID = np.arange(513.0)
@@ -164,17 +157,6 @@ formatted_floats = st.one_of(
     st.integers(-10**6, 10**6).map(lambda m: (m + 0.5) / 100.0),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -0.005, 0.005,
                      -0.004999, 9.995, 21474836.47, 21474836.48, 2.0**31 / 100.0, 1e300]),
-)
-
-
-# any float (NaN, +-inf, +-0.0 and subnormals included), and the edges of the band
-# 1e-4 <= |x| < 1e16 where orjson writes repr's text, on both sides
-CSV_EDGES = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e16, 0.0), 1e16]
-csv_floats = st.one_of(
-    st.floats(),
-    st.sampled_from(CSV_EDGES + [-x for x in CSV_EDGES] + [0.0, -0.0, 5e-324]),
-    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1e-7, 1e-2) | st.floats(1e13, 1e19))
-    .map(lambda pair: pair[0] * pair[1]),
 )
 
 
@@ -260,36 +242,6 @@ def assert_matches_previous(dots, line) -> None:
 
 
 class TestWritersAgainstPrevious:
-    @pytest.mark.parametrize("rows", [
-        [],
-        [(0, 1.0, 0.5, 0.5)],  # a Fig5 row: n is an int
-        [(n, 2.0 ** -n, x, -x) for n, x in enumerate(SPECIALS)],
-        [tuple(SPECIALS[i:i + 4]) for i in range(len(SPECIALS) - 3)],
-    ])
-    def test_csv_bytes(self, rows):
-        header = "a,b,c,d"
-        assert _csv(header, iter(rows)) == previous_csv(header, iter(rows)).encode()
-
-    def test_csv_of_fig5_rows(self):
-        cfg = config_from_dict(small_fig5_config())
-        rows = run_gamma_ratio_experiment(cfg).rows
-        assert isinstance(rows[0].n, int)
-        assert (_csv("n,omega_n,gamma_n,ratio", rows)
-                == previous_csv("n,omega_n,gamma_n,ratio", rows).encode())
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n_rows=st.sampled_from([0, 1, 2, 5, 400]), n_cols=st.integers(1, 5))
-    def test_csv_bytes_property(self, data, n_rows, n_cols):
-        # rows cycle through a drawn pool, so many rows mix in-band and %r rows
-        pool = data.draw(st.lists(csv_floats, min_size=1, max_size=12))
-        table = np.resize(np.array(pool), (n_rows, n_cols))
-        rows = [tuple(row) for row in table.tolist()]
-        header = ",".join("abcde"[:n_cols])
-        assert _csv(header, table) == previous_csv(header, rows).encode()
-        ns = data.draw(st.lists(st.integers(-2**63, 2**64 - 1), min_size=n_rows, max_size=n_rows))
-        rows = [(n, *row[1:]) for n, row in zip(ns, rows)]  # Fig5's int first column
-        assert _csv(header, iter(rows)) == previous_csv(header, rows).encode()
-
     @pytest.mark.parametrize("dots,line", [
         ((np.linspace(0.0, 5.0, 40), np.sin(np.linspace(0.0, 5.0, 40))),
          (np.linspace(0.0, 5.0, 7), np.cos(np.linspace(0.0, 5.0, 7)))),
@@ -394,30 +346,120 @@ class TestSvgPoints:
             assert_in_box(points)
 
 
-# every double: NaN, +-inf, +-0, subnormals and both sides of the band's edges
-any_floats = st.one_of(st.floats(), csv_floats,
-                       st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e308]))
-band_floats = st.sampled_from([1.0, -1.0]).flatmap(
-    lambda sign: st.floats(1e-4, 1e16, exclude_max=True).map(lambda x: sign * x)) | st.just(0.0)
-plain_texts = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=8)
+# every double: NaN, +-inf, +-0, subnormals, the largest, and where repr turns to an
+# exponent (1e-4, 1e16), as orjson does at other magnitudes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16,
+               -1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+any_floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+# any valid UTF-8 text: every code point but the surrogates
+utf8_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+# anything a JSON summary may hold: None, bools, ints below 2^64, any double, any
+# text, and empty lists and dicts
+summary_trees = st.dictionaries(utf8_texts, st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(0, 2**64 - 1), any_floats, utf8_texts,
+              st.just([]), st.just({})),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(utf8_texts, children,
+                                                                     max_size=4),
+    max_leaves=12), max_size=6)
 
 
-def json_trees(leaves, keys):
-    return st.dictionaries(keys, st.recursive(leaves, lambda children: (
-        st.lists(children, max_size=4) | st.dictionaries(keys, children, max_size=4)),
-        max_leaves=12), max_size=6)
+def tagged(value):
+    """`value` with each scalar tagged by its type and each float by its bits (every
+    NaN alike), a dict as its items in their order."""
+    if isinstance(value, dict):
+        return [(key, tagged(x)) for key, x in value.items()]
+    if isinstance(value, list):
+        return [tagged(x) for x in value]
+    if isinstance(value, float):
+        return "float", "nan" if math.isnan(value) else value.hex()
+    return type(value).__name__, value
 
 
-# anything a JSON summary may hold: escaped text, ints of 2^63 and beyond, floats
-# that orjson writes otherwise than repr, empty lists and dicts
-any_json = json_trees(st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(2**63 - 2, 2**64 + 2).flatmap(
-        lambda n: st.sampled_from([n, -n])), any_floats, st.text(max_size=8), plain_texts,
-    st.just([]), st.just({})), st.text(max_size=6) | plain_texts)
-# only what `_json` gives to orjson
-plain_json = json_trees(st.one_of(
-    st.none(), st.booleans(), st.integers(-2**63, 2**64 - 1), band_floats, plain_texts,
-    st.just([]), st.just({})), plain_texts)
+def read_back(tree):
+    """What the JSON of `tree` parses to: each non-finite float None, keys sorted."""
+    if isinstance(tree, dict):
+        return {key: read_back(tree[key]) for key in sorted(tree)}
+    if isinstance(tree, list):
+        return [read_back(x) for x in tree]
+    return None if isinstance(tree, float) and not math.isfinite(tree) else tree
+
+
+def indented(tree, depth: int = 0) -> str:
+    """`tree` laid out as `json.dumps(tree, indent=2)` lays it out, each scalar and
+    each empty list or dict in orjson's text."""
+    if isinstance(tree, dict) and tree:
+        brackets = "{}"
+        parts = [f"{orjson.dumps(key).decode()}: {indented(x, depth + 1)}"
+                 for key, x in tree.items()]
+    elif isinstance(tree, list) and tree:
+        brackets, parts = "[]", [indented(x, depth + 1) for x in tree]
+    else:
+        return orjson.dumps(tree).decode()
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  " + f",{pad}  ".join(parts) + pad + brackets[1]
+
+
+def assert_json_round_trips(tree: dict) -> None:
+    """`_json`'s text parses back (strictly) to `tree`, each float bit for bit and each
+    non-finite one as None, and is laid out with sorted keys and two-space indents."""
+    text = _json(tree).decode()
+    assert tagged(strict_json(text)) == tagged(read_back(tree))
+    assert text == indented(read_back(tree)) + "\n"
+
+
+def assert_csv_round_trips(header: str, rows) -> None:
+    """`_csv`'s text is the header and a line per row, each of whose fields parses
+    back, by float() (or int() for an int, Fig5's `n`), to its value bit for bit."""
+    lines = _csv(header, rows).decode().split("\n")
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else [list(row) for row in rows]
+    assert lines[0] == header and lines[-1] == "" and len(lines) == len(rows) + 2
+    for line, row in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert len(fields) == len(row), line
+        assert tagged([type(x)(field) for x, field in zip(row, fields)]) == tagged(row), line
+
+
+class TestWriterRoundTrips:
+    """CSV and JSON in orjson's notation read back to the values written."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=summary_trees)
+    def test_json_round_trip(self, tree):
+        assert_json_round_trips(tree)
+
+    @pytest.mark.parametrize("tree", [
+        {"a": 1e-05}, {"a": -1e16}, {"a": 2**64 - 1}, {"a": "\x7f"}, {"a": "caf\xe9"},
+        {"\n": 1}, {"a": -0.0, "b": 5e-324}, {"a": [math.nan, {"b": -math.inf}]},
+        {"a": [], "b": {}, "c": [{}]}])
+    def test_json_edge_trees_round_trip(self, tree):
+        assert_json_round_trips(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_rows=st.sampled_from([0, 1, 2, 7, 300]), width=st.integers(1, 5),
+           fig5=st.booleans())
+    def test_csv_round_trip(self, data, n_rows, width, fig5):
+        # rows cycle through a drawn pool, so that many rows mix finite rows and %r ones
+        pool = data.draw(st.lists(any_floats, min_size=1, max_size=12))
+        table = np.resize(np.array(pool), (n_rows, width))
+        header = ",".join("abcde"[:width])
+        if fig5:  # Fig5's rows: tuples with an int first column
+            ns = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n_rows,
+                                    max_size=n_rows))
+            assert_csv_round_trips(header, [(n, *row[1:]) for n, row in zip(ns, table.tolist())])
+        else:
+            assert_csv_round_trips(header, table)
+
+    @pytest.mark.parametrize("rows", [
+        [], [(0, 1.0, 0.5, 0.5)], [(2**64 - 1, 1e-05, 1e16, -0.0)],
+        [(1.0, 2.0, 3.0, 4.0)] * 3 + [(math.nan, 5e-324, -math.inf, 1e-07)]])
+    def test_csv_edge_rows_round_trip(self, rows):
+        assert_csv_round_trips("a,b,c,d", rows)
+
+    def test_csv_of_fig5_rows_round_trips(self):
+        rows = run_gamma_ratio_experiment(config_from_dict(small_fig5_config())).rows
+        assert isinstance(rows[0].n, int)
+        assert_csv_round_trips("n,omega_n,gamma_n,ratio", rows)
+
 
 # ends of the tick range: zeros, subnormals, magnitudes at and past 2^53, and
 # pairs whose difference overflows
@@ -431,62 +473,7 @@ def reprs(values) -> list:
 
 
 class TestWritersAgainstReference:
-    """The writers against their previous code (tests/reference.py), byte for byte."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n_rows=st.sampled_from([0, 1, 2, 7, 300]), width=st.integers(2, 5),
-           in_band=st.booleans())
-    def test_csv_matches_split_join(self, data, n_rows, width, in_band):
-        # rows cycle through a drawn pool, of band floats only (the path that never
-        # splits lines) or of any doubles, so many rows mix in-band and %r rows
-        pool = data.draw(st.lists(band_floats if in_band else any_floats, min_size=1,
-                                  max_size=12))
-        table = np.resize(np.array(pool), (n_rows, width))
-        header = ",".join("abcde"[:width])
-        assert _csv(header, table) == split_join_csv(header, table)
-        ns = data.draw(st.lists(st.integers(-2**63, 2**64 - 1), min_size=n_rows,
-                                max_size=n_rows))
-        rows = [(n, *row[1:]) for n, row in zip(ns, table.tolist())]  # Fig5's int first column
-        assert _csv(header, iter(rows)) == split_join_csv(header, iter(rows))
-
-    @pytest.mark.parametrize("rows", [[], [(0, 1e-05, 2.0)], [(2**64 - 1, 1.0, 1e16)],
-                                      [(1.0, 2.0, 3.0)] * 3 + [(float("nan"), 0.0, -0.0)]])
-    def test_csv_edge_rows(self, rows):
-        assert _csv("a,b,c", rows) == split_join_csv("a,b,c", rows)
-
-    @settings(max_examples=300, deadline=None)
-    @given(tree=any_json)
-    def test_json_matches_json_dumps(self, tree):
-        assert _json(tree) == previous_json(tree)
-
-    @settings(max_examples=200, deadline=None)
-    @given(tree=plain_json)
-    def test_plain_json_takes_orjson(self, tree):
-        want = previous_json(tree)
-        with mock.patch.object(experiments.json, "dumps", side_effect=AssertionError):
-            assert _json(tree) == want
-
-    @pytest.mark.parametrize("tree", [
-        {"a": 1e-05}, {"a": -1e16}, {"a": 2**64}, {"a": -2**63 - 1}, {"a": "\x7f"},
-        {"a": "caf\xe9"}, {"\n": 1}, {1: 2.0}, {"a": (1.0, 2)}, {"a": np.float64(0.5)},
-        {"a": [float("nan"), {"b": -float("inf")}]}, {"a": [], "b": {}, "c": [{}]}])
-    def test_json_edge_trees(self, tree):
-        assert _json(tree) == previous_json(tree)
-
-    def test_preset_summaries_take_orjson_but_one(self):
-        # fig5_master_eq's fitted exponent (-9.7e-05) lies outside the band
-        fallback = []
-        for path in sorted(CONFIG_DIR.glob("*.json")):
-            cfg = load_config(path)
-            summary = run_experiment(cfg).summary(cfg)
-            want = previous_json(summary)
-            with mock.patch.object(experiments.json, "dumps", side_effect=AssertionError):
-                try:
-                    assert _json(summary) == want
-                except AssertionError:
-                    fallback.append(path.name)
-            assert _json(summary) == want
-        assert fallback == ["fig5_master_eq.json"]
+    """The SVG frame's ticks and ranges against their previous code (tests/reference.py)."""
 
     @settings(max_examples=500, deadline=None)
     @given(lo=tick_ends, hi=tick_ends, ulps=st.integers(0, 3), near=st.booleans(),
@@ -1037,6 +1024,45 @@ class TestCli:
         assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith(err)
 
+    @pytest.mark.parametrize("case,key_path", [
+        ("seed", "seed"), ("seed_flag", "seed"), ("max_events", "env.max_events"),
+        ("series_csv", "series_csv"), ("config_directory", "series_csv")])
+    def test_what_a_summary_cannot_hold_is_a_config_error(self, tmp_path, capsys, case,
+                                                          key_path):
+        # orjson writes no int of 2^64 or more and no lone surrogate, so each is refused
+        # at its key before anything runs; at beta 1 any depth is Born's cheap table
+        data, flag, command = json.loads((CONFIG_DIR / "fig2a.json").read_text()), [], "experiment"
+        cfg_dir = tmp_path / ("d\udc80" if case == "config_directory" else "c")  # b"d\x80"
+        cfg_dir.mkdir()
+        if case == "seed":
+            data["seed"] = 2**64
+        elif case == "seed_flag":
+            flag = ["--seed", str(2**64)]
+        elif case == "max_events":
+            data = fig3_config(env={"dt": 0.7, "beta": 1.0, "max_events": 2**70})
+        else:
+            command, name = "fit", "\udc80.csv" if case == "series_csv" else "series.csv"
+            data = {"series_csv": name, "omega_hint": 1.0}
+            (cfg_dir / name).write_text("t_coord,p\n" + "".join(
+                f"{x!r},{math.sin(x) ** 2!r}\n" for x in np.linspace(0.0, 30.0, 100).tolist()))
+        (cfg_dir / "cfg.json").write_text(json.dumps(data, indent=2))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg_dir / "cfg.json"), "--out", str(out),
+                         *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key_path}") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["seed", "max_events"])
+    def test_largest_count_is_written(self, tmp_path, key):
+        data = fig3_config(env={"dt": 0.7, "beta": 1.0, "max_events": 5}, seed=5)
+        (data["env"] if key == "max_events" else data)[key] = 2**64 - 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        summary = strict_json((tmp_path / "fig3.json").read_text())
+        assert {summary["seed"], summary["parameters"]["max_events"]} == {5, 2**64 - 1}
+
     def test_oracle_on_an_empty_grid_does_not_pass(self, tmp_path):
         # no point is compared, so there is no largest |z| to pass on
         data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
@@ -1106,7 +1132,9 @@ class TestCli:
     # equal blocks of 50000 instead of 65536 + 34464 (max_abs_z 2.675 -> 2.829), and
     # again when its plan moved it onto the per-epoch chain (max_abs_z 2.829 -> 2.352);
     # every SVG when its points became whole hundredths of a pixel in one scaled
-    # group, the dots markers on one polyline (each point keeps its '%.2f' hundredth)
+    # group, the dots markers on one polyline (each point keeps its '%.2f' hundredth);
+    # the fig5_master_eq JSON when summaries took orjson's notation throughout
+    # (exponent -9.697979169966796e-05 -> -0.00009697979169966796, the same value)
     PRESET_DIGESTS = {
         "fig2a": ("f46e985ec88c8a932957d546add89af88ce9c10c3b1de16bb6a2ff59333e8feb",
                   "3f4cc8530b4d75ec9c8d8a0de99ccd3b457266184e0dbdc2952efc1c8e245396",
@@ -1130,7 +1158,7 @@ class TestCli:
                  "2bdd64416aa5fcfdde0cc2c285e0eeb8673827a49d2571a873737329f0a0db48"),
         "fig5_master_eq": (
             "f0f897f20c66b647b8839cad6f1c7eeae393f769a689438ceabf1a6bd023338e",
-            "1d4247fe5b982b53d890091c6e10f182d68e097d2fea84f5223987e7937e7b99",
+            "f9f54b4f9a2618d1e7cbe9ce558343a0cc310fa936643c909e0d18c3fb27cb46",
             "e180d30a9b6edba2d17976ae2a6de58aa94b1cdf69ed168f366a8748dbac736b"),
         "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
                       "1b90495ab429e9c74540e4bffcd8f280d19d36153ea2446a4fb5f687fc7a89d8",
