@@ -3,8 +3,6 @@ whole hundredths of a pixel in one `scale(0.01)` group, the dots markers on a po
 the frame (ranges and ticks) is worked out on Python floats in numpy's own arithmetic."""
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import orjson
 
@@ -25,19 +23,24 @@ def _widened(lo: float, hi: float) -> tuple[float, float]:
     loses that step, it is widened by 2^-50 |lo| towards zero instead."""
     if hi != lo:
         return lo, hi
-    if lo + 1.0 != lo or not math.isfinite(lo):
+    if lo + 1.0 != lo:
         return lo, lo + 1.0
     step = abs(lo) * 2.0**-50
     return (lo - step, lo) if lo > 0.0 else (lo, lo + step)
 
 
 def _range(*arrays: np.ndarray) -> tuple[float, float]:
-    """`_widened` min and max of the arrays as if concatenated (NaN wins), without
-    the copy; [0, 1] when all are empty."""
+    """`_widened` min and max of the finite arrays as if concatenated, without the
+    copy; [0, 1] when all are empty."""
     bounds = [(float(a.min()), float(a.max())) for a in arrays if a.size] or [(0.0, 1.0)]
-    if any(math.isnan(lo) for lo, _ in bounds):  # an array with a NaN has it as both bounds
-        return math.nan, math.nan
     return _widened(min(lo for lo, _ in bounds), max(hi for _, hi in bounds))
+
+
+def _finite(pair) -> tuple[np.ndarray, np.ndarray]:
+    """The series' (x, y) pairs with both coordinates finite, as float arrays."""
+    xs, ys = (np.asarray(a, dtype=float) for a in pair)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    return xs[keep], ys[keep]
 
 
 def _fmt(v: float) -> str:
@@ -65,9 +68,9 @@ _DOTS = b'marker-start="url(#dot)" marker-mid="url(#dot)" marker-end="url(#dot)"
 
 def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
                        ylabel: str = "P(ground)") -> bytes:
-    """Scatter `dots` with an overlaid `line`, both (x, y) array pairs, as UTF-8 text."""
-    dx, dy = (np.asarray(a, dtype=float) for a in dots)
-    lx, ly = (np.asarray(a, dtype=float) for a in line)
+    """Scatter `dots` with an overlaid `line`, both (x, y) array pairs, as UTF-8 text.
+    A pair with a non-finite coordinate is left out, of the points and of the ranges."""
+    (dx, dy), (lx, ly) = _finite(dots), _finite(line)
     x_lo, x_hi = _range(dx, lx)
     y_lo, y_hi = _range(dy, ly)
     pad = 0.04 * (y_hi - y_lo)
