@@ -105,8 +105,8 @@ _FREE_PARAMS = _Key(list, ["gamma", "omega"],
 _ETA = _Key(float, _REQUIRED, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 _DIST_ENV = _Section({"dt": _positive(), "eta": _ETA})
 _BETA = _Key(float, _REQUIRED, lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
-_SEED = _Key(int, 0, lambda v: 0 <= v < 2**64, "a value in [0, 2^64 - 1]")  # orjson's int range
-_MAX_EVENTS = _SEED._replace(default=5)
+_UINT64 = _Key(int, 0, lambda v: 0 <= v < 2**64, "a value in [0, 2^64 - 1]")  # as orjson writes
+_MAX_EVENTS = _UINT64._replace(default=5)
 _GRID = _Section({"t_max": _at_least(0), "n_points": _at_least(0, int)})
 _FIT = _Section({"free_params": _FREE_PARAMS}, {})
 _FIGURE = {"grid": _GRID, "fit": _FIT, "target": _target("gamma_over_omega", "tol")}
@@ -115,7 +115,7 @@ _COMMON = {
     "experiment": _one_of(*(kind.value for kind in ExperimentKind)),
     "system": _Section({"omega": _positive(),
                         "initial_state": _one_of("excited", "ground", default="excited")}),
-    "seed": _SEED,
+    "seed": _UINT64,
     "output": _output("experiment"),
 }
 
@@ -395,11 +395,11 @@ def _csv(header: str, rows) -> bytes:
     text, width = np.frombuffer(body, dtype=np.uint8)[len(head):], values.shape[1]
     text[np.flatnonzero(text == ord(","))[width - 1::width]] = ord("\n")
     text[0] = text[-1] = ord("\n")  # the brackets: the header's line end and the last row's
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(values)
     if finite.all():
         return bytes(body)
     lines, line = body.split(b"\n"), ",".join(["%r"] * width)
-    for i in np.flatnonzero(~finite).tolist():  # line 0 is the header
+    for i in np.flatnonzero(~finite.all(axis=1)).tolist():  # line 0 is the header
         lines[i + 1] = (line % tuple(rows[i].tolist() if array else rows[i])).encode()
     return b"\n".join(lines)
 

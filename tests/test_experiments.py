@@ -386,8 +386,8 @@ class TestSvgPoints:
             assert_in_box(points)
 
 
-# every double: NaN, +-inf, +-0, subnormals, the largest, and where repr turns to an
-# exponent (1e-4, 1e16), as orjson does at other magnitudes
+# every double: NaN, +-inf, +-0, subnormals, the largest, and both sides of the
+# magnitudes where repr turns to exponent notation (1e-4 and 1e16)
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 1e16,
                -1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 any_floats = st.floats() | st.sampled_from(EDGE_FLOATS)
