@@ -10,7 +10,10 @@ floored at 1e-6 so that one tending to 0 stops it too (MINPACK's step-size
 test, More 1978), kept unless it raises the residual: more damping would
 only shrink it. A step with a non-finite residual is a plain rejection. A
 step it would accept that takes a free omega to <= 0 ends the fit with
-FitConvergenceError at the last iterate.
+FitConvergenceError at the last iterate. So does a start that puts every sample
+on an extreme of the hinted cos(2 omega t), as two samples per oscillation do,
+when omega or the phase is free: their Jacobian columns, and so the first step
+in them, are rounding noise (a first step to omega ~ 1e11 is typical).
 Each iteration solves the k x k damped normal equations on Python floats and
 evaluates its trial step's phase, exp(-gamma t), cosine and residual in place, into
 the spare one of two preallocated sets of rows; an accepted step swaps the sets and
@@ -38,6 +41,9 @@ _MAX_ITER = 200
 _LAMBDA_MAX = 1e12
 # the model is even under (omega, phase) -> (-omega, -phase): omega > 0 is never a restriction
 _NON_PHYSICAL = "a step would take omega to a non-physical value <= 0"
+# a start whose |sin(2 omega t)| is at most _EXTREME_TOL at every sample fixes no omega or phase
+_ON_EXTREMES = "every sample is on an extreme of the hinted oscillation, fixing no omega or phase"
+_EXTREME_TOL = 1e-9
 
 
 class FitConvergenceError(RuntimeError):
@@ -235,6 +241,9 @@ def fit_damped_sinusoid(
     terms, trial_terms = (list(block) for block in np.empty((2, 4, t.size)))  # params, trial
     resid = _evaluate(params, neg_t, two_t, y, terms)
     sse = float(resid @ resid)
+    if free & {"omega", "phase"} and np.abs(np.sin(terms[0], sin_a), sin_a).max() <= _EXTREME_TOL:
+        raise FitConvergenceError(_ON_EXTREMES, dict(zip(PARAM_ORDER, params)),
+                                  math.sqrt(sse / t.size))
     lam = 1e-3
     iterations = 0
     normal = None  # J^T J, -J^T r and the clipped diagonal at `params`, as lists

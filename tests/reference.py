@@ -14,9 +14,9 @@ import numpy as np
 
 from rabideco.core import (InvalidEntryError, ProbabilitySeries, RabiSystem, _laguerre_l1_terms,
                            time_grid)
-from rabideco.fitting import (_LAMBDA_MAX, _MAX_ITER, _NON_PHYSICAL, _STEP_FLOOR, _STEP_TOL,
-                              PARAM_ORDER, DampedSinusoidFit, FitConvergenceError,
-                              check_fit_window)
+from rabideco.fitting import (_EXTREME_TOL, _LAMBDA_MAX, _MAX_ITER, _NON_PHYSICAL, _ON_EXTREMES,
+                              _STEP_FLOOR, _STEP_TOL, PARAM_ORDER, DampedSinusoidFit,
+                              FitConvergenceError, check_fit_window)
 from rabideco.svgfig import _widened
 
 # Above this n the direct comb/power product risks overflow; switch to logs.
@@ -78,7 +78,8 @@ def damped_sinusoid_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 
 # The damped-sinusoid fit before it evaluated its trials into preallocated buffers,
-# verbatim but for the name: each trial allocates its own arrays.
+# verbatim but for the name and the later start check (every sample on an extreme of
+# the hinted oscillation): each trial allocates its own arrays.
 def _terms(params, neg_t, two_t) -> tuple:
     """Model values, exp(-gamma t), the phase 2 omega t + phase, and its cosine."""
     gamma, omega, amp, off, phase = params
@@ -170,6 +171,9 @@ def previous_fit(
     model, *terms = _terms(params, neg_t, two_t)
     resid = model - y
     sse = float(resid @ resid)
+    if free & {"omega", "phase"} and np.abs(np.sin(terms[1])).max() <= _EXTREME_TOL:
+        raise FitConvergenceError(_ON_EXTREMES, dict(zip(PARAM_ORDER, params)),
+                                  math.sqrt(sse / t.size))
     lam = 1e-3
     iterations = 0
     normal = None  # J^T J, -J^T r and the clipped diagonal at `params`, as lists

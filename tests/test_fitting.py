@@ -300,6 +300,12 @@ def reference_fit(
 
     resid = reference_model(t, params) - y
     sse = float(resid @ resid)
+    if free & {"omega", "phase"} and np.max(np.abs(np.sin(2.0 * omega_hint * t))) <= 1e-9:
+        raise FitConvergenceError(
+            "every sample is on an extreme of the hinted oscillation, fixing no omega or phase",
+            dict(zip(PARAM_ORDER, (float(p) for p in params))),
+            math.sqrt(sse / t.size),
+        )
     lam = 1e-3
     iterations = 0
     while iterations < _MAX_ITER:
@@ -526,6 +532,34 @@ class TestAgainstReferenceFit:
         with pytest.raises(FitConvergenceError, match="^a step would take omega to") as err:
             fit_damped_sinusoid(series, 0.8 * omega)
         assert err.value.params["omega"] > 0.0
+
+    @pytest.mark.parametrize("free", FREE_SUBSETS, ids=lambda f: "+".join(sorted(f)))
+    def test_samples_on_the_extremes_fix_no_frequency(self, free):
+        # 17 points over 8 oscillations put every sample of cos(2 omega t) on +-1, where
+        # sin(2 omega t), a factor of the omega and phase columns, is rounding noise: the
+        # first step took omega to ~1e11, and the fits then parted ("converged" to gamma
+        # 4e159 against "a step would take omega to a non-physical value")
+        omega = 0.3
+        t = np.linspace(0.0, 8.0 * math.pi / omega, 17)
+        y = 0.5 * (1.0 + np.exp(-0.25 * omega * t) * np.cos(2.0 * omega * t))
+        series = ProbabilitySeries(t, y, {})
+        got = assert_close_fit(series, omega, free)
+        if free & {"omega", "phase"}:
+            assert got is None
+            with pytest.raises(FitConvergenceError, match="^every sample is on an extreme") as err:
+                fit_damped_sinusoid(series, omega, free)
+            assert err.value.params == {"gamma": 0.0, "omega": omega, "amplitude": 0.5,
+                                        "offset": 0.5, "phase": 0.0}
+        else:
+            assert got is not None
+
+    def test_samples_off_the_extremes_fix_the_frequency(self):
+        # half as many points again, three per oscillation: the fit finds the true omega
+        omega = 0.3
+        t = np.linspace(0.0, 8.0 * math.pi / omega, 25)
+        y = 0.5 * (1.0 + np.exp(-0.25 * omega * t) * np.cos(2.0 * omega * t))
+        got, _ = assert_close_fit(ProbabilitySeries(t, y, {}), omega)
+        assert got.omega_fit == pytest.approx(omega, rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.floats(0.0, 0.3), omega=st.floats(0.3, 3.0),
