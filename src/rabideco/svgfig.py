@@ -3,11 +3,20 @@ whole hundredths of a pixel in one `scale(0.01)` group, the dots markers on a po
 the frame (ranges and ticks) is worked out on Python floats in numpy's own arithmetic."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import orjson
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 34, 46  # margins around the plot box
+_MAX = 1.7976931348623157e308  # the largest double
+
+
+def _half(lo: float, hi: float) -> float:
+    """1, or 1/2 where hi - lo overflows: hi h - lo h is then finite, and a factor of 1
+    leaves every value's bits as they are (halving would not, on subnormals)."""
+    return 1.0 if math.isfinite(hi - lo) else 0.5
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -73,18 +82,21 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
     (dx, dy), (lx, ly) = _finite(dots), _finite(line)
     x_lo, x_hi = _range(dx, lx)
     y_lo, y_hi = _range(dy, ly)
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    h = _half(y_lo, y_hi)
+    pad = 0.04 * (y_hi * h - y_lo * h) / h
+    y_lo, y_hi = max(y_lo - pad, -_MAX), min(y_hi + pad, _MAX)  # a padded range stays finite
+    hx, hy = _half(x_lo, x_hi), _half(y_lo, y_hi)
 
     px0, px1 = _ML, _W - _MR
     py0, py1 = _H - _MB, _MT
 
-    # scalars or arrays; numpy applies the same operations in the same order
+    # scalars or arrays, on the `_half` scale of their range; numpy applies the same
+    # operations in the same order
     def sx(x):
-        return px0 + (x - x_lo) / (x_hi - x_lo) * (px1 - px0)
+        return px0 + (x * hx - x_lo * hx) / (x_hi * hx - x_lo * hx) * (px1 - px0)
 
     def sy(y):
-        return py0 + (y - y_lo) / (y_hi - y_lo) * (py1 - py0)
+        return py0 + (y * hy - y_lo * hy) / (y_hi * hy - y_lo * hy) * (py1 - py0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -100,12 +112,12 @@ def series_overlay_svg(dots, line, title: str, xlabel: str = "t",
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 14 {(py0 + py1) / 2:.1f})">{ylabel}</text>',
     ]
-    for xv in _ticks(x_lo, x_hi):
+    for xv in (v / hx for v in _ticks(x_lo * hx, x_hi * hx)):
         parts.append(f'<line x1="{sx(xv):.2f}" y1="{py0}" x2="{sx(xv):.2f}" '
                      f'y2="{py0 + 4}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{sx(xv):.2f}" y="{py0 + 17}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{_fmt(xv)}</text>')
-    for yv in _ticks(y_lo, y_hi):
+    for yv in (v / hy for v in _ticks(y_lo * hy, y_hi * hy)):
         parts.append(f'<line x1="{px0 - 4}" y1="{sy(yv):.2f}" x2="{px0}" '
                      f'y2="{sy(yv):.2f}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 7}" y="{sy(yv) + 3.5:.2f}" text-anchor="end" '

@@ -214,6 +214,14 @@ def pixels(dots, line) -> dict:
     return {"line": scale(lx, ly), "dots": scale(dx, dy)}
 
 
+def overflows(dots, line) -> bool:
+    """Whether the x range or the padded y range of the finite pairs overflows to inf."""
+    (dx, dy), (lx, ly) = finite_pairs(dots), finite_pairs(line)
+    (x_lo, x_hi), (y_lo, y_hi) = _range(dx, lx), _range(dy, ly)
+    pad = 0.04 * (y_hi - y_lo)
+    return not (math.isfinite(x_hi - x_lo) and math.isfinite((y_hi + pad) - (y_lo - pad)))
+
+
 def assert_matches_previous(dots, line) -> None:
     """`series_overlay_svg` against `previous_series_overlay_svg` of the finite pairs
     alone: the same frame bytes up to the points; each point with a finite '%.2f' text,
@@ -289,12 +297,16 @@ class TestWritersAgainstPrevious:
             try:
                 previous_series_overlay_svg(finite_pairs(dots), finite_pairs(line), "t")
             except ZeroDivisionError:  # a zero range that adding 1 does not widen
-                got, want = svg_points(series_overlay_svg(dots, line, "t")), pixels(dots, line)
-                for kind, points in got.items():
-                    assert len(points) == np.isfinite(want[kind]).all(axis=1).sum()
-                    assert_in_box(points)
-            else:
+                comparable = False
+            else:  # a range that overflows, where it drew NaN ticks and dropped points
+                comparable = not overflows(dots, line)
+            if comparable:
                 assert_matches_previous(dots, line)
+            else:  # every finite pair is drawn, inside the box
+                got = svg_points(series_overlay_svg(dots, line, "t"))
+                for kind, pair in (("dots", dots), ("line", line)):
+                    assert len(got[kind]) == len(finite_pairs(pair)[0])
+                    assert_in_box(got[kind])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n_dots=st.integers(0, 30), n_line=st.integers(0, 30))
@@ -355,6 +367,24 @@ class TestSvgPoints:
         want = np.rint(100.0 * pixels((series.times, series.probs), ((), ()))["dots"])
         assert got["dots"].tolist() == want.tolist()
         assert got["dots"][[0, -1], 0].tolist() == list(BOX_X)  # the first and last times
+
+    @pytest.mark.parametrize("huge", [1e308, 1.7976931348623157e308])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflowing_range_keeps_every_point(self, huge, axis):
+        # the range from -huge to huge overflows: every coordinate is scaled on half of it
+        wide, narrow = np.array([-huge, 0.0, huge]), np.array([0.0, 0.5, 1.0])
+        dots = (wide, narrow) if axis == "x" else (narrow, wide)
+        with np.errstate(all="raise"):
+            svg = series_overlay_svg(dots, ((), ()), "t")
+        points = svg_points(svg)["dots"]
+        assert len(points) == 3
+        assert_in_box(points)
+        column = points[:, 0 if axis == "x" else 1]
+        assert len(set(column.tolist())) == 3
+        root = ET.fromstring(svg)
+        ticks = [float(text.text) for text in list(root.iter(f"{SVG}text"))[3:]]
+        marks = [float(line.get(key)) for line in root.iter(f"{SVG}line") for key in ("x1", "y1")]
+        assert len(ticks) == 10 and all(map(math.isfinite, ticks + marks))
 
     def test_all_nan_fit_curve_keeps_the_dots(self):
         # a degenerate fit's curve is NaN throughout: the plot is the series' alone
