@@ -578,16 +578,25 @@ def _regime_note(spectrum) -> str:
 
 
 def run_figure_experiment(cfg: ExperimentConfig) -> FigureResult:
-    """Series plus damped-sinusoid fit for the single-curve experiments."""
+    """Series plus damped-sinusoid fit for the single-curve experiments. The fit's
+    gamma starts at the predictor's exact envelope rate where it has one: the epoch
+    map's -ln(eta)/(2 dt) when its roots are complex, 3 gamma_se/4 for the master
+    equation; elsewhere (real roots, the nested predictor) at 0."""
     series = predictor_series(cfg)
     if len(series) == 0:
         return FigureResult(series=series, fit=None, fit_curve=np.empty(0))
+    env, spectrum, gamma_hint = cfg.env, None, 0.0
+    if isinstance(env, DistinguishableEnv):
+        spectrum = epoch_map_spectrum(cfg.system, env)
+        gamma_hint = spectrum.gamma if spectrum.regime == "complex" else 0.0
+    elif isinstance(env, MasterEqParams):
+        gamma_hint = 0.75 * env.gamma_se
     try:
         fit = fit_damped_sinusoid(series, omega_hint=cfg.system.omega,
-                                  free_params=cfg.fit.free_params)
+                                  free_params=cfg.fit.free_params, gamma_hint=gamma_hint)
     except FitConvergenceError as exc:
-        if isinstance(cfg.env, DistinguishableEnv):
-            exc.args = (f"{exc}; {_regime_note(epoch_map_spectrum(cfg.system, cfg.env))}",)
+        if spectrum is not None:
+            exc.args = (f"{exc}; {_regime_note(spectrum)}",)
         raise
     params = np.array([fit.gamma, fit.omega_fit, fit.amplitude, fit.offset, fit.phase])
     return FigureResult(series, fit, damped_sinusoid_model(series.times, params))

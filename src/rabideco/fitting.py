@@ -20,6 +20,13 @@ the spare one of two preallocated sets of rows; an accepted step swaps the sets 
 rewrites the free rows of one preallocated J^T from them, one sine row and the leads
 (-t) amp and (2t) (-amp), formed once per fit unless the amplitude is free, as are -t,
 2t and the offset's row of ones. A rejected step reuses J^T J and J^T r.
+
+A free gamma starts at `gamma_hint`. The pipelines pass the predictor's exact
+envelope rate: Fig2's epoch map fixes -ln(eta)/(2 dt) when its roots are complex
+(0 when they are real) and the master equation 3 gamma_se/4, which takes a Fig2
+fit from 8-9 iterations to 4-5. The nested predictor starts at 0: its
+`approx_gamma` lies about 5.6x below the fitted rate at max_events 5 and costs
+iterations there. `rabideco fit` knows no predictor and starts at 0 too.
 """
 from __future__ import annotations
 
@@ -195,18 +202,26 @@ def fit_damped_sinusoid(
     series: ProbabilitySeries,
     omega_hint: float,
     free_params: frozenset | set | None = None,
+    gamma_hint: float = 0.0,
 ) -> DampedSinusoidFit:
     """Least-squares fit of the damped sinusoid to a probability series.
 
-    By default gamma and omega are free (gamma starts at 0, omega at
+    By default gamma and omega are free (gamma starts at gamma_hint, omega at
     omega_hint) while offset = 1/2, phase = 0 and the amplitude stay fixed:
     +1/2 when the first sample is above 1/2 (ground preparation), else -1/2.
+    A fixed gamma stays at 0 whatever the hint. A free gamma that ends exactly
+    on a non-zero hint, returned or in a FitConvergenceError's last iterate, was
+    never moved by the series (a window where exp(-gamma t) is 0 but at t = 0,
+    or rates far below 1/t): the start is never reported as a fitted value, so
+    the fit runs again from gamma = 0 and that outcome is the result.
     The series must pass `check_fit_window`: at least MIN_FIT_POINTS points
     spanning two oscillation periods of the hinted frequency. A constant
     series yields a flat fit flagged degenerate with gamma = nan.
     """
     if omega_hint <= 0.0 or not math.isfinite(omega_hint):
         raise ValueError(f"omega_hint must be positive and finite, got {omega_hint}")
+    if not (0.0 <= gamma_hint < math.inf):
+        raise ValueError(f"gamma_hint must be non-negative and finite, got {gamma_hint}")
     free = frozenset(free_params) if free_params is not None else frozenset({"gamma", "omega"})
     unknown = free - set(PARAM_ORDER)
     if unknown:
@@ -234,6 +249,22 @@ def fit_damped_sinusoid(
         )
 
     params = [0.0, float(omega_hint), 0.5 if y[0] > 0.5 else -0.5, 0.5, 0.0]
+    if gamma_hint and "gamma" in free:
+        hint = float(gamma_hint)
+        try:
+            fit = _levenberg_marquardt(t, y, free, [hint, *params[1:]])
+        except FitConvergenceError as exc:
+            if exc.params["gamma"] != hint:
+                raise
+        else:
+            if fit.gamma != hint:
+                return fit
+    return _levenberg_marquardt(t, y, free, params)
+
+
+def _levenberg_marquardt(t: np.ndarray, y: np.ndarray, free: frozenset,
+                         params: list) -> DampedSinusoidFit:
+    """The fit's loop from the start `params`, ordered as PARAM_ORDER."""
     free_idx = [i for i, name in enumerate(PARAM_ORDER) if name in free]
     neg_t, two_t = -t, 2.0 * t
     rows = np.ones((len(free_idx), t.size))  # J^T, one row per free parameter

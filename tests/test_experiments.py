@@ -681,7 +681,7 @@ class TestPipelines:
         assert power_law.degenerate
 
     def test_gamma_ratio_failure_names_level(self, monkeypatch):
-        def no_fit(series, omega_hint, free_params):
+        def no_fit(series, omega_hint, free_params, gamma_hint):
             raise FitConvergenceError("no progress", {}, 0.0)
 
         monkeypatch.setattr("rabideco.experiments.fit_damped_sinusoid", no_fit)
@@ -1200,21 +1200,25 @@ class TestCli:
     # every SVG when its points became whole hundredths of a pixel in one scaled
     # group, the dots markers on one polyline (each point keeps its '%.2f' hundredth);
     # the fig5_master_eq JSON when summaries took orjson's notation throughout
-    # (exponent -9.697979169966796e-05 -> -0.00009697979169966796, the same value)
+    # (exponent -9.697979169966796e-05 -> -0.00009697979169966796, the same value);
+    # the fig2*, master_eq and fig5_master_eq CSV/JSON when the fit started gamma at
+    # the predictor's exact rate (fit.gamma within 5.1e-10 relative, gamma_n within
+    # 1.6e-9; fig2a, fig2a_consistent, fig2b, fig2b_consistent and master_eq
+    # iterations 9/8/8/6/8 -> 5/5/4/4/5)
     PRESET_DIGESTS = {
-        "fig2a": ("f46e985ec88c8a932957d546add89af88ce9c10c3b1de16bb6a2ff59333e8feb",
-                  "3f4cc8530b4d75ec9c8d8a0de99ccd3b457266184e0dbdc2952efc1c8e245396",
+        "fig2a": ("067b980f63b6638322d6db018cb962c0d76f153e1ad5657dc36c93415683c97e",
+                  "38ae255547fa444b8c4ea903e703c3854e0351beb1cd1a9b09899354bffeef6d",
                   "033a146bd2daa450ab350f456cb4a78967fea76799dfc6cb33b6dfa8007bfc16"),
         "fig2a_consistent": (
-            "2d0523afeeb204cee4c1d37bb903f6dcfb49a69079eadb2df622af49567ee51a",
-            "902838d6ae28c51f5ebf7ba1f8e5bd063f5acb3e9368ca63171fc1f74126af35",
+            "421403699acef6f74c471b1c6592cb650243c6d705197fe81506419dc9c71fea",
+            "28d8d0db390449e9f08766e94fa4cbfdd10b9fc98f70616380d46defef971f43",
             "24eb524af17554df7a5666c2a984c2739ac3c5966b61d3f34482689a136c590f"),
-        "fig2b": ("6a0e139c93bc42b2b6d3958a74325bc30439b957188c588007b39d08b98a6c2b",
-                  "aa579d3809bdcb8b7e42b2e5283f2632c89051fc0afa0dc4b19567bec6263a9a",
+        "fig2b": ("8beb7f7b5e5007a2c4c7fdee89fa03305989acf79068df37e9bf73d36116f9c4",
+                  "81c567f447c3b20f28145105ed791db43d28b92c53c26b1732974f607c70fbea",
                   "41a8a1ab08ff288f3852622b72950198c21f6b4b48708df73ecab039580d233e"),
         "fig2b_consistent": (
-            "d33db1cc11bb42b021c0267f84907175a7d1ed473c9c75285464912df4b52282",
-            "39f0e972fdae5d000de77d5c5b808de18c623006b10e70b3d74bc2f41bb94a0f",
+            "87fa5be06c846f3cd9656d8b7cb36dd6da7966ab339926031af26cfa8237a589",
+            "d3d082422861118af01c2c332542af305fd4a28a4d45f46b17162b7e5ae6b735",
             "b92b80701236457c12b0633b57586d9579e00bd56c57de32c5996e03cd113895"),
         "fig3": ("8488b75990db24910362a7a77309b1aa805fd503b9ec7ee8751382795ad78ca6",
                  "a1a723b53256303cfd26336ed9c96a4d2f2a7f062f14dc0f73c4570f3d55ea94",
@@ -1223,11 +1227,11 @@ class TestCli:
                  "d866ecab241126647b33221802f44c5da4d9cbd2bc61f403b4ed6c7fa9437656",
                  "2bdd64416aa5fcfdde0cc2c285e0eeb8673827a49d2571a873737329f0a0db48"),
         "fig5_master_eq": (
-            "f0f897f20c66b647b8839cad6f1c7eeae393f769a689438ceabf1a6bd023338e",
-            "f9f54b4f9a2618d1e7cbe9ce558343a0cc310fa936643c909e0d18c3fb27cb46",
+            "da52c9f4d12741ef7d37590968e353d950122cbd05ba8dab57fd74704155d4f5",
+            "f74d344771b0c796906f1f9d2895216e1650d69660989f43f24498dc7cfaae73",
             "e180d30a9b6edba2d17976ae2a6de58aa94b1cdf69ed168f366a8748dbac736b"),
-        "master_eq": ("ddea687e751e5bfddca0667ab4b87a1d7208815ed84412c8aab2d1372d24c967",
-                      "1b90495ab429e9c74540e4bffcd8f280d19d36153ea2446a4fb5f687fc7a89d8",
+        "master_eq": ("d6752f3fee3f2053c1767d0ac6b911159666ea743b6d4753aadc4feac2de1c5a",
+                      "c7af416eada59e8b39708a8f2106bf85f622263307990ab6eedd14aa8a1368dc",
                       "35276126507d902da328b245a4091de815871120a52a2aa1b97772b7541aac57"),
         "oracle_check": ("3eff9507427484f8f74893571fe88b84f33117af9b4f57de8982f3e0a7069885",
                          "1e67b2eac5b21e49433b91cb3330d47d9c1b747d6cbb1f6e01a1f933766c690d",
