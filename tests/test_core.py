@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rabideco.core import (
+    PROB_TOL,
     InitialState,
     InvalidEntryError,
     ProbabilitySeries,
@@ -255,6 +256,14 @@ class TestClamp:
             clamp_probability_array(np.array([-1e-9]))
         with pytest.raises(ValueError):
             clamp_probability_array(np.array([1.0 + 1e-9]))
+
+    def test_slack_is_exactly_prob_tol(self):
+        # an overshoot of PROB_TOL is snapped and one of twice that raises, on either side
+        np.testing.assert_array_equal(
+            clamp_probability_array(np.array([-PROB_TOL, 1.0 + PROB_TOL])), [0.0, 1.0])
+        for value in (-2 * PROB_TOL, 1.0 + 2 * PROB_TOL):
+            with pytest.raises(ValueError, match="not probabilities"):
+                clamp_probability_array(np.array([value]))
 
     def test_nan_raises(self):
         with pytest.raises(ValueError, match="not probabilities"):

@@ -753,6 +753,14 @@ class TestOutputs:
         assert summary["pass"] is True
         assert summary["target"] == {"gamma_over_omega": 0.039, "tol": 0.005}
 
+    @pytest.mark.parametrize("got,passes", [(0.75, True), (0.25, True), (0.75 + 2.0**-53, False),
+                                            (0.25 - 2.0**-53, False)])
+    def test_verdict_bound_is_inclusive(self, got, passes):
+        # |got - want| == tol passes; each difference here is exact in binary
+        summary = {}
+        experiments._verdict(summary, {"exponent": 0.5, "tol": 0.25}, "exponent", got)
+        assert summary == {"target": {"exponent": 0.5, "tol": 0.25}, "pass": passes}
+
     def test_fit_iterations_in_summary(self, tmp_path):
         cfg = config_from_dict(fig3_config())
         result = run_experiment(cfg)

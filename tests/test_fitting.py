@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -6,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabideco import fitting
-from rabideco.core import InvalidEntryError, ProbabilitySeries, RabiSystem
+from rabideco.core import InvalidEntryError, ProbabilitySeries, RabiSystem, rabi_frequency_ladder
+from rabideco.distinguishable import epoch_map_spectrum
 from rabideco.experiments import config_from_dict, predictor_series
 from rabideco.fitting import (
     PARAM_ORDER,
@@ -695,3 +697,91 @@ class TestModelAndJacobianBits:
         assert got.tobytes() == want.tobytes()
         got, want = damped_sinusoid_jacobian(t, params), reference_jacobian(t, params)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def fig2_series(omega_dt, eta, epochs, n_points):
+    """A Fig2 predictor series at omega 1 and its epoch map's exact envelope rate."""
+    cfg = config_from_dict({"experiment": "Fig2Distinguishable", "system": {"omega": 1.0},
+                            "env": {"dt": omega_dt, "eta": eta},
+                            "grid": {"t_max": epochs * omega_dt, "n_points": n_points}})
+    return predictor_series(cfg), epoch_map_spectrum(cfg.system, cfg.env).gamma
+
+
+def fig5_master_eq_levels(gamma_se, omega_t_span):
+    """(series, omega_n) of each level of fig5_master_eq.json's ladder and window, with
+    its gamma_se and omega_t_span replaced."""
+    cfg = json.loads((CONFIG_DIR / "fig5_master_eq.json").read_text())
+    ladder = rabi_frequency_ladder(cfg["system"]["omega"], cfg["ladder"]["n_max"],
+                                   cfg["ladder"]["lamb_dicke"])
+    n_points = cfg["fit_window"]["n_points"]
+    with np.errstate(over="ignore"):
+        return [(master_eq_series(MasterEqParams(omega_n, gamma_se),
+                                  np.linspace(0.0, omega_t_span / omega_n, n_points)), omega_n)
+                for _, omega_n in ladder.entries]
+
+
+def assert_same_rates(got, want):
+    # ten times the step tolerance: two starts of one fit stop within it of each other
+    assert got.gamma == pytest.approx(want.gamma, rel=1e-8, abs=0.0)
+    assert got.omega_fit == pytest.approx(want.omega_fit, rel=1e-8, abs=0.0)
+
+
+class TestGammaHint:
+    """The fit from the predictor's exact rate, as the pipelines start it, against
+    the fit from 0; and the start that a series cannot move, never reported."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega_dt=st.sampled_from([0.05, 0.08, 0.1]), eta=st.floats(0.99, 0.999),
+           epochs=st.integers(1000, 4000), n_points=st.integers(300, 1100))
+    def test_fig2_from_its_rate(self, omega_dt, eta, epochs, n_points):
+        series, rate = fig2_series(omega_dt, eta, epochs, n_points)
+        assert_same_rates(fit_damped_sinusoid(series, 1.0, gamma_hint=rate),
+                          fit_damped_sinusoid(series, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega=st.floats(0.19, 1.0), gamma_se=st.floats(0.005, 0.1),
+           omega_t_span=st.floats(40.0, 60.0), n_points=st.integers(300, 400))
+    def test_master_eq_from_its_rate(self, omega, gamma_se, omega_t_span, n_points):
+        # the master-equation presets' and workload items' frequencies, rates and windows
+        series = master_eq_series(MasterEqParams(omega, gamma_se),
+                                  np.linspace(0.0, omega_t_span / omega, n_points))
+        assert_same_rates(fit_damped_sinusoid(series, omega, gamma_hint=0.75 * gamma_se),
+                          fit_damped_sinusoid(series, omega))
+
+    @settings(max_examples=20, deadline=None)
+    @given(hint=st.floats(5e-324, 7.5e-21))
+    @example(hint=7.5e-21)  # 3 gamma_se / 4, the pipeline's start
+    def test_unmoved_start_at_a_negligible_rate(self, hint):
+        # gamma_se 1e-20: from any start up to 3 gamma_se / 4 the first step is below
+        # tolerance, so the fit would end on its start; it fits from 0 instead, to 0
+        for series, omega_n in fig5_master_eq_levels(1e-20, 40.0):
+            want = fit_outcome(fit_damped_sinusoid, series, omega_n, None)
+            assert want["gamma"] == "0.0"
+            hinted = functools.partial(fit_damped_sinusoid, gamma_hint=hint)
+            assert fit_outcome(hinted, series, omega_n, None) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(hint=st.floats(5e-324, 1.7976931348623157e308))
+    @example(hint=0.0075)  # 3 gamma_se / 4 at the preset's gamma_se 0.01
+    def test_unmoved_start_over_an_overflowing_window(self, hint):
+        # omega t up to 1e300: exp(-gamma t) is 0 past t = 0 from any start, so no
+        # column of J moves; from 0, J^T J overflows and the fit fails
+        for series, omega_n in fig5_master_eq_levels(0.01, 1e300):
+            want = fit_outcome(fit_damped_sinusoid, series, omega_n, None)
+            assert want[0] is FitConvergenceError
+            hinted = functools.partial(fit_damped_sinusoid, gamma_hint=hint)
+            assert fit_outcome(hinted, series, omega_n, None) == want
+
+    def test_fixed_gamma_ignores_the_hint(self):
+        series, rate = fig2_series(0.08, 0.99, 750, 400)
+        hinted = functools.partial(fit_damped_sinusoid, gamma_hint=rate)
+        for free in FREE_SUBSETS:
+            if "gamma" not in free:
+                assert (fit_outcome(hinted, series, 1.0, free)
+                        == fit_outcome(fit_damped_sinusoid, series, 1.0, free)), sorted(free)
+
+    @pytest.mark.parametrize("hint", [-1e-3, -math.inf, math.inf, math.nan])
+    def test_bad_hint_raises(self, hint):
+        series, _ = fig2_series(0.08, 0.99, 750, 400)
+        with pytest.raises(ValueError, match="gamma_hint must be non-negative and finite"):
+            fit_damped_sinusoid(series, 1.0, gamma_hint=hint)
