@@ -23,10 +23,11 @@ rewrites the free rows of one preallocated J^T from them, one sine row and the l
 
 A free gamma starts at `gamma_hint`. The pipelines pass the predictor's exact
 envelope rate: Fig2's epoch map fixes -ln(eta)/(2 dt) when its roots are complex
-(0 when they are real) and the master equation 3 gamma_se/4, which takes a Fig2
-fit from 8-9 iterations to 4-5. The nested predictor starts at 0: its
-`approx_gamma` lies about 5.6x below the fitted rate at max_events 5 and costs
-iterations there. `rabideco fit` knows no predictor and starts at 0 too.
+(0 when they are real) and the master equation 3 gamma_se/4, which takes the
+Fig2 and master-equation presets' fits from 6-9 iterations to 4-5. The nested
+predictor starts at 0: its `approx_gamma` lies about 5.6x below the fitted rate
+at max_events 5 and costs iterations there. `rabideco fit` knows no predictor
+and starts at 0 too.
 """
 from __future__ import annotations
 
@@ -209,6 +210,9 @@ def fit_damped_sinusoid(
     By default gamma and omega are free (gamma starts at gamma_hint, omega at
     omega_hint) while offset = 1/2, phase = 0 and the amplitude stay fixed:
     +1/2 when the first sample is above 1/2 (ground preparation), else -1/2.
+    Fig2 passes its epoch map's exact rate and the master equation 3 gamma_se/4;
+    the nested predictor, whose leading-order rate is far from the fitted one, and
+    `rabideco fit`, which has no predictor, start at 0 (see the module docstring).
     A fixed gamma stays at 0 whatever the hint. A free gamma that ends exactly
     on a non-zero hint, returned or in a FitConvergenceError's last iterate, was
     never moved by the series (a window where exp(-gamma t) is 0 but at t = 0,
