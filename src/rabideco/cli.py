@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError, ValueError) as exc:  # LinAlgError is a ValueError
+    except (ArithmeticError, RuntimeError, ValueError) as exc:  # a failed fit, an overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # an output that cannot be written

@@ -14,7 +14,8 @@ FitConvergenceError at the last iterate. So does a start that puts every sample
 on an extreme of the hinted cos(2 omega t), as two samples per oscillation do,
 when omega or the phase is free: their Jacobian columns, and so the first step
 in them, are rounding noise (a first step to omega ~ 1e11 is typical).
-Each iteration solves the k x k damped normal equations on Python floats and
+Each iteration solves the k x k damped normal equations on Python floats by
+elimination without pivoting (their matrix is symmetric positive definite) and
 evaluates its trial step's phase, exp(-gamma t), cosine and residual in place, into
 the spare one of two preallocated sets of rows; an accepted step swaps the sets and
 rewrites the free rows of one preallocated J^T from them, one sine row and the leads
@@ -172,17 +173,15 @@ def _jacobian_into(rows, columns, leads, amp, decay, cos_a, sin_a) -> None:
 
 
 def _solve(a: list, b: list) -> list | None:
-    """x with a x = b by Gaussian elimination with partial pivoting on Python
-    floats, for the fit's k <= 5; a and b are overwritten. None on a zero pivot."""
+    """x with a x = b by Gaussian elimination without pivoting on Python floats, for the
+    fit's k <= 5; a and b are overwritten. None on a pivot that is not > 0 (zero or NaN).
+    On the damped J^T J, symmetric positive definite, this is Cholesky's LDL^T form:
+    backward stable and blind to diagonal scaling (Higham 2002, ch. 10), where partial
+    pivoting on its unscaled rows missed a componentwise residual bound of 1e-12."""
     k = len(b)
     for c in range(k):
-        p = c  # the first row of largest |a[r][c]|
-        for r in range(c + 1, k):
-            if abs(a[r][c]) > abs(a[p][c]):
-                p = r
-        if a[p][c] == 0.0:
+        if not a[c][c] > 0.0:
             return None
-        a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
         for r in range(c + 1, k):
             f = a[r][c] / a[c][c]
             for j in range(c + 1, k):

@@ -16,7 +16,7 @@ from rabideco.core import (InvalidEntryError, ProbabilitySeries, RabiSystem, _la
                            time_grid)
 from rabideco.fitting import (_EXTREME_TOL, _LAMBDA_MAX, _MAX_ITER, _NON_PHYSICAL, _ON_EXTREMES,
                               _STEP_FLOOR, _STEP_TOL, PARAM_ORDER, DampedSinusoidFit,
-                              FitConvergenceError, check_fit_window)
+                              FitConvergenceError, _solve, check_fit_window)
 from rabideco.svgfig import _widened
 
 # Above this n the direct comb/power product risks overflow; switch to logs.
@@ -100,9 +100,10 @@ def _jacobian_into(rows, columns, neg_t, two_t, amp, decay, cos_a, sin_a) -> Non
             row *= factor
 
 
-def _solve(a: list, b: list) -> list | None:
+def previous_solve(a: list, b: list) -> list | None:
     """x with a x = b by Gaussian elimination with partial pivoting on Python
-    floats, for the fit's k <= 5; a and b are overwritten. None on a zero pivot."""
+    floats, `fitting._solve` before it stopped pivoting; a and b are overwritten.
+    None on a zero pivot."""
     k = len(b)
     for c in range(k):
         p = max(range(c, k), key=lambda r: abs(a[r][c]))
@@ -189,7 +190,7 @@ def previous_fit(
         damped = [row[:] for row in jtj]
         for j, d in enumerate(diag):
             damped[j][j] += lam * d
-        step = _solve(damped, rhs[:])
+        step = _solve(damped, rhs[:])  # the library's: this holds the loop, not the solve
         trial_sse, last = math.inf, False
         if step is not None and all(map(math.isfinite, step)):
             trial = params[:]

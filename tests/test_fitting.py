@@ -25,7 +25,7 @@ from rabideco.fitting import (
     master_eq_series,
 )
 
-from .reference import born_ground_prob, damped_sinusoid_jacobian, previous_fit
+from .reference import born_ground_prob, damped_sinusoid_jacobian, previous_fit, previous_solve
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -654,6 +654,7 @@ class TestSolve:
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
            scale=st.floats(0.0, 8.0), lam=st.floats(1e-12, 1e12))
+    @example(k=4, seed=46158137, scale=6.0, lam=1529.0)  # partial pivoting missed the bound
     def test_matches_lapack(self, k, seed, scale, lam):
         # the fit's systems: J^T J plus lam times its diagonal, J of k columns
         rng = np.random.default_rng(seed)
@@ -676,8 +677,27 @@ class TestSolve:
             got = fitting._solve(a.tolist(), b.tolist())
             np.testing.assert_allclose(got, np.linalg.solve(a, b), rtol=1e-12, atol=1e-15)
 
-    def test_pivots(self):
-        assert fitting._solve([[0.0, 1.0], [2.0, 0.0]], [3.0, 4.0]) == [2.0, 3.0]
+    def test_no_row_swap(self):
+        # partial pivoting swapped these rows; in order, every step is exact
+        # (np.linalg.solve gives [4.0000000000000036, -1.000000000000001])
+        assert fitting._solve([[1.0, 3.0], [3.0, 10.0]], [1.0, 2.0]) == [4.0, -1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 8.0),
+           margin=st.floats(1e-3, 1e3))
+    def test_as_previous_where_it_never_swapped(self, k, seed, scale, margin):
+        # strictly diagonally dominant and symmetric, so positive definite: partial
+        # pivoting keeps every row in place, and both do the same operations in order
+        rng = np.random.default_rng(seed)
+        off = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-scale, scale, (k, k))
+        a = np.triu(off, 1) + np.triu(off, 1).T
+        a += np.diag((1.0 + margin) * np.abs(a).sum(axis=1) + 10.0 ** rng.uniform(-scale, scale, k))
+        b = rng.standard_normal(k).tolist()
+        assert fitting._solve(a.tolist(), b[:]) == previous_solve(a.tolist(), b[:])
+
+    def test_pivot_not_positive_is_none(self):
+        assert fitting._solve([[-1.0]], [1.0]) is None
+        assert fitting._solve([[math.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]) is None
 
     def test_zero_pivot_is_none(self):
         assert fitting._solve([[0.0]], [1.0]) is None

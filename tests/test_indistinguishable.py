@@ -580,6 +580,14 @@ class TestRescale:
         with pytest.raises(ValueError, match="n_max"):
             sample_rescaled_series(table, env, [11.0 * env.beta * env.dt])
 
+    def test_edge_slack(self):
+        # rounding may put the last time just past column n_max, not 1e-10 past it
+        table, env = self.make(n_max=10)
+        series = sample_rescaled_series(table, env, [10.0 * (1.0 + 1e-13) * env.beta * env.dt])
+        assert series.probs[0] == table.ground[10]
+        with pytest.raises(ValueError, match="n_max"):
+            sample_rescaled_series(table, env, [10.0 * (1.0 + 1e-10) * env.beta * env.dt])
+
     def test_env_must_be_the_tables(self):
         table, env = self.make(beta=0.995)
         with pytest.raises(ValueError, match="differs from the table's"):

@@ -565,6 +565,15 @@ class TestPathRule:
         assert not chain
         assert work <= WORK_BUDGET
 
+    @pytest.mark.parametrize("n", [1, 10, 10**4, 10**5, 10**9])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 0.999])
+    def test_mean_keys_is_its_definition(self, n, eta):
+        # the mean over steps m = 1..E of min(2 m, W), summed term by term
+        window = montecarlo._window(n, eta)
+        for n_epochs in (1, 2, 7, 375, 3750, 10**5):
+            want = math.fsum(min(2.0 * m, window) for m in range(1, n_epochs + 1)) / n_epochs
+            assert montecarlo._mean_keys(n, eta, n_epochs) == pytest.approx(want, rel=1e-12)
+
     def test_chain_work_does_not_grow_with_members(self):
         # the keys a step scans, and so the work, grow like ln N: 9e9 times the
         # members cost less than twice the work
