@@ -539,23 +539,15 @@ class FitResult:
 
     fit: DampedSinusoidFit
 
-    def csv(self) -> None:
-        return None
-
     def summary(self, cfg: FitConfig) -> dict:
         return {"series_csv": str(cfg.series_csv), "omega_hint": cfg.omega_hint,
                 **_fit_fields(self.fit)}
-
-    def svg(self, cfg: FitConfig) -> None:
-        return None
 
 
 # ---- pipelines ----
 def predictor_series(cfg: ExperimentConfig) -> ProbabilitySeries:
     """The configured env's analytic series on its grid, unfitted; a
     distinguishable env (Fig2, the oracle's reference) runs the recursion."""
-    if not hasattr(cfg, "grid"):
-        raise ConfigError("experiment has no grid", "grid")
     grid = np.linspace(0.0, cfg.grid.t_max, cfg.grid.n_points)
     env = cfg.env
     if isinstance(env, MasterEqParams):
@@ -655,10 +647,10 @@ def _rewrite(path: Path, body: bytes) -> None:
 
 def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
                  formats=("csv", "json")) -> list[Path]:
-    """Write any result type of this module as CSV/JSON/SVG files named by the
-    config prefix, each rewritten in place; returns their paths in the order
-    csv, json, svg. Every body is built as bytes, its numbers written by orjson (`_csv`,
-    `_json`, and `series_overlay_svg`'s whole hundredths of a pixel), and written as it is."""
+    """Write a result of this module in the formats asked for, and only those (a `FitResult`
+    has JSON alone), as files named by the config prefix, each rewritten in place; returns
+    their paths in the order csv, json, svg. Every body is built as bytes, its numbers written
+    by orjson (`_csv`, `_json`, and `series_overlay_svg`'s whole hundredths of a pixel)."""
     unknown = set(formats) - {"csv", "json", "svg"}
     if unknown:
         raise ConfigError(f"unknown output format(s): {sorted(unknown)}", "format")
@@ -667,14 +659,11 @@ def emit_outputs(result, cfg: ExperimentConfig | FitConfig, out_dir,
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a NUL in the path is a ValueError
         raise OSError(f"cannot create output directory {out}: {exc}") from exc
-    writers = {"csv": result.csv, "json": lambda: _json(result.summary(cfg)),
+    writers = {"csv": lambda: result.csv(), "json": lambda: _json(result.summary(cfg)),
                "svg": lambda: result.svg(cfg)}
     paths: list[Path] = []
-    for fmt, write in writers.items():
-        body = write() if fmt in formats else None
-        if body is None:
-            continue
-        path = out / f"{cfg.output.prefix}.{fmt}"
+    for fmt in (fmt for fmt in writers if fmt in formats):
+        body, path = writers[fmt](), out / f"{cfg.output.prefix}.{fmt}"
         try:
             _rewrite(path, body)
         except OSError as exc:

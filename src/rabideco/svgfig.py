@@ -20,9 +20,7 @@ def _half(lo: float, hi: float) -> float:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """`np.linspace(lo, hi, n)` in numpy's own float arithmetic; hi <= lo widens to lo + 1."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """`np.linspace(lo, hi, n)` in numpy's own float arithmetic, for lo < hi (`_widened`)."""
     step = (hi - lo) / (n - 1)  # where it underflows to 0, numpy scales i / (n - 1) instead
     return [i * step + lo if step else i / (n - 1) * (hi - lo) + lo for i in range(n - 1)] + [hi]
 
@@ -57,10 +55,9 @@ def _fmt(v: float) -> str:
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> bytes:
-    """The finite (x, y) pixel pairs as "x,y x,y ..." in whole hundredths of a pixel:
-    orjson writes the ints as one flat list, and every second comma becomes a space."""
-    xy = np.rint(100.0 * np.column_stack((xs, ys)))
-    xy = xy[np.isfinite(xy).all(axis=1)].astype(np.int64)
+    """The (x, y) pixel pairs, all inside the plot box, as "x,y x,y ..." in whole hundredths
+    of a pixel: orjson writes the ints as one flat list, and every second comma becomes a space."""
+    xy = np.rint(100.0 * np.column_stack((xs, ys))).astype(np.int64)
     text = bytearray(orjson.dumps(xy.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
     codes = np.frombuffer(text, dtype=np.uint8)
     codes[np.flatnonzero(codes == ord(","))[1::2]] = ord(" ")
