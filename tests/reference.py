@@ -15,8 +15,8 @@ import numpy as np
 from rabideco.core import (InvalidEntryError, ProbabilitySeries, RabiSystem, _laguerre_l1_terms,
                            time_grid)
 from rabideco.fitting import (_EXTREME_TOL, _LAMBDA_MAX, _MAX_ITER, _NON_PHYSICAL, _ON_EXTREMES,
-                              _STEP_FLOOR, _STEP_TOL, PARAM_ORDER, DampedSinusoidFit,
-                              FitConvergenceError, _solve, check_fit_window)
+                              PARAM_ORDER, DampedSinusoidFit, FitConvergenceError, _solve,
+                              check_fit_window)
 from rabideco.svgfig import _widened
 
 # Above this n the direct comb/power product risks overflow; switch to logs.
@@ -199,9 +199,11 @@ def previous_fit(
             trial_model, *trial_terms = _terms(trial, neg_t, two_t)
             trial_resid = trial_model - y
             trial_sse = float(trial_resid @ trial_resid)
-            # a step below tolerance is the last: more damping only shrinks it
+            # a step below tolerance is the last: more damping only shrinks it. The
+            # tolerance 1e-9 and floor 1e-6 are literals, so that a change to the
+            # library's pins them apart
             last = math.isfinite(trial_sse) and max(
-                abs(s) / (abs(params[i]) + _STEP_FLOOR) for i, s in zip(free_idx, step)) < _STEP_TOL
+                abs(s) / (abs(params[i]) + 1e-6) for i, s in zip(free_idx, step)) < 1e-9
         if math.isfinite(trial_sse) and trial_sse <= sse:
             if trial[1] <= 0.0:  # only a free omega moves
                 raise FitConvergenceError(_NON_PHYSICAL, dict(zip(PARAM_ORDER, params)),

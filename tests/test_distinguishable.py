@@ -192,6 +192,10 @@ class TestAgainstSweep:
 
 
 class TestRangeHandling:
+    def test_negative_n_max(self):
+        with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+            build_predictor(SYSTEM, DistinguishableEnv(dt=0.08, eta=0.99), -1)
+
     def test_beyond_built_range(self):
         pred = make(eta=0.99, dt=0.5, t_max=5.0)
         with pytest.raises(ValueError, match="n_max"):

@@ -944,6 +944,18 @@ class TestCli:
         assert err.startswith("config error: series_csv: ")
         assert "need at least 10 points, got 5" in err
 
+    @pytest.mark.parametrize("text", ["", "t_coord\n0.0,0.5\n1.0,0.25\n"],
+                             ids=["empty", "one_column_header"])
+    def test_series_csv_without_header_is_a_config_error(self, tmp_path, capsys, text):
+        (tmp_path / "series.csv").write_text(text)
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({"series_csv": "series.csv", "omega_hint": 1.0}))
+        assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: series_csv: ")
+        assert err.rstrip().endswith("series.csv has no usable header row")
+        assert len(err.splitlines()) == 1
+
     def test_degenerate_fit_writes_strict_json(self, tmp_path):
         # a constant series fits no decay: gamma and omega_fit are NaN, written as null
         t = np.linspace(0.0, 30.0, 40)
@@ -988,6 +1000,20 @@ class TestCli:
         assert err.startswith("numerical failure: a step would take omega to a non-physical")
         assert "real roots 0.960 and 0.521" in err
         assert "gamma = -ln|lambda_max|/dt = 0.510" in err
+        assert len(err.splitlines()) == 1
+
+    def test_fig2_complex_roots_name_the_rate(self, tmp_path, capsys):
+        # ten samples over omega t 9 pi / 2 all lie on extremes of cos(2 omega t): the
+        # fit refuses its start, and the message gives the epoch map's exact rate
+        cfg = json.loads((CONFIG_DIR / "fig2a.json").read_text())
+        cfg["grid"] = {"t_max": 4.5 * math.pi, "n_points": 10}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "the epoch map has complex roots" in err
+        assert "gamma = -ln(eta)/(2 dt) = 0.0628" in err
         assert len(err.splitlines()) == 1
 
     def test_fit_command_round_trip(self, tmp_path):

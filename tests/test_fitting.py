@@ -62,6 +62,11 @@ class TestMasterEq:
         with pytest.raises(ValueError, match="regime"):
             MasterEqParams(omega=1.0, gamma_se=8.0)
 
+    @pytest.mark.parametrize("omega", [0.0, math.inf])
+    def test_omega_must_be_positive_and_finite(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            MasterEqParams(omega=omega, gamma_se=0.0)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             master_eq_series(MasterEqParams(1.0, 0.1), [-1.0])
@@ -162,6 +167,11 @@ class TestDampedSinusoidFit:
             fit_damped_sinusoid(good, omega_hint=-1.0)
         with pytest.raises(ValueError, match="unknown"):
             fit_damped_sinusoid(good, omega_hint=1.0, free_params={"decay"})
+
+    def test_no_free_parameter(self):
+        good = series_from(lambda t: np.sin(t) ** 2)
+        with pytest.raises(ValueError, match="at least one parameter must be free"):
+            fit_damped_sinusoid(good, omega_hint=1.0, free_params=set())
 
     def test_nonconvergence_diagnostics(self):
         # times up to 1e300 overflow J^T J, so no step is ever accepted
@@ -791,6 +801,15 @@ class TestGammaHint:
             assert want[0] is FitConvergenceError
             hinted = functools.partial(fit_damped_sinusoid, gamma_hint=hint)
             assert fit_outcome(hinted, series, omega_n, None) == want
+
+    def test_moved_start_that_fails_is_reported(self):
+        # uniform noise: from the hint, gamma moves to 4.54 before the damping runs out;
+        # that failure is reported, though the fit from 0 would end (at gamma 0.249)
+        y = np.random.default_rng(8).uniform(0.0, 1.0, 28)
+        series = ProbabilitySeries(np.linspace(0.0, 4.0 * math.pi, 28), y, {})
+        with pytest.raises(FitConvergenceError, match="damping exhausted") as err:
+            fit_damped_sinusoid(series, 1.97, gamma_hint=2.72)
+        assert err.value.params["gamma"] == pytest.approx(4.5414095, rel=1e-6)
 
     def test_fixed_gamma_ignores_the_hint(self):
         series, rate = fig2_series(0.08, 0.99, 750, 400)

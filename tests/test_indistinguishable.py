@@ -92,6 +92,11 @@ class TestTable:
             for k in range(26):
                 assert ground[j, k] == math.sin(k * 0.45) ** 2
 
+    def test_negative_n_max(self):
+        env = IndistinguishableEnv(dt=0.3, beta=0.6, max_events=2)
+        with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+            build_nested_table(RabiSystem(1.0), env, -1)
+
     def test_level_zero_is_born(self):
         env = IndistinguishableEnv(dt=0.3, beta=0.6, max_events=0)
         table = build_nested_table(RabiSystem(1.4), env, 12)
