@@ -200,8 +200,8 @@ def previous_fit(
             trial_resid = trial_model - y
             trial_sse = float(trial_resid @ trial_resid)
             # a step below tolerance is the last: more damping only shrinks it. The
-            # tolerance 1e-9 and floor 1e-6 are literals, so that a change to the
-            # library's pins them apart
+            # tolerance 1e-9 and floor 1e-6 are literals, not the library's `_STEP_TOL`
+            # and `_STEP_FLOOR`, so that a change to those shows as a difference
             last = math.isfinite(trial_sse) and max(
                 abs(s) / (abs(params[i]) + 1e-6) for i, s in zip(free_idx, step)) < 1e-9
         if math.isfinite(trial_sse) and trial_sse <= sse:
