@@ -107,7 +107,7 @@ _DIST_ENV = _Section({"dt": _positive(), "eta": _ETA})
 _BETA = _Key(float, _REQUIRED, lambda v: 0.0 < v <= 1.0, "a value in (0, 1]")
 _UINT64 = _Key(int, 0, lambda v: 0 <= v < 2**64, "a value in [0, 2^64 - 1]")  # as orjson writes
 _MAX_EVENTS = _UINT64._replace(default=5)
-_GRID = _Section({"t_max": _at_least(0), "n_points": _at_least(0, int)})
+_GRID = _Section({"t_max": _positive(), "n_points": _at_least(2, int)})
 _FIT = _Section({"free_params": _FREE_PARAMS}, {})
 _FIGURE = {"grid": _GRID, "fit": _FIT, "target": _target("gamma_over_omega", "tol")}
 
@@ -134,13 +134,9 @@ def _grid_sizes(cfg) -> list:
     return [(0.0, _POINT_COLLAPSES * points, {"grid.n_points": points})]
 
 
-def _t_end(grid) -> float:
-    return grid.t_max if grid.n_points > 1 else 0.0  # one point sits at t = 0
-
-
 def _epochs(cfg) -> tuple:
-    t_end, dt = _t_end(cfg.grid), cfg.env.dt
-    return t_end / dt, {"grid.t_max": t_end, "env.dt": 1.0 / dt}
+    t_max, dt = cfg.grid.t_max, cfg.env.dt
+    return t_max / dt, {"grid.t_max": t_max, "env.dt": 1.0 / dt}
 
 
 def _oracle_sizes(cfg) -> list:
@@ -188,13 +184,13 @@ _SPECS = {
     ExperimentKind.FIG3_INDISTINGUISHABLE: (IndistinguishableEnv, {
         "env": _Section({"dt": _positive(), "beta": _BETA, "max_events": _MAX_EVENTS}),
         **_FIGURE}, lambda cfg: _grid_sizes(cfg) + [
-            _table_size(_t_end(cfg.grid), cfg.env, "grid.t_max")]),
+            _table_size(cfg.grid.t_max, cfg.env, "grid.t_max")]),
     ExperimentKind.MASTER_EQ_BASELINE: (MasterEqParams, {
         "env": _Section({"gamma_se": _at_least(0)}), **_FIGURE}, _grid_sizes),
     ExperimentKind.FIG5_GAMMA_RATIO: (IndistinguishableEnv, {
         "env": _Section({"beta": _BETA, "max_events": _MAX_EVENTS,
                          "dt": _positive(None), "omega0_dt": _positive(None)}),
-        "ladder": _Section({"n_max": _at_least(0, int, 8),
+        "ladder": _Section({"n_max": _at_least(1, int, 8),
                             "lamb_dicke": _positive(LAMB_DICKE)}, {}),
         "fit_window": _Section({"omega_t_span": _positive(40.0),
                                 "n_points": _at_least(MIN_FIT_POINTS, int, 300)}, {}),
@@ -335,7 +331,7 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> ExperimentConfi
     _within_budget(sizes(cfg), raw_text)
     if env_type is DistinguishableEnv:  # Fig2, and the oracle's reference curve
         _over(*_epochs(cfg), MAX_EPOCHS, "epochs, over the epoch limit", raw_text)
-    if {"grid", "fit"} <= spec.keys() and cfg.grid.n_points:  # an empty grid fits nothing
+    if {"grid", "fit"} <= spec.keys():
         _fit_window_rule(cfg.grid.n_points, cfg.grid.t_max, cfg.system.omega,
                          {"points": "grid.n_points", "span": "grid.t_max"}, raw_text)
     if kind is ExperimentKind.FIG5_GAMMA_RATIO:
@@ -387,8 +383,6 @@ def _csv(header: str, rows) -> bytes:
     writes as null, is written with %r instead."""
     array = isinstance(rows, np.ndarray)
     rows = rows if array else [tuple(row) for row in rows]
-    if not len(rows):
-        return header.encode() + b"\n"
     values, head = np.asarray(rows, dtype=float), header.encode()
     body = bytearray(head) + orjson.dumps(rows.ravel() if array else [
         x for row in rows for x in row], option=orjson.OPT_SERIALIZE_NUMPY)
@@ -412,10 +406,7 @@ def _json(summary: dict) -> bytes:
 
 
 def _fit_fields(fit: DampedSinusoidFit) -> dict:
-    return {"gamma": fit.gamma, "omega_fit": fit.omega_fit, "amplitude": fit.amplitude,
-            "offset": fit.offset, "phase": fit.phase, "residual_rms": fit.residual_rms,
-            "free_params": sorted(fit.free_params), "degenerate": fit.degenerate,
-            "iterations": fit.iterations}
+    return {**vars(fit), "free_params": sorted(fit.free_params)}
 
 
 def _verdict(summary: dict, target: dict, key: str, got: float) -> None:
@@ -448,7 +439,7 @@ class SeriesResult:
 class FigureResult(SeriesResult):
     """Predictor series, the fitted curve on the same grid, and the fit."""
 
-    fit: DampedSinusoidFit | None
+    fit: DampedSinusoidFit
     fit_curve: np.ndarray
 
     def csv(self) -> bytes:
@@ -459,9 +450,8 @@ class FigureResult(SeriesResult):
     def summary(self, cfg: ExperimentConfig) -> dict:
         fit, omega = self.fit, cfg.system.omega
         summary = super().summary(cfg)
-        summary["fit"] = None if fit is None else {
-            **_fit_fields(fit), "gamma_over_omega": fit.gamma / omega}
-        if cfg.target and fit is not None:
+        summary["fit"] = {**_fit_fields(fit), "gamma_over_omega": fit.gamma / omega}
+        if cfg.target:
             _verdict(summary, cfg.target, "gamma_over_omega", fit.gamma / omega)
         return summary
 
@@ -502,10 +492,9 @@ class GammaRatioResult(NamedTuple):
     def svg(self, cfg: ExperimentConfig) -> bytes:
         ns = np.array([row.n for row in self.rows], dtype=float)
         ratios, law = np.array([row.ratio for row in self.rows]), self.power_law
-        xs = ns if law.degenerate else np.linspace(0.0, float(ns[-1]), 100)
-        curve = ratios if law.degenerate else (1.0 + xs) ** law.exponent
-        return series_overlay_svg((ns, ratios), (xs, curve), cfg.experiment.value,
-                                  xlabel="n", ylabel="gamma_n / gamma_0")
+        xs = np.linspace(0.0, float(ns[-1]), 100)
+        return series_overlay_svg((ns, ratios), (xs, (1.0 + xs) ** law.exponent),
+                                  cfg.experiment.value, xlabel="n", ylabel="gamma_n / gamma_0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,9 +542,9 @@ def predictor_series(cfg: ExperimentConfig) -> ProbabilitySeries:
     if isinstance(env, MasterEqParams):
         return master_eq_series(env, grid)
     if isinstance(env, DistinguishableEnv):
-        n_max = math.ceil(float(grid[-1]) / env.dt) + 1 if grid.size else 0
+        n_max = math.ceil(float(grid[-1]) / env.dt) + 1
         return sample_series(build_predictor(cfg.system, env, n_max), grid)
-    n_max = table_n_max(float(grid[-1]), env.beta, env.dt) if grid.size else 0
+    n_max = table_n_max(float(grid[-1]), env.beta, env.dt)
     return sample_rescaled_series(build_nested_table(cfg.system, env, n_max), env, grid)
 
 
@@ -575,8 +564,6 @@ def run_figure_experiment(cfg: ExperimentConfig) -> FigureResult:
     map's -ln(eta)/(2 dt) when its roots are complex, 3 gamma_se/4 for the master
     equation; elsewhere (real roots, the nested predictor) at 0."""
     series = predictor_series(cfg)
-    if len(series) == 0:
-        return FigureResult(series=series, fit=None, fit_curve=np.empty(0))
     env, spectrum, gamma_hint = cfg.env, None, 0.0
     if isinstance(env, DistinguishableEnv):
         spectrum = epoch_map_spectrum(cfg.system, env)
@@ -626,7 +613,7 @@ def run_oracle_check(cfg: ExperimentConfig) -> OracleCheckResult:
     dev = np.abs(mc.probs - analytic.probs)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(sigma > 0.0, dev / sigma, np.where(dev > 0.0, np.inf, 0.0))
-    return OracleCheckResult(mc, analytic, sigma, z, float(np.max(z)) if z.size else math.nan)
+    return OracleCheckResult(mc, analytic, sigma, z, float(np.max(z)))
 
 
 def run_experiment(cfg: ExperimentConfig):

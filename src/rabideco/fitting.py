@@ -197,7 +197,7 @@ def damped_sinusoid_model(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     return _evaluate(params, -t, 2.0 * t, 0.0, np.empty((4, *t.shape)))  # x - 0.0 is x
 
 
-@np.errstate(over="ignore")  # overflow makes a step or its SSE non-finite: rejected
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite pivot, step or SSE: rejected
 def fit_damped_sinusoid(
     series: ProbabilitySeries,
     omega_hint: float,

@@ -126,12 +126,10 @@ def path_work(chain: bool, n_systems, eta: float, n_epochs, n_points) -> float:
 
 
 def run_work(n_systems, eta: float, epochs: float, n_points) -> tuple:
-    """The plan `simulate_distinguishable` runs for `epochs` = t_end / dt: (chain, n_epochs,
-    work in member collapses), the path `path_work` prices cheaper (members on a tie). An
-    empty grid costs nothing."""
+    """The plan `simulate_distinguishable` runs for `epochs` = t_end / dt over `n_points`
+    grid times, at least one: (chain, n_epochs, work in member collapses), the path
+    `path_work` prices cheaper (members on a tie)."""
     n_epochs = math.floor(epochs + 1e-9)  # one that rounding puts just past t_end counts
-    if not n_points:
-        return False, n_epochs, 0.0
     work = [path_work(chain, n_systems, eta, n_epochs, n_points) for chain in (False, True)]
     chain = work[True] < work[False]
     return chain, n_epochs, work[chain]
