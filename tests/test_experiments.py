@@ -1158,6 +1158,18 @@ class TestCli:
         summary = strict_json((tmp_path / "fig3.json").read_text())
         assert {summary["seed"], summary["parameters"]["max_events"]} == {5, 2**64 - 1}
 
+    def test_oracle_on_an_empty_grid_does_not_pass(self, tmp_path, capsys):
+        # no point is compared, so there is no largest |z| to pass on: the run is
+        # refused, and no summary (so no verdict) is written
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["grid"]["n_points"] = 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli_main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid.n_points (line ")
+        assert not (out / "oracle_check.json").exists()
+
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(fig3_config()))
@@ -1620,6 +1632,31 @@ class TestWorkBudget:
         for section, keys in changes.items():
             data[section].update(keys)
         assert "work budget" in self.exits_2(tmp_path, capsys, data, key_path)
+
+    def test_single_point_grid_builds_no_epochs(self, tmp_path, capsys):
+        # one grid point sits at t = 0, so t_max would size no epochs: the grid is
+        # refused at its point count, not priced by the work budget
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["grid"] = {"t_max": 1e300, "n_points": 1}
+        assert "work budget" not in self.exits_2(tmp_path, capsys, data, "grid.n_points")
+
+    @pytest.mark.parametrize("command", ["experiment", "simulate", "oracle-check"])
+    def test_empty_oracle_grid_draws_nothing(self, tmp_path, capsys, monkeypatch, command):
+        # an empty grid would charge no draws, so the budget would pass any n_systems;
+        # each command refuses it at the config check, before its first block
+        def no_draws(seed, block):
+            raise AssertionError(f"drew block {block} for an empty grid")
+
+        monkeypatch.setattr("rabideco.montecarlo._block_rng", no_draws)
+        data = json.loads((CONFIG_DIR / "oracle_check.json").read_text())
+        data["grid"]["n_points"] = 0
+        data["mc"]["n_systems"] = 10**15
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: grid.n_points (line ")
+        assert not (tmp_path / "oracle_check.csv").exists()
 
     def test_presets_and_benchmark_items_far_below(self, monkeypatch):
         monkeypatch.setattr("rabideco.experiments.WORK_BUDGET", WORK_BUDGET / 5.0)
